@@ -36,7 +36,7 @@ from .protocols import (
     make_protocol,
     reconstruct,
 )
-from .symmetry import center_robot_index, classify, symmetry_report
+from .symmetry import classify, symmetry_report
 from .verify import MOVE_ALL, VISIT_ALL, check_k_step_spec
 
 EXIT_OK = 0
@@ -327,12 +327,10 @@ def _demo_thm2(force: bool) -> int:
     print("guard disabled: every robot walks to the occupied center it sees")
     print("predicted obstruction: CollisionDetected (symmetric views, same target)")
 
-    def claim_center(snap, tol):
-        lp = snap.local_points
-        if classify(lp, tol).in_c_dot:
-            ci = center_robot_index(lp, tol)
-            return lp[ci]
-        return lp[snap.own_index]
+    def claim_center(a, snap, bit, handedness, tol):
+        if a.in_c_dot:
+            return a[a.center_index]
+        return a[snap.own_index]
 
     trace = run(pts, frames, Protocol(name="claim-center", step=claim_center,
                                       min_robots=3), 1)
@@ -349,15 +347,13 @@ def _demo_thm3(force: bool) -> int:
     if force:
         print("(--force has no effect: the memoryless attempt is already forced)")
 
-    def bitless(snap, tol):
-        lp = snap.local_points
-        if classify(lp, tol).in_c_dot:
-            ci = center_robot_index(lp, tol)
-            if snap.own_index == ci:
-                dest, _ = compute_movement_central(lp, CCW, tol)
+    def bitless(a, snap, bit, handedness, tol):
+        if a.in_c_dot:
+            if snap.own_index == a.center_index:
+                dest, _ = compute_movement_central(a, handedness, tol)
                 return dest
-            return lp[snap.own_index]
-        mark = reconstruct(lp, CCW, tol)
+            return a[snap.own_index]
+        mark = reconstruct(a, handedness, tol)
         order = order_from_leader(mark.reconstructed, mark.pivot_index, tol)
         return mark.reconstructed[order.successor(snap.own_index)]
 

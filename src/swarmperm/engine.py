@@ -24,7 +24,8 @@ from .errors import (
     NotCentral,
     SwarmError,
 )
-from .geometry import DEFAULT_TOL, Point, Tolerance, inverse_transform, transform
+from .geometry import (DEFAULT_TOL, Point, Tolerance, first_coincident_pair,
+                       inverse_transform, transform)
 from .protocols import Protocol
 from .symmetry import center_robot_index, mirror_axes
 
@@ -62,11 +63,8 @@ class Configuration:
         return len(self.points)
 
     def validate_distinct(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        pts = self.points
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if tol.same_point(pts[i], pts[j]):
-                    raise DuplicatePoints(f"robots {i} and {j} share a position")
+        if (hit := first_coincident_pair(self.points, tol)) is not None:
+            raise DuplicatePoints(f"robots {hit[0]} and {hit[1]} share a position")
 
 
 @dataclass(frozen=True)
@@ -145,12 +143,10 @@ def fsync_round(points: Sequence[Point], frames: Sequence[Frame], protocol: Prot
     new_points = tuple(
         transform(d, frames[i].rotation, frames[i].mirror, frames[i].scale, points[i])
         for i, d in enumerate(dests_local))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if tol.same_point(new_points[i], new_points[j]):
-                raise CollisionDetected(
-                    f"robots {i} and {j} share the destination "
-                    f"({new_points[i].x:.6g}, {new_points[i].y:.6g})", (i, j))
+    if (hit := first_coincident_pair(new_points, tol)) is not None:
+        i, j = hit
+        raise CollisionDetected(f"robots {i} and {j} share the destination "
+                                f"({new_points[i].x:.6g}, {new_points[i].y:.6g})", hit)
     moved = tuple(not tol.same_point(p, q) for p, q in zip(points, new_points))
     return new_points, tuple(new_bits), moved
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     AmbiguousLayering,
@@ -103,15 +103,6 @@ class Tolerance:
     def gt(self, a: float, b: float) -> bool:
         return a > b + self.eps
 
-    def le(self, a: float, b: float) -> bool:
-        return a <= b + self.eps
-
-    def ge(self, a: float, b: float) -> bool:
-        return a >= b - self.eps
-
-    def is_zero(self, a: float) -> bool:
-        return abs(a) <= self.eps
-
     def same_point(self, p: Point, q: Point) -> bool:
         return p.dist(q) <= self.eps
 
@@ -177,6 +168,16 @@ def norm_angle(a: float) -> float:
 def ccw_angle(u: Point, v: Point) -> float:
     """Counter-clockwise angle from ray u to ray v, in [0, 2*pi)."""
     return norm_angle(math.atan2(u.cross(v), u.dot(v)))
+
+
+def first_coincident_pair(points: Sequence[Point], tol: Tolerance) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j, of points within eps of each other, in
+    row-major order, or None when all points are distinct."""
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if tol.same_point(points[i], points[j]):
+                return i, j
+    return None
 
 
 def centroid(points: Sequence[Point]) -> Point:
@@ -353,7 +354,3 @@ def inverse_transform(p: Point, rotation: float = 0.0, mirror: bool = False,
     q = q.rotated(-rotation)
     return q.mirrored() if mirror else q
 
-
-def convex_position_ccw(points: Iterable[Point], about: Point) -> list[Point]:
-    """Sort points counter-clockwise by angle about a center (tie: radius)."""
-    return sorted(points, key=lambda p: (norm_angle(angle_of(p - about)), p.dist(about)))

@@ -31,11 +31,10 @@ from .geometry import (
     Tolerance,
     angle_of,
     ccw_angle,
-    centroid,
+    first_coincident_pair,
     norm_angle,
-    smallest_enclosing_circle,
 )
-from .symmetry import classify, mirror_axes, robots_on_axis, rotational_order, Axis
+from .symmetry import Axis, analyze
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,17 +90,14 @@ def _check_handedness(handedness: str) -> None:
 
 
 def _check_distinct(points: Sequence[Point], tol: Tolerance) -> None:
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if tol.same_point(points[i], points[j]):
-                raise DuplicatePoints(f"points {i} and {j} coincide within eps")
+    if (hit := first_coincident_pair(points, tol)) is not None:
+        raise DuplicatePoints(f"points {hit[0]} and {hit[1]} coincide within eps")
 
 
 def _ray_groups(points: Sequence[Point], idxs: Sequence[int], c: Point,
                 handedness: str, tol: Tolerance) -> list[list[int]]:
     """Indices grouped by ray from c, groups in sweep order for the given
     handedness, each group sorted by increasing distance from c."""
-    ref = Point(1.0, 0.0)
 
     def sweep_angle(v: Point) -> float:
         th = norm_angle(angle_of(v))
@@ -125,7 +121,6 @@ def _ray_groups(points: Sequence[Point], idxs: Sequence[int], c: Point,
     else:
         for g in groups:
             g.sort(key=lambda i: points[i].dist(c))
-    del ref
     return groups
 
 
@@ -194,8 +189,9 @@ def next_point(points: Sequence[Point], r_idx: int, handedness: str = CCW,
 
     Points at the centroid are excluded from the scan.
     """
+    a = analyze(points, tol)
     _check_handedness(handedness)
-    c = centroid(points)
+    c = a.centroid
     vr = points[r_idx] - c
     dr = vr.norm()
     if dr <= tol.eps:
@@ -235,11 +231,12 @@ def order_with_chirality(points: Sequence[Point], handedness: str = CCW,
     signature rotation start.  Identical for every observer sharing the
     handedness; independent of frame rotation and scale.
     """
+    a = analyze(points, tol)
     _check_handedness(handedness)
     _check_distinct(points, tol)
-    if classify(points, tol).in_c_dot:
+    if a.in_c_dot:
         raise NotOrderable("centered rotationally-symmetric configuration")
-    c = centroid(points)
+    c = a.centroid
     center_idxs = [i for i, p in enumerate(points) if tol.same_point(p, c)]
     rest = [i for i in range(len(points)) if i not in center_idxs]
     groups = _ray_groups(points, rest, c, handedness, tol)
@@ -250,24 +247,6 @@ def order_with_chirality(points: Sequence[Point], handedness: str = CCW,
     s = _canonical_rotation_start(pairs, tol)
     rotated = flat[s:] + flat[:s]
     return CyclicOrder(tuple(rotated + center_idxs))
-
-
-def canonical_total_order(points: Sequence[Point], handedness: str = CCW,
-                          tol: Tolerance = DEFAULT_TOL) -> tuple[int, ...]:
-    """Total order: the cyclic sweep started at the unique canonical
-    signature rotation, with a centroid point (if any) appended last."""
-    _check_handedness(handedness)
-    _check_distinct(points, tol)
-    c = centroid(points)
-    center_idxs = [i for i, p in enumerate(points) if tol.same_point(p, c)]
-    rest = [i for i in range(len(points)) if i not in center_idxs]
-    if not rest:
-        raise NotOrderable("all points at the centroid")
-    groups = _ray_groups(points, rest, c, handedness, tol)
-    flat = [i for g in groups for i in g]
-    pairs = _signature_pairs(points, groups, c, handedness)
-    s = _canonical_rotation_start(pairs, tol)
-    return tuple(flat[s:] + flat[:s] + center_idxs)
 
 
 # --- chirality agreement -------------------------------------------------
@@ -319,13 +298,14 @@ def agree_chirality(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> st
     observer lands on the opposite one, which is exactly what a shared
     clockwise notion needs.
     """
-    if mirror_axes(points, tol):
+    a = analyze(points, tol)
+    if a.mirror_axes:
         raise MirrorSymmetric("a mirror-symmetric configuration has no canonical handedness")
-    c = centroid(points)
+    c = a.centroid
     idxs = [i for i, p in enumerate(points) if not tol.same_point(p, c)]
     if not idxs:
         raise MirrorSymmetric("no off-centroid points to orient by")
-    k = rotational_order(points, tol)
+    k = a.rotational_order
     orbits = _rotation_orbits(points, idxs, c, k, tol)
 
     def orbit_key(orbit: list[int]) -> tuple[float, int, list[float]]:
@@ -382,14 +362,15 @@ def order_without_chirality(points: Sequence[Point], tol: Tolerance = DEFAULT_TO
     each side by (along-axis coordinate, distance from axis), concatenate.
     Anything else is not orderable.
     """
+    a = analyze(points, tol)
     _check_distinct(points, tol)
-    if classify(points, tol).in_c_dot:
+    if a.in_c_dot:
         raise NotOrderable("centered rotationally-symmetric configuration")
-    axes = mirror_axes(points, tol)
+    axes = a.mirror_axes
     if not axes:
-        return order_with_chirality(points, agree_chirality(points, tol), tol)
-    if len(axes) == 1 and not robots_on_axis(points, axes[0], tol):
-        u = orient_axis(points, axes[0], tol)
+        return order_with_chirality(a, agree_chirality(a, tol), tol)
+    if len(axes) == 1 and not a.axis_robots[0]:
+        u = orient_axis(a, axes[0], tol)
         c = axes[0].point
 
         def key(i: int) -> tuple[float, float]:
@@ -399,7 +380,7 @@ def order_without_chirality(points: Sequence[Point], tol: Tolerance = DEFAULT_TO
         side_a = sorted((i for i in range(len(points)) if u.cross(points[i] - c) > 0.0), key=key)
         side_b = sorted((i for i in range(len(points)) if u.cross(points[i] - c) <= 0.0), key=key)
         return CyclicOrder(tuple(side_a + side_b))
-    on_axis = sum(1 for ax in axes if robots_on_axis(points, ax, tol))
+    on_axis = sum(1 for on in a.axis_robots if on)
     raise NotOrderable(
         f"symmetry axes block an agreed cyclic order "
         f"(axes={len(axes)}, occupied axes={on_axis})")
@@ -410,16 +391,15 @@ def order_without_chirality(points: Sequence[Point], tol: Tolerance = DEFAULT_TO
 def inner_polygon(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> tuple[int, ...]:
     """Indices of the innermost non-degenerate circle about the center of
     the smallest enclosing circle, in ccw angular order."""
+    a = analyze(points, tol)
     if len(points) < 3:
         raise ValueError("inner polygon needs at least 3 points")
-    from .geometry import concentric_decomposition
-    sec = smallest_enclosing_circle(points, tol)
-    deco = concentric_decomposition(points, sec.center, tol)
-    for layer in deco.layers:
+    c = a.sec.center
+    for layer in a.layers:
         if layer.radius > tol.eps:
             return tuple(sorted(
                 layer.indices,
-                key=lambda i: norm_angle(angle_of(points[i] - sec.center))))
+                key=lambda i: norm_angle(angle_of(points[i] - c))))
     raise ValueError("all points coincide with the center")
 
 
@@ -430,12 +410,11 @@ def _cw_angle_from(u: Point, v: Point, tol: Tolerance) -> float:
 
 
 def get_vote(points: Sequence[Point], polygon: Sequence[int], x_dir: Point,
-             tol: Tolerance = DEFAULT_TOL, center: Point | None = None) -> int:
+             tol: Tolerance = DEFAULT_TOL) -> int:
     """The polygon vertex first met sweeping clockwise from the frame's
     x-direction anchored at the center.  Exact alignment wins outright;
     sub-eps angular ties fall back to the canonical point sort."""
-    if center is None:
-        center = smallest_enclosing_circle(points, tol).center
+    center = analyze(points, tol).sec.center
     scored = []
     for v in polygon:
         a = _cw_angle_from(x_dir, points[v] - center, tol)
@@ -450,11 +429,11 @@ def get_vote(points: Sequence[Point], polygon: Sequence[int], x_dir: Point,
 
 def vote_tally(points: Sequence[Point], x_dirs: Sequence[Point],
                tol: Tolerance = DEFAULT_TOL) -> VoteTally:
-    polygon = inner_polygon(points, tol)
-    center = smallest_enclosing_circle(points, tol).center
+    a = analyze(points, tol)
+    polygon = a.inner_polygon
     counts = {v: 0 for v in polygon}
     for d in x_dirs:
-        counts[get_vote(points, polygon, d, tol, center)] += 1
+        counts[get_vote(a, polygon, d, tol)] += 1
     return VoteTally(polygon=polygon, votes=tuple(counts[v] for v in polygon))
 
 
@@ -481,9 +460,9 @@ def order_from_leader(points: Sequence[Point], leader: int,
     """Cyclic order anchored at a leader point: non-center points sorted by
     (clockwise angle from the ray center->leader, then radius), with the
     center point appended last."""
+    a = analyze(points, tol)
     _check_handedness(handedness)
-    sec = smallest_enclosing_circle(points, tol)
-    c = sec.center
+    c = a.sec.center
     u = points[leader] - c
     if u.norm() <= tol.eps:
         raise InvalidLeader("leader must not occupy the center")

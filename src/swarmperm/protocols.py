@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
+    AmbiguousLayering,
     DecodeFailure,
     InvalidCaller,
     InvalidHop,
@@ -30,26 +31,19 @@ from .geometry import (
     Point,
     Tolerance,
     ccw_angle,
-    centroid,
     concentric_decomposition,
+    first_coincident_pair,
     smallest_enclosing_circle,
 )
 from .ordering import (
     agree_chirality,
-    inner_polygon,
     order_from_leader,
     order_with_chirality,
     order_without_chirality,
     orient_axis,
     voting_elect,
 )
-from .symmetry import (
-    center_robot_index,
-    classify,
-    mirror_axes,
-    robots_on_axis,
-    symmetry_report,
-)
+from .symmetry import Analysis, analyze, symmetry_report
 
 THIRD_TURN = 2.0 * math.pi / 3.0
 
@@ -58,11 +52,11 @@ THIRD_TURN = 2.0 * math.pi / 3.0
 class LeaderMark:
     """Result of inverting an intermediate configuration: who led, which
     pivot was signalled, and the centered configuration it came from
-    (index-aligned with the input)."""
+    (index-aligned with the input), with the analysis built to check it."""
 
     leader_index: int
     pivot_index: int
-    reconstructed: tuple[Point, ...]
+    reconstructed: Analysis
     case: str
 
 
@@ -115,8 +109,9 @@ def select_pivot(points: Sequence[Point], handedness: str = CCW,
     this choice.  The rule uses directions only, so it is unaffected by
     the caller's position.
     """
-    c = smallest_enclosing_circle(points, tol).center
-    ring_ccw = inner_polygon(points, tol)
+    a = analyze(points, tol)
+    c = a.sec.center
+    ring_ccw = a.inner_polygon
     ring = list(reversed(ring_ccw)) if handedness == CCW else list(ring_ccw)
     m = len(ring)
     cwd = _clock(handedness)
@@ -162,24 +157,23 @@ def compute_movement_central(points: Sequence[Point], handedness: str = CCW,
     the side that puts the pivot first along the clockwise arc.  More
     robots: slide toward the pivot by one eighth of the innermost radius.
     """
-    cls = classify(points, tol)
-    if not cls.in_c_dot:
+    a = analyze(points, tol)
+    if not a.in_c_dot:
         raise NotCentral("central movement requires a centered symmetric configuration")
-    ci = center_robot_index(points, tol)
-    assert ci is not None
+    ci = a.center_index
     c = points[ci]
     n = len(points)
-    pivot = select_pivot(points, handedness, tol)
+    pivot = select_pivot(a, handedness, tol)
     if n == 3:
-        a, b = [i for i in range(n) if i != ci]
-        seg = points[b] - points[a]
+        e1, e2 = [i for i in range(n) if i != ci]
+        seg = points[e2] - points[e1]
         s_len = seg.norm()
         normal = seg.unit().rotated(math.pi / 2.0)
         cwd = _clock(handedness)
         for sign in (1.0, -1.0):
             apex = c + normal * (sign * s_len / 2.0)
             # all three points sit at distance s/2 from c, so c is the arc center
-            first = min((a, b), key=lambda i: _sweep_angle(apex - c, points[i] - c, cwd, tol))
+            first = min((e1, e2), key=lambda i: _sweep_angle(apex - c, points[i] - c, cwd, tol))
             if first == pivot:
                 return apex, pivot
         raise AssertionError("no perpendicular side makes the pivot first clockwise")
@@ -197,15 +191,15 @@ def compute_movement_not_central(points: Sequence[Point], own: int,
     radial retreat fraction, an angular offset, or a boundary-pair
     stretch otherwise, depending on where the leader sits.
     """
-    cls = classify(points, tol)
-    if not cls.in_c_dot:
+    a = analyze(points, tol)
+    if not a.in_c_dot:
         raise NotCentral("leader movement requires a centered symmetric configuration")
-    ci = center_robot_index(points, tol)
+    ci = a.center_index
     if own == ci:
         raise InvalidCaller("the central robot must use the central movement")
     c = points[ci]
     n = len(points)
-    pivot = select_pivot(points, handedness, tol)
+    pivot = select_pivot(a, handedness, tol)
     if n == 3:
         u = (points[own] - c).unit()
         other = next(i for i in range(n) if i not in (own, ci))
@@ -240,14 +234,6 @@ def compute_movement_not_central(points: Sequence[Point], own: int,
 
 # --- reconstruction ------------------------------------------------------
 
-def _distinct(points: Sequence[Point], tol: Tolerance) -> bool:
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if tol.same_point(points[i], points[j]):
-                return False
-    return True
-
-
 def _finish_mark(points: Sequence[Point], rec: list[Point], leader: int, e: float,
                  c: Point, case: str, handedness: str, tol: Tolerance) -> LeaderMark | None:
     """Shared tail of the two-mover cases: locate and snap the displaced
@@ -256,7 +242,7 @@ def _finish_mark(points: Sequence[Point], rec: list[Point], leader: int, e: floa
     rest = [i for i in range(len(points)) if i != leader]
     try:
         deco = concentric_decomposition([points[i] for i in rest], c, tol)
-    except Exception:
+    except AmbiguousLayering:
         return None
     inner = next((layer for layer in deco.layers if layer.radius > tol.eps), None)
     if inner is None or len(inner.indices) != 1:
@@ -264,11 +250,12 @@ def _finish_mark(points: Sequence[Point], rec: list[Point], leader: int, e: floa
     qc = rest[inner.indices[0]]
     rec = list(rec)
     rec[qc] = c
-    if not _distinct(rec, tol):
+    if first_coincident_pair(rec, tol) is not None:
         return None
-    if not classify(rec, tol).in_c_dot:
+    ra = Analysis(rec, tol)
+    if not ra.in_c_dot:
         return None
-    p1 = inner_polygon(rec, tol)
+    p1 = ra.inner_polygon
     r1 = rec[p1[0]].dist(c)
     if not tol.eq(points[qc].dist(c), r1 / 8.0):
         return None
@@ -279,7 +266,7 @@ def _finish_mark(points: Sequence[Point], rec: list[Point], leader: int, e: floa
     except (DecodeFailure, InvalidHop):
         return None
     ranked = _hop_rank(rec, p1, c, rec[leader], handedness, tol)
-    return LeaderMark(leader, ranked[nhop], tuple(rec), case)
+    return LeaderMark(leader, ranked[nhop], ra, case)
 
 
 def _attempts_three(points: Sequence[Point], handedness: str,
@@ -296,10 +283,11 @@ def _attempts_three(points: Sequence[Point], handedness: str,
     if tol.eq(h, e_len / 2.0):
         rec = list(points)
         rec[apex] = foot
-        if _distinct(rec, tol) and classify(rec, tol).in_c_dot:
+        ra = Analysis(rec, tol)
+        if first_coincident_pair(rec, tol) is None and ra.in_c_dot:
             first = min((a, b), key=lambda i: _sweep_angle(points[apex] - foot,
                                                            points[i] - foot, cwd, tol))
-            out.append(LeaderMark(apex, first, tuple(rec), "C1"))
+            out.append(LeaderMark(apex, first, ra, "C1"))
     for moved, fixed in ((a, b), (b, a)):
         d_m = points[moved].dist(foot)
         d_f = points[fixed].dist(foot)
@@ -313,18 +301,18 @@ def _attempts_three(points: Sequence[Point], handedness: str,
         rec = list(points)
         rec[apex] = foot
         rec[moved] = orig
-        if not (_distinct(rec, tol) and classify(rec, tol).in_c_dot):
+        ra = Analysis(rec, tol)
+        if not (first_coincident_pair(rec, tol) is None and ra.in_c_dot):
             continue
         pivot = moved if d_m > h else fixed
-        out.append(LeaderMark(moved, pivot, tuple(rec), "L1"))
+        out.append(LeaderMark(moved, pivot, ra, "L1"))
     return out
 
 
-def _attempts_many(points: Sequence[Point], handedness: str,
-                   tol: Tolerance) -> list[LeaderMark]:
+def _attempts_many(points: Analysis, handedness: str, tol: Tolerance) -> list[LeaderMark]:
     out: list[LeaderMark] = []
     n = len(points)
-    sec = smallest_enclosing_circle(points, tol)
+    sec = points.sec
     boundary = [i for i in range(n) if tol.eq(points[i].dist(sec.center), sec.radius)]
 
     # stretched boundary pair
@@ -347,10 +335,10 @@ def _attempts_many(points: Sequence[Point], handedness: str,
                         out.append(mark)
 
     try:
-        deco = concentric_decomposition(points, sec.center, tol)
-    except Exception:
+        layers = points.layers
+    except AmbiguousLayering:
         return out
-    nondeg = [layer for layer in deco.layers if layer.radius > tol.eps]
+    nondeg = [layer for layer in layers if layer.radius > tol.eps]
     c = sec.center
 
     # outermost triple knocked out of its equal spacing
@@ -406,13 +394,14 @@ def _attempts_many(points: Sequence[Point], handedness: str,
         q = singles[0].indices[0]
         rec = list(points)
         rec[q] = c
-        if _distinct(rec, tol) and classify(rec, tol).in_c_dot:
-            p1 = inner_polygon(rec, tol)
+        ra = Analysis(rec, tol)
+        if first_coincident_pair(rec, tol) is None and ra.in_c_dot:
+            p1 = ra.inner_polygon
             r1 = rec[p1[0]].dist(c)
             if tol.eq(points[q].dist(c), r1 / 8.0):
                 hits = [v for v in p1 if tol.ray_aligned(points[q] - c, rec[v] - c)]
                 if len(hits) == 1:
-                    out.append(LeaderMark(q, hits[0], tuple(rec), "C2"))
+                    out.append(LeaderMark(q, hits[0], ra, "C2"))
     return out
 
 
@@ -425,13 +414,14 @@ def reconstruct(points: Sequence[Point], handedness: str = CCW,
     protocol constants, hop fraction inside a decode guard band), and
     demands exactly one survivor.
     """
+    a = analyze(points, tol)
     n = len(points)
     if n < 3:
         raise ReconstructFailure("need at least 3 points")
-    if classify(points, tol).in_c_dot:
+    if a.in_c_dot:
         raise ReconstructFailure("configuration is already centered; nothing to invert")
     marks = _attempts_three(points, handedness, tol) if n == 3 \
-        else _attempts_many(points, handedness, tol)
+        else _attempts_many(a, handedness, tol)
     unique: list[LeaderMark] = []
     for mk in marks:
         dup = any(mk.leader_index == u.leader_index
@@ -447,40 +437,41 @@ def reconstruct(points: Sequence[Point], handedness: str = CCW,
 
 
 # --- per-protocol step functions -----------------------------------------
+# Every step takes (a, snapshot, bit, handedness, tol): a is the Analysis
+# of snapshot.local_points, the robot's memory bit (None for memoryless
+# protocols), and the protocol's handedness and tolerance.
 
-def visit_all_chirality_step(snapshot, handedness: str = CCW,
-                             tol: Tolerance = DEFAULT_TOL) -> Point:
+def visit_all_chirality_step(a: Analysis, snapshot, bit, handedness: str,
+                             tol: Tolerance) -> Point:
     """Move to the successor of the own position under the shared sweep
     order."""
-    pts = snapshot.local_points
-    order = order_with_chirality(pts, handedness, tol)
-    return pts[order.successor(snapshot.own_index)]
+    order = order_with_chirality(a, handedness, tol)
+    return a[order.successor(snapshot.own_index)]
 
 
-def move_all_no_chirality_step(snapshot, tol: Tolerance = DEFAULT_TOL) -> Point:
+def move_all_no_chirality_step(a: Analysis, snapshot, bit, handedness: str,
+                               tol: Tolerance) -> Point:
     """One-round total relocation without a shared clockwise notion."""
-    pts = snapshot.local_points
     own = snapshot.own_index
-    p = pts[own]
-    if classify(pts, tol).in_c_dot:
+    p = a[own]
+    if a.in_c_dot:
         raise NotOrderable("centered rotationally-symmetric configuration")
-    rep = symmetry_report(pts, tol)
-    c = centroid(pts)
+    rep = symmetry_report(a, tol)
+    c = a.centroid
     if rep.is_central_symmetric:
         return c * 2.0 - p
     if not rep.mirror_axes:
-        h = agree_chirality(pts, tol)
-        order = order_with_chirality(pts, h, tol)
-        return pts[order.successor(own)]
-    for ax in rep.mirror_axes:
-        if len(robots_on_axis(pts, ax, tol)) == 1:
-            raise NotOrderable("a symmetry axis carries exactly one robot")
-    my_axes = [ax for ax in rep.mirror_axes if own in robots_on_axis(pts, ax, tol)]
-    if my_axes:
-        ax = my_axes[0]
-        u = orient_axis(pts, ax, tol)
-        on = sorted(robots_on_axis(pts, ax, tol), key=lambda i: u.dot(pts[i] - ax.point))
-        return pts[on[(on.index(own) + 1) % len(on)]]
+        h = agree_chirality(a, tol)
+        order = order_with_chirality(a, h, tol)
+        return a[order.successor(own)]
+    if 1 in rep.robot_counts_on_axes:
+        raise NotOrderable("a symmetry axis carries exactly one robot")
+    mine = [t for t, on in enumerate(a.axis_robots) if own in on]
+    if mine:
+        ax = rep.mirror_axes[mine[0]]
+        u = orient_axis(a, ax, tol)
+        on = sorted(a.axis_robots[mine[0]], key=lambda i: u.dot(a[i] - ax.point))
+        return a[on[(on.index(own) + 1) % len(on)]]
     dists = sorted((abs(ax.direction.cross(p - ax.point)), t)
                    for t, ax in enumerate(rep.mirror_axes))
     if len(dists) == 1 or tol.gt(dists[1][0], dists[0][0]):
@@ -491,49 +482,45 @@ def move_all_no_chirality_step(snapshot, tol: Tolerance = DEFAULT_TOL) -> Point:
     return c * 2.0 - p
 
 
-def visit_all_no_chirality_step(snapshot, tol: Tolerance = DEFAULT_TOL) -> Point:
-    pts = snapshot.local_points
-    order = order_without_chirality(pts, tol)
-    return pts[order.successor(snapshot.own_index)]
+def visit_all_no_chirality_step(a: Analysis, snapshot, bit, handedness: str,
+                                tol: Tolerance) -> Point:
+    order = order_without_chirality(a, tol)
+    return a[order.successor(snapshot.own_index)]
 
 
-def voting_visit_all_step(snapshot, handedness: str = CCW,
-                          tol: Tolerance = DEFAULT_TOL) -> Point:
+def voting_visit_all_step(a: Analysis, snapshot, bit, handedness: str,
+                          tol: Tolerance) -> Point:
     """Break a centered configuration by electing an inner-circle vertex
     from the visible frame directions; otherwise fall back to the plain
     shared sweep."""
-    pts = snapshot.local_points
-    own = snapshot.own_index
-    if not classify(pts, tol).in_c_dot:
-        return visit_all_chirality_step(snapshot, handedness, tol)
+    if not a.in_c_dot:
+        return visit_all_chirality_step(a, snapshot, bit, handedness, tol)
     if snapshot.visible_frames is None:
         raise ValueError("voting needs the frame directions in the snapshot")
-    leader = voting_elect(pts, snapshot.visible_frames, tol)
-    order = order_from_leader(pts, leader, tol)
-    return pts[order.successor(own)]
+    leader = voting_elect(a, snapshot.visible_frames, tol)
+    order = order_from_leader(a, leader, tol)
+    return a[order.successor(snapshot.own_index)]
 
 
-def one_bit_step(snapshot, b: int, handedness: str = CCW,
-                 tol: Tolerance = DEFAULT_TOL) -> tuple[Point, int]:
+def one_bit_step(a: Analysis, snapshot, bit: int, handedness: str,
+                 tol: Tolerance) -> tuple[Point, int]:
     """Two-round cadence: centered rounds broadcast a pivot through the
     movements of the central robot and the remembered leader; off-center
     rounds invert those movements and advance everyone one slot along the
     pivot-anchored cyclic order.  Returns (destination, new bit)."""
-    pts = snapshot.local_points
     own = snapshot.own_index
-    centered = classify(pts, tol).in_c_dot
-    if not centered and b == 0:
-        order = order_with_chirality(pts, handedness, tol)
-        return pts[order.successor(own)], 0
+    centered = a.in_c_dot
+    if not centered and bit == 0:
+        order = order_with_chirality(a, handedness, tol)
+        return a[order.successor(own)], 0
     if centered:
-        ci = center_robot_index(pts, tol)
-        if ci == own:
-            dest, _pivot = compute_movement_central(pts, handedness, tol)
+        if a.center_index == own:
+            dest, _pivot = compute_movement_central(a, handedness, tol)
             return dest, 1
-        if b == 0:
-            return pts[own], 1
-        return compute_movement_not_central(pts, own, handedness, tol), 1
-    mark = reconstruct(pts, handedness, tol)
+        if bit == 0:
+            return a[own], 1
+        return compute_movement_not_central(a, own, handedness, tol), 1
+    mark = reconstruct(a, handedness, tol)
     order = order_from_leader(mark.reconstructed, mark.pivot_index, tol)
     new_b = 1 if own == mark.leader_index else 0
     return mark.reconstructed[order.successor(own)], new_b
@@ -543,7 +530,11 @@ def one_bit_step(snapshot, b: int, handedness: str = CCW,
 
 @dataclass(frozen=True)
 class Protocol:
-    """A named Compute rule plus the capabilities it assumes."""
+    """A named Compute rule plus the capabilities it assumes.
+
+    `step(analysis, snapshot, bit, handedness, tol)` returns a destination
+    in the snapshot's frame, or (destination, new bit) with `needs_memory`.
+    """
 
     name: str
     step: Callable
@@ -553,15 +544,9 @@ class Protocol:
     handedness: str = CCW
     tol: Tolerance = DEFAULT_TOL
 
-    uses_handedness: ClassVar[set[str]] = {
-        "VisitAllChirality", "VotingVisitAll", "OneBitVisitAll"}
-
     def compute(self, snapshot, bit: int | None = None):
-        if self.needs_memory:
-            return self.step(snapshot, bit, self.handedness, self.tol)
-        if self.name in self.uses_handedness:
-            return self.step(snapshot, self.handedness, self.tol)
-        return self.step(snapshot, self.tol)
+        analysis = Analysis(snapshot.local_points, self.tol)
+        return self.step(analysis, snapshot, bit, self.handedness, self.tol)
 
 
 PROTOCOL_IDS = (

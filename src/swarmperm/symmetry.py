@@ -1,25 +1,31 @@
 """Symmetry analysis of point configurations: rotational order about the
 centroid, mirror axes, symmetricity, view classes, and the feasibility
 classification used by the protocols.
+
+`Analysis` caches these results for one point set.  Every public function
+here that takes points also accepts an Analysis and reuses what it holds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .errors import DuplicatePoints
 from .geometry import (
     DEFAULT_TOL,
+    Circle,
+    Layer,
     Point,
     Tolerance,
     angle_of,
     ccw_angle,
     centroid,
     concentric_decomposition,
+    first_coincident_pair,
     inverse_transform,
-    norm_angle,
     smallest_enclosing_circle,
 )
 
@@ -63,6 +69,91 @@ class ConfigClass:
     axis_count: int
 
 
+class Analysis(tuple):
+    """A tuple of points that computes what the protocols ask of it, each
+    part at most once, on first use, by calling the public function that a
+    standalone query calls.  A protocol builds one per snapshot and drops
+    it when the step returns."""
+
+    def __new__(cls, points: Iterable[Point], tol: Tolerance = DEFAULT_TOL):
+        self = super().__new__(cls, points)
+        self.tol = tol
+        return self
+
+    @cached_property
+    def sec(self) -> Circle:
+        """The smallest enclosing circle."""
+        return smallest_enclosing_circle(self, self.tol)
+
+    @cached_property
+    def center_index(self) -> int | None:
+        """The unique robot on the circle center, or None."""
+        return center_robot_index(self, self.tol)
+
+    @cached_property
+    def k_without_center(self) -> int:
+        """Rotational order of the robots other than the center robot; 0
+        without a center robot or with fewer than three robots."""
+        rc = self.center_index
+        if rc is None or len(self) < 3:
+            return 0
+        return rotational_order([p for i, p in enumerate(self) if i != rc], self.tol)
+
+    @cached_property
+    def in_c_dot(self) -> bool:
+        """Centered symmetric: a center robot, and the rest rotationally
+        symmetric.  Needs no mirror axes."""
+        return self.k_without_center > 1
+
+    @cached_property
+    def centroid(self) -> Point:
+        return centroid(self)
+
+    @cached_property
+    def reference_layer(self) -> tuple[int, ...]:
+        """Smallest non-degenerate layer about the centroid (ties to the
+        innermost).  Every symmetry permutes it, so the maps of its first
+        point onto its members are the only candidates."""
+        deco = concentric_decomposition(self, self.centroid, self.tol)
+        best: tuple[int, ...] | None = None
+        for layer in deco.layers:
+            if layer.radius <= self.tol.eps:
+                continue
+            if best is None or len(layer.indices) < len(best):
+                best = layer.indices
+        return best if best is not None else ()
+
+    @cached_property
+    def layers(self) -> tuple[Layer, ...]:
+        """Concentric layers about the circle center, innermost first."""
+        return concentric_decomposition(self, self.sec.center, self.tol).layers
+
+    @cached_property
+    def inner_polygon(self) -> tuple[int, ...]:
+        from . import ordering  # ordering imports this module
+        return ordering.inner_polygon(self, self.tol)
+
+    @cached_property
+    def rotational_order(self) -> int:
+        return rotational_order(self, self.tol)
+
+    @cached_property
+    def mirror_axes(self) -> tuple[Axis, ...]:
+        return mirror_axes(self, self.tol)
+
+    @cached_property
+    def axis_robots(self) -> tuple[tuple[int, ...], ...]:
+        """The robots on each mirror axis, one tuple per axis."""
+        return tuple(robots_on_axis(self, ax, self.tol) for ax in self.mirror_axes)
+
+
+def analyze(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> Analysis:
+    """points itself when it is an Analysis under tol, else a new one."""
+    if isinstance(points, Analysis) and points.tol == tol:
+        return points
+    return Analysis(points, tol)
+
+
 def _reflect(v: Point, axis_angle: float) -> Point:
     return v.rotated(-axis_angle).mirrored().rotated(axis_angle)
 
@@ -84,37 +175,22 @@ def _matches_multiset(points: Sequence[Point], images: Sequence[Point], tol: Tol
     return True
 
 
-def _reference_layer(points: Sequence[Point], c: Point, tol: Tolerance) -> tuple[int, ...]:
-    """Smallest non-degenerate radius layer (ties to the innermost one).
-
-    Candidate symmetries must permute this layer, so testing only the
-    angles that map its first point into the layer is exhaustive.
-    """
-    deco = concentric_decomposition(points, c, tol)
-    best: tuple[int, ...] | None = None
-    for layer in deco.layers:
-        if layer.radius <= tol.eps:
-            continue
-        if best is None or len(layer.indices) < len(best):
-            best = layer.indices
-    return best if best is not None else ()
-
-
 def rotational_order(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> int:
     """Largest k such that rotation by 2*pi/k about the centroid maps the
     point set onto itself."""
-    if len(points) <= 1:
+    a = analyze(points, tol)
+    if len(a) <= 1:
         return 1
-    c = centroid(points)
-    layer = _reference_layer(points, c, tol)
+    c = a.centroid
+    layer = a.reference_layer
     if not layer:
         return 1
-    base = points[layer[0]] - c
+    base = a[layer[0]] - c
     count = 0
     for i in layer:
-        alpha = ccw_angle(base, points[i] - c)
-        images = [c + (p - c).rotated(alpha) for p in points]
-        if _matches_multiset(points, images, tol):
+        alpha = ccw_angle(base, a[i] - c)
+        images = [c + (p - c).rotated(alpha) for p in a]
+        if _matches_multiset(a, images, tol):
             count += 1
     return max(count, 1)
 
@@ -122,30 +198,31 @@ def rotational_order(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> i
 def mirror_axes(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> tuple[Axis, ...]:
     """All mirror axes of the point set.  Every axis passes through the
     centroid; results are deduplicated and sorted by angle in [0, pi)."""
-    if len(points) <= 1:
+    a = analyze(points, tol)
+    if len(a) <= 1:
         return ()
-    c = centroid(points)
-    layer = _reference_layer(points, c, tol)
+    c = a.centroid
+    layer = a.reference_layer
     if not layer:
         return ()
-    theta_base = angle_of(points[layer[0]] - c)
+    theta_base = angle_of(a[layer[0]] - c)
     angles: list[float] = []
     for i in layer:
-        alpha = (theta_base + angle_of(points[i] - c)) / 2.0
+        alpha = (theta_base + angle_of(a[i] - c)) / 2.0
         alpha = alpha if alpha >= 0.0 else alpha + math.pi
         alpha = math.fmod(alpha, math.pi)
         if alpha < 0.0:
             alpha += math.pi
-        images = [c + _reflect(p - c, alpha) for p in points]
-        if _matches_multiset(points, images, tol):
+        images = [c + _reflect(p - c, alpha) for p in a]
+        if _matches_multiset(a, images, tol):
             angles.append(alpha)
     angles.sort()
     dedup: list[float] = []
-    for a in angles:
-        if any(abs(a - b) <= tol.eps or abs(abs(a - b) - math.pi) <= tol.eps for b in dedup):
+    for ang in angles:
+        if any(abs(ang - b) <= tol.eps or abs(abs(ang - b) - math.pi) <= tol.eps for b in dedup):
             continue
-        dedup.append(a)
-    return tuple(Axis(c, Point(math.cos(a), math.sin(a))) for a in dedup)
+        dedup.append(ang)
+    return tuple(Axis(c, Point(math.cos(ang), math.sin(ang))) for ang in dedup)
 
 
 def robots_on_axis(points: Sequence[Point], axis: Axis, tol: Tolerance = DEFAULT_TOL) -> tuple[int, ...]:
@@ -156,38 +233,28 @@ def robots_on_axis(points: Sequence[Point], axis: Axis, tol: Tolerance = DEFAULT
     return tuple(out)
 
 
-def _has_duplicates(points: Sequence[Point], tol: Tolerance) -> bool:
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if tol.same_point(points[i], points[j]):
-                return True
-    return False
-
-
 def symmetricity_rho(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> int:
     """Rotational order about the centroid, forced to 1 when a point
     occupies the centroid."""
-    if _has_duplicates(points, tol):
+    a = analyze(points, tol)
+    if first_coincident_pair(a, tol) is not None:
         raise DuplicatePoints("symmetricity is undefined for coincident points")
-    c = centroid(points)
-    if any(tol.same_point(p, c) for p in points):
+    c = a.centroid
+    if any(tol.same_point(p, c) for p in a):
         return 1
-    return rotational_order(points, tol)
+    return a.rotational_order
 
 
 def symmetry_report(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> SymmetryReport:
-    rho = symmetricity_rho(points, tol)
-    order = rotational_order(points, tol)
-    axes = mirror_axes(points, tol)
-    counts = tuple(len(robots_on_axis(points, ax, tol)) for ax in axes)
-    c = centroid(points)
-    central = any(tol.same_point(p, c) for p in points)
+    a = analyze(points, tol)
+    rho = symmetricity_rho(a, tol)
+    order = a.rotational_order
     return SymmetryReport(
         rho=rho,
         rotational_order=order,
-        mirror_axes=axes,
-        robot_counts_on_axes=counts,
-        has_central_robot=central,
+        mirror_axes=a.mirror_axes,
+        robot_counts_on_axes=tuple(len(on) for on in a.axis_robots),
+        has_central_robot=any(tol.same_point(p, a.centroid) for p in a),
         is_central_symmetric=(order % 2 == 0),
     )
 
@@ -195,28 +262,24 @@ def symmetry_report(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> Sy
 def center_robot_index(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> int | None:
     """Index of the unique robot on the center of the smallest enclosing
     circle, or None."""
-    sec = smallest_enclosing_circle(points, tol)
-    hits = [i for i, p in enumerate(points) if tol.same_point(p, sec.center)]
+    a = analyze(points, tol)
+    c = a.sec.center
+    hits = [i for i, p in enumerate(points) if tol.same_point(p, c)]
     return hits[0] if len(hits) == 1 else None
 
 
 def classify(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> ConfigClass:
-    """Feasibility-relevant classification of a configuration."""
-    rc = center_robot_index(points, tol)
-    k_wo = 0
-    in_c_dot = False
-    if rc is not None and len(points) >= 3:
-        rest = [p for i, p in enumerate(points) if i != rc]
-        k_wo = rotational_order(rest, tol)
-        in_c_dot = k_wo > 1
-    axes = mirror_axes(points, tol)
-    counts = [len(robots_on_axis(points, ax, tol)) for ax in axes]
+    """Feasibility-relevant classification of a configuration.  Protocol
+    steps read `Analysis.in_c_dot`, which needs no mirror axes."""
+    a = analyze(points, tol)
+    in_c_dot = a.in_c_dot
+    counts = [len(on) for on in a.axis_robots]
     return ConfigClass(
         in_c_dot=in_c_dot,
-        k_without_center=k_wo,
+        k_without_center=a.k_without_center,
         axis_with_single_robot=any(c == 1 for c in counts),
-        unique_axis_no_robots=(len(axes) == 1 and counts[0] == 0),
-        axis_count=len(axes),
+        unique_axis_no_robots=(len(counts) == 1 and counts[0] == 0),
+        axis_count=len(counts),
     )
 
 
@@ -275,21 +338,3 @@ def view_classes(points: Sequence[Point], frames: Sequence, tol: Tolerance = DEF
         if not placed:
             classes.append([i])
     return classes
-
-
-def rotation_angles(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> tuple[float, ...]:
-    """All rotation angles in [0, 2*pi) that map the set onto itself."""
-    if len(points) <= 1:
-        return (0.0,)
-    c = centroid(points)
-    layer = _reference_layer(points, c, tol)
-    if not layer:
-        return (0.0,)
-    base = points[layer[0]] - c
-    out = []
-    for i in layer:
-        alpha = ccw_angle(base, points[i] - c)
-        images = [c + (p - c).rotated(alpha) for p in points]
-        if _matches_multiset(points, images, tol):
-            out.append(norm_angle(alpha))
-    return tuple(sorted(out))

@@ -161,7 +161,7 @@ def test_collision_reported_with_pair():
     # both outer robots of a 3-chain target the middle point
     pts = [Point(-1, 0), Point(0, 0), Point(1, 0)]
 
-    def grab_middle(snapshot, tol):
+    def grab_middle(analysis, snapshot, bit, handedness, tol):
         loc = snapshot.local_points
         mid = min(loc, key=lambda q: sum(q.dist(r) for r in loc))
         return mid
@@ -177,7 +177,7 @@ def test_collision_reported_with_pair():
 def test_run_records_collision_without_advancing():
     pts = [Point(-1, 0), Point(0, 0), Point(1, 0)]
 
-    def grab_middle(snapshot, tol):
+    def grab_middle(analysis, snapshot, bit, handedness, tol):
         loc = snapshot.local_points
         return min(loc, key=lambda q: sum(q.dist(r) for r in loc))
 

@@ -8,6 +8,7 @@ from swarmperm import (
     CCW,
     CW,
     DEFAULT_TOL,
+    Analysis,
     DecodeFailure,
     InvalidCaller,
     InvalidHop,
@@ -302,25 +303,29 @@ def _snap(pts, i):
     return Snapshot(tuple(Point(p.x - pts[i].x, p.y - pts[i].y) for p in pts), i)
 
 
+def _one_bit(snap, bit):
+    return one_bit_step(Analysis(snap.local_points), snap, bit, CCW, DEFAULT_TOL)
+
+
 def test_one_bit_branches():
     pts = SQUARE_CENTER
     # centered, bit 0: everyone raises the bit, only the center moves
-    dest, b = one_bit_step(_snap(pts, 0), 0)
+    dest, b = _one_bit(_snap(pts, 0), 0)
     assert b == 1 and dest.dist(Point(0.125, 0) - pts[0]) < 1e-12
-    dest, b = one_bit_step(_snap(pts, 1), 0)
+    dest, b = _one_bit(_snap(pts, 1), 0)
     assert b == 1 and dest.dist(Point(0, 0)) < 1e-12  # own local origin
 
     # not centered, bit 0: plain sweep successor
     off = [Point(1, 0), Point(0, 1), Point(-1, 0), Point(0.2, -0.9)]
-    dest, b = one_bit_step(_snap(off, 0), 0)
+    dest, b = _one_bit(_snap(off, 0), 0)
     assert b == 0
 
     # intermediate configuration, bit set: invert and advance
     moved, ci, pivot = _apply_central(pts)
-    dest, b = one_bit_step(_snap(moved, ci), 1)
+    dest, b = _one_bit(_snap(moved, ci), 1)
     assert b == 1  # the mover keeps the bit: it is the leader
     assert dest.dist(pts[pivot] - moved[ci]) < 1e-9  # center walks to the pivot
-    dest, b = one_bit_step(_snap(moved, 1), 1)
+    dest, b = _one_bit(_snap(moved, 1), 1)
     assert b == 0  # everyone else resets
 
 
