@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .engine import (
+    ADVERSARY_KINDS,
     Frame,
     RunTrace,
     adversary_frames,
@@ -59,6 +60,28 @@ class Scenario:
     handedness: str
 
 
+SCENARIO_KEYS = ("points", "protocol", "rounds", "tolerance", "handedness", "frames")
+FRAME_KEYS = ("rotation", "mirror", "scale")
+ADVERSARY_KEYS = ("kind", "seed", "angle")
+
+
+def _finite(v) -> float | None:
+    """v as a finite float, or None when v is not a finite JSON number."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
+    try:
+        f = float(v)
+    except OverflowError:
+        return None
+    return f if math.isfinite(f) else None
+
+
+def _unknown_keys(obj: dict, known: tuple[str, ...], where: str) -> None:
+    extra = set(obj) - set(known)
+    if extra:
+        raise ScenarioError(f"{where}: unknown keys {sorted(extra)}")
+
+
 def _field(obj: dict, name: str, default=None, required: bool = False):
     if name not in obj:
         if required:
@@ -79,15 +102,16 @@ def load_scenario(path: str) -> Scenario:
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: top level must be a JSON object")
+    _unknown_keys(obj, SCENARIO_KEYS, path)
     raw_points = _field(obj, "points", required=True)
     if not isinstance(raw_points, list) or len(raw_points) < 2:
         raise ScenarioError("field 'points': need a list of at least 2 [x, y] pairs")
     points = []
     for i, xy in enumerate(raw_points):
         if (not isinstance(xy, list) or len(xy) != 2
-                or not all(isinstance(v, (int, float)) for v in xy)):
-            raise ScenarioError(f"field 'points[{i}]': expected [x, y] numbers")
-        points.append(Point(float(xy[0]), float(xy[1])))
+                or any(_finite(v) is None for v in xy)):
+            raise ScenarioError(f"field 'points[{i}]': expected [x, y] finite numbers")
+        points.append(Point(_finite(xy[0]), _finite(xy[1])))
     protocol = _field(obj, "protocol")
     if protocol is not None and protocol not in PROTOCOL_IDS:
         raise ScenarioError(
@@ -95,16 +119,23 @@ def load_scenario(path: str) -> Scenario:
     rounds = _field(obj, "rounds", 1)
     if not isinstance(rounds, int) or rounds < 1:
         raise ScenarioError("field 'rounds': need an integer >= 1")
-    tolerance = _field(obj, "tolerance", 1e-9)
-    if not isinstance(tolerance, (int, float)) or tolerance <= 0:
-        raise ScenarioError("field 'tolerance': need a positive number")
+    tolerance = _finite(_field(obj, "tolerance", 1e-9))
+    if tolerance is None or tolerance <= 0:
+        raise ScenarioError("field 'tolerance': need a positive finite number")
     handedness = _field(obj, "handedness", CCW)
     if handedness not in (CCW, CW):
         raise ScenarioError(f"field 'handedness': must be 'ccw' or 'cw', got {handedness!r}")
     frames_spec = _field(obj, "frames", {"kind": "identical", "seed": 0})
     if isinstance(frames_spec, dict):
-        if "kind" not in frames_spec:
-            raise ScenarioError("field 'frames': adversary object needs a 'kind'")
+        _unknown_keys(frames_spec, ADVERSARY_KEYS, "field 'frames'")
+        if frames_spec.get("kind") not in ADVERSARY_KINDS:
+            raise ScenarioError(
+                f"field 'frames': adversary 'kind' must be one of {ADVERSARY_KINDS}")
+        seed = frames_spec.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ScenarioError("field 'frames': 'seed' must be an integer")
+        if _finite(frames_spec.get("angle", 0.0)) is None:
+            raise ScenarioError("field 'frames': 'angle' must be a finite number")
     elif isinstance(frames_spec, list):
         if len(frames_spec) != len(points):
             raise ScenarioError(
@@ -112,13 +143,18 @@ def load_scenario(path: str) -> Scenario:
         for i, f in enumerate(frames_spec):
             if not isinstance(f, dict):
                 raise ScenarioError(f"field 'frames[{i}]': expected an object")
-            extra = set(f) - {"rotation", "mirror", "scale"}
-            if extra:
-                raise ScenarioError(f"field 'frames[{i}]': unknown keys {sorted(extra)}")
+            _unknown_keys(f, FRAME_KEYS, f"field 'frames[{i}]'")
+            if _finite(f.get("rotation", 0.0)) is None:
+                raise ScenarioError(f"field 'frames[{i}]': 'rotation' must be a finite number")
+            scale = _finite(f.get("scale", 1.0))
+            if scale is None or scale <= 0:
+                raise ScenarioError(
+                    f"field 'frames[{i}]': 'scale' must be a positive finite number")
+            if not isinstance(f.get("mirror", False), bool):
+                raise ScenarioError(f"field 'frames[{i}]': 'mirror' must be true or false")
     else:
         raise ScenarioError("field 'frames': expected an adversary object or a list")
-    return Scenario(tuple(points), frames_spec, protocol, rounds,
-                    float(tolerance), handedness)
+    return Scenario(tuple(points), frames_spec, protocol, rounds, tolerance, handedness)
 
 
 def scenario_frames(scn: Scenario, seed_override: int | None = None) -> list[Frame]:
@@ -208,6 +244,8 @@ def cmd_simulate(args) -> int:
     protocol = make_protocol(scn.protocol, scn.handedness, tol)
     frames = scenario_frames(scn, args.seed)
     rounds = args.rounds if args.rounds is not None else scn.rounds
+    if rounds < 1:
+        raise ScenarioError("--rounds must be >= 1")
     try:
         trace = run(scn.points, frames, protocol, rounds, tol)
     except SwarmError as exc:
@@ -238,6 +276,9 @@ def cmd_verify(args) -> int:
         trace = _load_trace(args.trace)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MALFORMED
+    if args.k < 1:
+        print("error: --k must be >= 1", file=sys.stderr)
         return EXIT_MALFORMED
     spec = MOVE_ALL if args.spec == "move-all" else VISIT_ALL
     verdict = check_k_step_spec(trace, spec, args.k, DEFAULT_TOL)

@@ -190,23 +190,30 @@ def centroid(points: Sequence[Point]) -> Point:
 
 
 # --- smallest enclosing circle ------------------------------------------
-# Welzl-style incremental construction.  The classical analysis randomizes
-# the insertion order; determinism matters more than the expected-time
-# bound at our sizes, so points are canonically pre-sorted by (x, y).
+# Welzl-style incremental construction over points pre-sorted by (x, y),
+# which makes the result independent of input order.  The shuffle of the
+# classical analysis would restore its expected linear time, but it moves
+# the last bits of the center, and OneBit's `reconstruct` writes that
+# center into traces: the shuffle waits for a benchmark change that
+# re-records bench/golden.json.  The helpers work on raw floats, a circle
+# being an (x, y, r) tuple, and keep the operation order of the Point
+# arithmetic they replaced, so every center and radius is bit-identical.
 
 _REL_EPS = 1e-14
 
 
-def _enc_contains(c: Circle, p: Point) -> bool:
-    return c.center.dist(p) <= c.radius * (1.0 + _REL_EPS) + 1e-300
+def _reach(r: float) -> float:
+    """Distance within which a point counts as inside a circle of radius r."""
+    return r * (1.0 + _REL_EPS) + 1e-300
 
 
-def _circum_circle(a: Point, b: Point, c: Point) -> Circle | None:
-    ox = (min(a.x, b.x, c.x) + max(a.x, b.x, c.x)) / 2.0
-    oy = (min(a.y, b.y, c.y) + max(a.y, b.y, c.y)) / 2.0
-    ax, ay = a.x - ox, a.y - oy
-    bx, by = b.x - ox, b.y - oy
-    cx, cy = c.x - ox, c.y - oy
+def _circum_circle(ax0: float, ay0: float, bx0: float, by0: float,
+                   cx0: float, cy0: float) -> tuple[float, float, float] | None:
+    ox = (min(ax0, bx0, cx0) + max(ax0, bx0, cx0)) / 2.0
+    oy = (min(ay0, by0, cy0) + max(ay0, by0, cy0)) / 2.0
+    ax, ay = ax0 - ox, ay0 - oy
+    bx, by = bx0 - ox, by0 - oy
+    cx, cy = cx0 - ox, cy0 - oy
     d = (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by)) * 2.0
     if d == 0.0:
         return None
@@ -214,52 +221,62 @@ def _circum_circle(a: Point, b: Point, c: Point) -> Circle | None:
               + (cx * cx + cy * cy) * (ay - by)) / d
     y = oy + ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
               + (cx * cx + cy * cy) * (bx - ax)) / d
-    center = Point(x, y)
-    r = max(center.dist(a), center.dist(b), center.dist(c))
-    return Circle(center, r)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"point coordinates must be finite, got ({x}, {y})")
+    r = max(math.hypot(x - ax0, y - ay0), math.hypot(x - bx0, y - by0),
+            math.hypot(x - cx0, y - cy0))
+    return x, y, r
 
 
-def _diameter_circle(a: Point, b: Point) -> Circle:
-    center = Point((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
-    r = max(center.dist(a), center.dist(b))
-    return Circle(center, r)
+def _diameter_circle(ax: float, ay: float, bx: float, by: float) -> tuple[float, float, float]:
+    x, y = (ax + bx) / 2.0, (ay + by) / 2.0
+    return x, y, max(math.hypot(x - ax, y - ay), math.hypot(x - bx, y - by))
 
 
-def _circle_two_points(points: Sequence[Point], p: Point, q: Point) -> Circle:
-    circ = _diameter_circle(p, q)
-    left: Circle | None = None
-    right: Circle | None = None
-    pq = q - p
-    for r in points:
-        if _enc_contains(circ, r):
+def _circle_two_points(xs: list[float], ys: list[float], count: int,
+                       px: float, py: float, qx: float, qy: float) -> tuple[float, float, float]:
+    """Smallest circle through p and q enclosing the first count points."""
+    circ = _diameter_circle(px, py, qx, qy)
+    cx, cy, cr = circ
+    reach = _reach(cr)
+    left = right = None
+    left_cc = right_cc = 0.0
+    pqx, pqy = qx - px, qy - py
+    for i in range(count):
+        rx, ry = xs[i], ys[i]
+        if math.hypot(cx - rx, cy - ry) <= reach:
             continue
-        cross = pq.cross(r - p)
-        c = _circum_circle(p, q, r)
+        cross = pqx * (ry - py) - pqy * (rx - px)
+        c = _circum_circle(px, py, qx, qy, rx, ry)
         if c is None:
             continue
-        cc = pq.cross(c.center - p)
-        if cross > 0.0 and (left is None or cc > pq.cross(left.center - p)):
-            left = c
-        elif cross < 0.0 and (right is None or cc < pq.cross(right.center - p)):
-            right = c
-    if left is None and right is None:
-        return circ
+        cc = pqx * (c[1] - py) - pqy * (c[0] - px)
+        if cross > 0.0 and (left is None or cc > left_cc):
+            left, left_cc = c, cc
+        elif cross < 0.0 and (right is None or cc < right_cc):
+            right, right_cc = c, cc
     if left is None:
-        return right  # type: ignore[return-value]
+        return circ if right is None else right
     if right is None:
         return left
-    return left if left.radius <= right.radius else right
+    return left if left[2] <= right[2] else right
 
 
-def _circle_one_point(points: Sequence[Point], p: Point) -> Circle:
-    circ = Circle(p, 0.0)
-    for i, q in enumerate(points):
-        if not _enc_contains(circ, q):
-            if circ.radius == 0.0:
-                circ = _diameter_circle(p, q)
-            else:
-                circ = _circle_two_points(points[: i + 1], p, q)
-    return circ
+def _circle_one_point(xs: list[float], ys: list[float], count: int,
+                      px: float, py: float) -> tuple[float, float, float]:
+    """Smallest circle through p enclosing the first count points."""
+    cx, cy, cr = px, py, 0.0
+    reach = _reach(cr)
+    for i in range(count):
+        qx, qy = xs[i], ys[i]
+        if math.hypot(cx - qx, cy - qy) <= reach:
+            continue
+        if cr == 0.0:
+            cx, cy, cr = _diameter_circle(px, py, qx, qy)
+        else:
+            cx, cy, cr = _circle_two_points(xs, ys, i + 1, px, py, qx, qy)
+        reach = _reach(cr)
+    return cx, cy, cr
 
 
 def smallest_enclosing_circle(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> Circle:
@@ -269,13 +286,16 @@ def smallest_enclosing_circle(points: Sequence[Point], tol: Tolerance = DEFAULT_
     """
     if len(points) == 0:
         raise EmptyConfiguration("smallest enclosing circle of an empty point set")
-    pts = sorted(points, key=lambda p: (p.x, p.y))
-    circ: Circle | None = None
-    for i, p in enumerate(pts):
-        if circ is None or not _enc_contains(circ, p):
-            circ = _circle_one_point(pts[:i], p)
-    assert circ is not None
-    return circ
+    xys = sorted((p.x, p.y) for p in points)
+    xs = [x for x, _ in xys]
+    ys = [y for _, y in xys]
+    cx, cy, cr = xs[0], ys[0], 0.0
+    reach = _reach(cr)
+    for i in range(1, len(xs)):
+        if math.hypot(cx - xs[i], cy - ys[i]) > reach:
+            cx, cy, cr = _circle_one_point(xs, ys, i, xs[i], ys[i])
+            reach = _reach(cr)
+    return Circle(Point(cx, cy), cr)
 
 
 # --- polar views and layering -------------------------------------------

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .errors import (
     CentroidQuery,
+    DegenerateReference,
     DuplicatePoints,
     InvalidLeader,
     MirrorSymmetric,
@@ -393,14 +394,14 @@ def inner_polygon(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> tupl
     the smallest enclosing circle, in ccw angular order."""
     a = analyze(points, tol)
     if len(points) < 3:
-        raise ValueError("inner polygon needs at least 3 points")
+        raise DegenerateReference("inner polygon needs at least 3 points")
     c = a.sec.center
     for layer in a.layers:
         if layer.radius > tol.eps:
             return tuple(sorted(
                 layer.indices,
                 key=lambda i: norm_angle(angle_of(points[i] - c))))
-    raise ValueError("all points coincide with the center")
+    raise DegenerateReference("all points coincide with the center")
 
 
 def _cw_angle_from(u: Point, v: Point, tol: Tolerance) -> float:

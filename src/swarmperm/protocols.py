@@ -176,7 +176,7 @@ def compute_movement_central(points: Sequence[Point], handedness: str = CCW,
             first = min((e1, e2), key=lambda i: _sweep_angle(apex - c, points[i] - c, cwd, tol))
             if first == pivot:
                 return apex, pivot
-        raise AssertionError("no perpendicular side makes the pivot first clockwise")
+        raise InvalidHop("no perpendicular side makes the pivot first clockwise")
     dest = c + (points[pivot] - c) * 0.125
     return dest, pivot
 

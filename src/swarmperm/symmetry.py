@@ -9,6 +9,7 @@ here that takes points also accepts an Analysis and reuses what it holds.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -154,25 +155,46 @@ def analyze(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> Analysis:
     return Analysis(points, tol)
 
 
-def _reflect(v: Point, axis_angle: float) -> Point:
-    return v.rotated(-axis_angle).mirrored().rotated(axis_angle)
+class _PointIndex:
+    """The points' coordinates with an x-sorted index, for matching image
+    sets against the points."""
 
+    def __init__(self, points: Sequence[Point], tol: Tolerance):
+        self.xs = [p.x for p in points]
+        self.ys = [p.y for p in points]
+        self.order = sorted(range(len(points)), key=self.xs.__getitem__)
+        self.sorted_xs = [self.xs[j] for j in self.order]
+        self.eps = tol.eps
+        # Every point within eps of an image lies within eps of it in x.
+        # Twice eps, plus a few ulps of the largest coordinate for the
+        # rounding of the window bounds, keeps all of them in the window.
+        top = max(map(abs, self.xs), default=0.0)
+        self.window = 2.0 * tol.eps + 4.0 * math.ulp(top)
 
-def _matches_multiset(points: Sequence[Point], images: Sequence[Point], tol: Tolerance) -> bool:
-    """True when `images` is a permutation of `points` within eps."""
-    used = [False] * len(points)
-    for q in images:
-        best, best_d = -1, math.inf
-        for j, p in enumerate(points):
-            if used[j]:
-                continue
-            d = p.dist(q)
-            if d < best_d:
-                best, best_d = j, d
-        if best < 0 or best_d > tol.eps:
-            return False
-        used[best] = True
-    return True
+    def matches(self, images: Iterable[tuple[float, float]]) -> bool:
+        """True when `images` is a permutation of the points within eps.
+
+        Each image in turn takes the nearest unused point, the lower index
+        on equal distance, and the match fails as soon as that point is
+        more than eps away.  Only points in the image's x-window are
+        compared, so the first image without a match ends the test.
+        """
+        xs, ys, order, sorted_xs = self.xs, self.ys, self.order, self.sorted_xs
+        eps, w = self.eps, self.window
+        used = [False] * len(xs)
+        for qx, qy in images:
+            best, best_d = -1, math.inf
+            for k in range(bisect_left(sorted_xs, qx - w), bisect_right(sorted_xs, qx + w)):
+                j = order[k]
+                if used[j]:
+                    continue
+                d = math.hypot(xs[j] - qx, ys[j] - qy)
+                if d < best_d or (d == best_d and j < best):
+                    best, best_d = j, d
+            if best < 0 or best_d > eps:
+                return False
+            used[best] = True
+        return True
 
 
 def rotational_order(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> int:
@@ -185,12 +207,11 @@ def rotational_order(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> i
     layer = a.reference_layer
     if not layer:
         return 1
+    index = _PointIndex(a, tol)
     base = a[layer[0]] - c
     count = 0
     for i in layer:
-        alpha = ccw_angle(base, a[i] - c)
-        images = [c + (p - c).rotated(alpha) for p in a]
-        if _matches_multiset(a, images, tol):
+        if index.matches(_rotated(a, c.x, c.y, ccw_angle(base, a[i] - c))):
             count += 1
     return max(count, 1)
 
@@ -205,6 +226,7 @@ def mirror_axes(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> tuple[
     layer = a.reference_layer
     if not layer:
         return ()
+    index = _PointIndex(a, tol)
     theta_base = angle_of(a[layer[0]] - c)
     angles: list[float] = []
     for i in layer:
@@ -213,8 +235,7 @@ def mirror_axes(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> tuple[
         alpha = math.fmod(alpha, math.pi)
         if alpha < 0.0:
             alpha += math.pi
-        images = [c + _reflect(p - c, alpha) for p in a]
-        if _matches_multiset(a, images, tol):
+        if index.matches(_reflected(a, c.x, c.y, alpha)):
             angles.append(alpha)
     angles.sort()
     dedup: list[float] = []
@@ -223,6 +244,26 @@ def mirror_axes(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> tuple[
             continue
         dedup.append(ang)
     return tuple(Axis(c, Point(math.cos(ang), math.sin(ang))) for ang in dedup)
+
+
+def _rotated(points: Sequence[Point], cx: float, cy: float, alpha: float):
+    """The images c + (p - c).rotated(alpha), as (x, y) floats."""
+    co, s = math.cos(alpha), math.sin(alpha)
+    for p in points:
+        vx, vy = p.x - cx, p.y - cy
+        yield cx + (co * vx - s * vy), cy + (s * vx + co * vy)
+
+
+def _reflected(points: Sequence[Point], cx: float, cy: float, axis_angle: float):
+    """The images of the points reflected across the line through c at
+    axis_angle, as (x, y) floats: rotate p - c by -axis_angle, mirror
+    across the x-axis, rotate back and add c."""
+    c1, s1 = math.cos(-axis_angle), math.sin(-axis_angle)
+    c2, s2 = math.cos(axis_angle), math.sin(axis_angle)
+    for p in points:
+        vx, vy = p.x - cx, p.y - cy
+        mx, my = c1 * vx - s1 * vy, -(s1 * vx + c1 * vy)
+        yield cx + (c2 * mx - s2 * my), cy + (s2 * mx + c2 * my)
 
 
 def robots_on_axis(points: Sequence[Point], axis: Axis, tol: Tolerance = DEFAULT_TOL) -> tuple[int, ...]:
@@ -301,14 +342,13 @@ def _congruent_about_origin(va: Sequence[Point], vb: Sequence[Point],
     anchor = max(variants[0], key=lambda p: p.norm())
     if anchor.norm() <= tol.eps:
         return True  # all points at the origin on both sides
+    index = _PointIndex(vb, tol)
     for cand in variants:
         a = max(cand, key=lambda p: p.norm())
         for b in vb:
             if abs(b.norm() - a.norm()) > tol.eps:
                 continue
-            alpha = ccw_angle(a, b)
-            images = [p.rotated(alpha) for p in cand]
-            if _matches_multiset(list(vb), images, tol):
+            if index.matches(_rotated(cand, 0.0, 0.0, ccw_angle(a, b))):
                 return True
     return False
 

@@ -69,6 +69,40 @@ def test_scenario_unknown_frame_key(tmp_path):
         load_scenario(path)
 
 
+_TRIANGLE = '"points": [[0, 0], [1, 0], [0, 1]], "protocol": "VisitAllChirality"'
+
+
+@pytest.mark.parametrize("scenario, argv, message", [
+    ('{%s, "tolerance": NaN}' % _TRIANGLE, [], "tolerance"),
+    ('{"points": [[0, 0], [1e400, 0], [0, 1]], "protocol": "VisitAllChirality"}', [],
+     r"points\[1\]"),
+    ('{%s, "frames": {"kind": "bogus"}}' % _TRIANGLE, [], "kind"),
+    ('{%s, "frames": {"kind": "random", "seed": "x"}}' % _TRIANGLE, [], "seed"),
+    ('{%s, "frames": [{"rotation": "x"}, {}, {}]}' % _TRIANGLE, [], "rotation"),
+    ('{%s, "frames": [{}, {"scale": 0}, {}]}' % _TRIANGLE, [], "scale"),
+    ('{%s, "frames": [{}, {}, {"scale": -2}]}' % _TRIANGLE, [], "scale"),
+    ('{%s, "colour": "red"}' % _TRIANGLE, [], "colour"),
+    ('{%s}' % _TRIANGLE, ["--rounds", "0"], "rounds"),
+    ('{%s}' % _TRIANGLE, ["verify", "--k", "0"], "--k"),
+])
+def test_bad_input_exits_malformed(tmp_path, capsys, scenario, argv, message):
+    path = _write(tmp_path, "s.json", scenario)
+    if argv[:1] == ["verify"]:
+        trace = str(tmp_path / "t.jsonl")
+        assert main(["simulate", "--scenario", path, "--trace", trace]) == EXIT_OK
+        capsys.readouterr()
+        argv = ["verify", "--trace", trace, "--spec", "visit-all", *argv[1:]]
+    else:
+        if not argv:
+            with pytest.raises(ScenarioError, match=message):
+                load_scenario(path)
+        argv = ["simulate", "--scenario", path, *argv]
+    assert main(argv) == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message.replace("\\", "") in err
+    assert "Traceback" not in err
+
+
 def test_scenario_defaults(tmp_path):
     path = _write(tmp_path, "s.json", {"points": [[0, 0], [1, 0]]})
     scn = load_scenario(path)

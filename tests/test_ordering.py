@@ -13,6 +13,7 @@ from swarmperm import (
     CCW,
     CW,
     CyclicOrder,
+    DegenerateReference,
     Frame,
     InvalidLeader,
     MirrorSymmetric,
@@ -168,6 +169,15 @@ def test_inner_polygon_square_center():
     pts = [Point(0, 0)] + SQUARE
     poly = inner_polygon(pts)
     assert sorted(poly) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("pts, message", [
+    ([Point(0, 0), Point(4e-10, 0), Point(0, 4e-10)], "coincide with the center"),
+    ([Point(0, 0), Point(1, 0)], "at least 3 points"),
+])
+def test_inner_polygon_degenerate_raises_typed_error(pts, message):
+    with pytest.raises(DegenerateReference, match=message):
+        inner_polygon(pts)
 
 
 def test_get_vote_exact_alignment_and_clockwise():
