@@ -37,7 +37,7 @@ from .protocols import (
     make_protocol,
     reconstruct,
 )
-from .symmetry import classify, symmetry_report
+from .symmetry import ConfigClass, analyze, classify, symmetry_report
 from .verify import MOVE_ALL, VISIT_ALL, check_k_step_spec
 
 EXIT_OK = 0
@@ -169,9 +169,8 @@ def scenario_frames(scn: Scenario, seed_override: int | None = None) -> list[Fra
 
 # --- classify -------------------------------------------------------------
 
-def feasibility_table(points: Sequence[Point], tol: Tolerance) -> list[tuple[str, bool, str]]:
-    cls = classify(points, tol)
-    n = len(points)
+def feasibility_table(n: int, cls: ConfigClass) -> list[tuple[str, bool, str]]:
+    """(protocol, feasible, reason) for n robots of the given class."""
     blocked_centered = ("the centered symmetric class defeats every memoryless "
                         "one-shot rule (demo thm2)")
     out = []
@@ -211,8 +210,9 @@ def cmd_classify(args) -> int:
     scn = load_scenario(args.scenario)
     tol = Tolerance(scn.tolerance)
     try:
-        rep = symmetry_report(scn.points, tol)
-        cls = classify(scn.points, tol)
+        a = analyze(scn.points, tol)
+        rep = symmetry_report(a, tol)
+        cls = classify(a, tol)
     except SwarmError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
@@ -228,7 +228,7 @@ def cmd_classify(args) -> int:
     print(f"axis_with_single_robot={'yes' if cls.axis_with_single_robot else 'no'}")
     print(f"unique_empty_axis={'yes' if cls.unique_axis_no_robots else 'no'}")
     print("feasibility:")
-    for name, ok, why in feasibility_table(scn.points, tol):
+    for name, ok, why in feasibility_table(len(scn.points), cls):
         verdict = "feasible" if ok else "infeasible"
         print(f"  {name}: {verdict} - {why}")
     return EXIT_OK
@@ -242,11 +242,11 @@ def cmd_simulate(args) -> int:
         raise ScenarioError("field 'protocol' is required to simulate")
     tol = Tolerance(scn.tolerance)
     protocol = make_protocol(scn.protocol, scn.handedness, tol)
-    frames = scenario_frames(scn, args.seed)
     rounds = args.rounds if args.rounds is not None else scn.rounds
     if rounds < 1:
         raise ScenarioError("--rounds must be >= 1")
     try:
+        frames = scenario_frames(scn, args.seed)
         trace = run(scn.points, frames, protocol, rounds, tol)
     except SwarmError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

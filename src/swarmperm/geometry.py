@@ -1,4 +1,4 @@
-"""Planar primitives: points, tolerance policy, circles, polar views,
+"""Planar primitives: points, tolerance policy, circles, the sweep angle,
 concentric decomposition, and local-frame transforms.
 
 All operations are pure. A single absolute epsilon (Tolerance) governs
@@ -14,7 +14,6 @@ from typing import Sequence
 
 from .errors import (
     AmbiguousLayering,
-    DegenerateReference,
     EmptyConfiguration,
     InvalidFrame,
 )
@@ -129,15 +128,6 @@ class Circle:
     center: Point
     radius: float
 
-    def contains(self, p: Point, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return self.center.dist(p) <= self.radius + tol.eps
-
-
-@dataclass(frozen=True)
-class PolarCoord:
-    d: float
-    theta: float  # in [0, 2*pi)
-
 
 @dataclass(frozen=True)
 class Layer:
@@ -168,6 +158,21 @@ def norm_angle(a: float) -> float:
 def ccw_angle(u: Point, v: Point) -> float:
     """Counter-clockwise angle from ray u to ray v, in [0, 2*pi)."""
     return norm_angle(math.atan2(u.cross(v), u.dot(v)))
+
+
+def sweep_angle(u: Point, v: Point, handedness: str, tol: Tolerance) -> float:
+    """Angle swept rotating ray u onto ray v in the given handedness, in
+    [0, 2*pi): exactly 0 for rays aligned within eps, otherwise the ccw
+    angle, or 2*pi minus it for CW.  A vector no longer than eps (a unit
+    axis once eps >= 1) is never aligned, so CW also maps a 2*pi that only
+    rounding produced, as for an exactly aligned such vector, to 0."""
+    if tol.ray_aligned(u, v):
+        return 0.0
+    a = ccw_angle(u, v)
+    if handedness == CCW:
+        return a
+    cw = TWO_PI - a
+    return cw if cw < TWO_PI else 0.0
 
 
 def first_coincident_pair(points: Sequence[Point], tol: Tolerance) -> tuple[int, int] | None:
@@ -298,31 +303,7 @@ def smallest_enclosing_circle(points: Sequence[Point], tol: Tolerance = DEFAULT_
     return Circle(Point(cx, cy), cr)
 
 
-# --- polar views and layering -------------------------------------------
-
-def polar(p: Point, ref: Point, c: Point, handedness: str = CCW,
-          tol: Tolerance = DEFAULT_TOL) -> PolarCoord:
-    """Polar coordinates of p about c, angle zero along ray c -> ref.
-
-    theta grows in the given handedness and lies in [0, 2*pi).
-    """
-    if handedness not in HANDEDNESSES:
-        raise ValueError(f"handedness must be one of {HANDEDNESSES}, got {handedness!r}")
-    u = ref - c
-    if u.norm() <= tol.eps:
-        raise DegenerateReference("reference point coincides with the center")
-    v = p - c
-    d = v.norm()
-    if d <= tol.eps:
-        return PolarCoord(d, 0.0)
-    if tol.ray_aligned(u, v):
-        theta = 0.0
-    else:
-        theta = ccw_angle(u, v)
-        if handedness == CW:
-            theta = TWO_PI - theta if theta > 0.0 else 0.0
-    return PolarCoord(d, theta)
-
+# --- layering -----------------------------------------------------------
 
 def concentric_decomposition(points: Sequence[Point], center: Point,
                              tol: Tolerance = DEFAULT_TOL) -> ConcentricDecomposition:

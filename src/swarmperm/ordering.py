@@ -34,6 +34,7 @@ from .geometry import (
     ccw_angle,
     first_coincident_pair,
     norm_angle,
+    sweep_angle,
 )
 from .symmetry import Axis, analyze
 
@@ -100,11 +101,11 @@ def _ray_groups(points: Sequence[Point], idxs: Sequence[int], c: Point,
     """Indices grouped by ray from c, groups in sweep order for the given
     handedness, each group sorted by increasing distance from c."""
 
-    def sweep_angle(v: Point) -> float:
+    def heading(v: Point) -> float:
         th = norm_angle(angle_of(v))
         return th if handedness == CCW else norm_angle(-th)
 
-    ordered = sorted(idxs, key=lambda i: (sweep_angle(points[i] - c), points[i].dist(c)))
+    ordered = sorted(idxs, key=lambda i: (heading(points[i] - c), points[i].dist(c)))
     groups: list[list[int]] = []
     reps: list[Point] = []
     for i in ordered:
@@ -163,23 +164,25 @@ def _flatten(pairs: Sequence[tuple[float, float]]) -> list[float]:
     return out
 
 
-def _canonical_rotation_start(pairs: Sequence[tuple[float, float]], tol: Tolerance) -> int:
-    """Start index of the unique lexicographically smallest rotation of the
-    signature, or NotOrderable when several rotations tie within eps."""
-    m = len(pairs)
-    flat = _flatten(pairs)
+def least_rotations(flat: Sequence[float], width: int, tol: Tolerance) -> list[int]:
+    """Every start of a lexicographically least rotation, within eps, of a
+    cyclic sequence of width-float records laid end to end in flat.
+
+    Equality within eps is not transitive, so the result depends on the
+    scan: it goes up from start 0, moves to a start only when its rotation
+    is smaller beyond eps, and returns, in increasing order, the starts
+    whose rotations tie the one it ends on.
+    """
+    m = len(flat) // width
 
     def rot(s: int) -> list[float]:
-        return flat[2 * s:] + flat[:2 * s]
+        return flat[width * s:] + flat[:width * s]
 
     best = 0
     for s in range(1, m):
         if _cmp_seq(rot(s), rot(best), tol) < 0:
             best = s
-    ties = [s for s in range(m) if s != best and _cmp_seq(rot(s), rot(best), tol) == 0]
-    if ties:
-        raise NotOrderable("signature is rotationally periodic, no canonical start")
-    return best
+    return [s for s in range(m) if _cmp_seq(rot(s), rot(best), tol) == 0]
 
 
 def next_point(points: Sequence[Point], r_idx: int, handedness: str = CCW,
@@ -209,10 +212,7 @@ def next_point(points: Sequence[Point], r_idx: int, handedness: str = CCW,
         if tol.ray_aligned(vr, vj):
             same_ray.append(j)
         else:
-            theta = ccw_angle(vr, vj)
-            if handedness == CW:
-                theta = 2.0 * math.pi - theta
-            others.append((theta, dj, j))
+            others.append((sweep_angle(vr, vj, handedness, tol), dj, j))
     farther = [j for j in same_ray if tol.gt(points[j].dist(c), dr)]
     if farther:
         return min(farther, key=lambda j: points[j].dist(c))
@@ -242,12 +242,13 @@ def order_with_chirality(points: Sequence[Point], handedness: str = CCW,
     rest = [i for i in range(len(points)) if i not in center_idxs]
     groups = _ray_groups(points, rest, c, handedness, tol)
     flat = [i for g in groups for i in g]
-    if not center_idxs:
-        return CyclicOrder(tuple(flat))
-    pairs = _signature_pairs(points, groups, c, handedness)
-    s = _canonical_rotation_start(pairs, tol)
-    rotated = flat[s:] + flat[:s]
-    return CyclicOrder(tuple(rotated + center_idxs))
+    if not center_idxs or not rest:
+        return CyclicOrder(tuple(flat + center_idxs))
+    starts = least_rotations(_flatten(_signature_pairs(points, groups, c, handedness)), 2, tol)
+    if len(starts) > 1:
+        raise NotOrderable("signature is rotationally periodic, no canonical start")
+    s = starts[0]
+    return CyclicOrder(tuple(flat[s:] + flat[:s] + center_idxs))
 
 
 # --- chirality agreement -------------------------------------------------
@@ -309,16 +310,18 @@ def agree_chirality(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> st
     k = a.rotational_order
     orbits = _rotation_orbits(points, idxs, c, k, tol)
 
-    def orbit_key(orbit: list[int]) -> tuple[float, int, list[float]]:
+    def orbit_key(orbit: list[int]) -> tuple[float, int, list[float], int]:
+        """Radius and size of the orbit, the smaller of its representative's
+        ccw and cw scans, and the sign of their comparison."""
         rep = min(orbit)
-        s1 = _scan_signature(points, c, rep, CCW, tol, idxs)
-        s2 = _scan_signature(points, c, rep, CW, tol, idxs)
-        sig = s1 if _cmp_seq(s1, s2, tol) <= 0 else s2
-        return (points[rep].dist(c), len(orbit), sig)
+        s_ccw = _scan_signature(points, c, rep, CCW, tol, idxs)
+        s_cw = _scan_signature(points, c, rep, CW, tol, idxs)
+        turn = _cmp_seq(s_ccw, s_cw, tol)
+        return (points[rep].dist(c), len(orbit), s_ccw if turn <= 0 else s_cw, turn)
 
     def cmp_keyed(a, b):
-        (ra, na, siga), _ = a
-        (rb, nb, sigb), _ = b
+        ra, na, siga, _ = a
+        rb, nb, sigb, _ = b
         c = tol.cmp(ra, rb)
         if c != 0:
             return c
@@ -326,15 +329,10 @@ def agree_chirality(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> st
             return -1 if na < nb else 1
         return _cmp_seq(siga, sigb, tol)
 
-    keyed = [(orbit_key(o), o) for o in orbits]
-    best = min(keyed, key=cmp_to_key(cmp_keyed))
-    rep = min(best[1])
-    s_ccw = _scan_signature(points, c, rep, CCW, tol, idxs)
-    s_cw = _scan_signature(points, c, rep, CW, tol, idxs)
-    cmp = _cmp_seq(s_ccw, s_cw, tol)
-    if cmp == 0:
+    *_, turn = min((orbit_key(o) for o in orbits), key=cmp_to_key(cmp_keyed))
+    if turn == 0:
         raise MirrorSymmetric("both scan directions read identically")
-    return CCW if cmp < 0 else CW
+    return CCW if turn < 0 else CW
 
 
 def orient_axis(points: Sequence[Point], axis: Axis, tol: Tolerance = DEFAULT_TOL) -> Point:
@@ -404,12 +402,6 @@ def inner_polygon(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> tupl
     raise DegenerateReference("all points coincide with the center")
 
 
-def _cw_angle_from(u: Point, v: Point, tol: Tolerance) -> float:
-    if tol.ray_aligned(u, v):
-        return 0.0
-    return norm_angle(-ccw_angle(u, v))
-
-
 def get_vote(points: Sequence[Point], polygon: Sequence[int], x_dir: Point,
              tol: Tolerance = DEFAULT_TOL) -> int:
     """The polygon vertex first met sweeping clockwise from the frame's
@@ -418,7 +410,7 @@ def get_vote(points: Sequence[Point], polygon: Sequence[int], x_dir: Point,
     center = analyze(points, tol).sec.center
     scored = []
     for v in polygon:
-        a = _cw_angle_from(x_dir, points[v] - center, tol)
+        a = sweep_angle(x_dir, points[v] - center, CW, tol)
         scored.append((a, v))
     best_a = min(a for a, _ in scored)
     cluster = [(a, v) for a, v in scored if a <= best_a + tol.eps]
@@ -469,12 +461,5 @@ def order_from_leader(points: Sequence[Point], leader: int,
         raise InvalidLeader("leader must not occupy the center")
     center_idxs = [i for i, p in enumerate(points) if tol.same_point(p, c)]
     rest = [i for i in range(len(points)) if i not in center_idxs]
-
-    def ang(i: int) -> float:
-        v = points[i] - c
-        if handedness == CW:
-            return _cw_angle_from(u, v, tol)
-        return 0.0 if tol.ray_aligned(u, v) else ccw_angle(u, v)
-
-    rest.sort(key=lambda i: (ang(i), points[i].dist(c)))
+    rest.sort(key=lambda i: (sweep_angle(u, points[i] - c, handedness, tol), points[i].dist(c)))
     return CyclicOrder(tuple(rest + center_idxs))

@@ -30,13 +30,14 @@ from .geometry import (
     DEFAULT_TOL,
     Point,
     Tolerance,
-    ccw_angle,
     concentric_decomposition,
     first_coincident_pair,
     smallest_enclosing_circle,
+    sweep_angle,
 )
 from .ordering import (
     agree_chirality,
+    least_rotations,
     order_from_leader,
     order_with_chirality,
     order_without_chirality,
@@ -88,15 +89,6 @@ def _clock(handedness: str) -> str:
     return CW if handedness == CCW else CCW
 
 
-def _sweep_angle(u: Point, v: Point, direction: str, tol: Tolerance) -> float:
-    """Angle swept rotating u onto v's ray in the given direction, in
-    [0, 2*pi); exactly 0 for aligned rays."""
-    if tol.ray_aligned(u, v):
-        return 0.0
-    a = ccw_angle(u, v)
-    return a if direction == CCW else 2.0 * math.pi - a
-
-
 def select_pivot(points: Sequence[Point], handedness: str = CCW,
                  tol: Tolerance = DEFAULT_TOL) -> int:
     """Pick one vertex of the innermost circle as the pivot.
@@ -116,24 +108,12 @@ def select_pivot(points: Sequence[Point], handedness: str = CCW,
     m = len(ring)
     cwd = _clock(handedness)
     us = [points[i] - c for i in ring]
-    gaps = [_sweep_angle(us[t], us[(t + 1) % m], cwd, tol) for t in range(m)]
-
-    def cmp_rot(a: int, b: int) -> int:
-        for j in range(m):
-            cc = tol.cmp(gaps[(a + j) % m], gaps[(b + j) % m])
-            if cc != 0:
-                return cc
-        return 0
-
-    best = 0
-    for s in range(1, m):
-        if cmp_rot(s, best) < 0:
-            best = s
-    candidates = [s for s in range(m) if cmp_rot(s, best) == 0]
+    gaps = [sweep_angle(us[t], us[(t + 1) % m], cwd, tol) for t in range(m)]
+    candidates = least_rotations(gaps, 1, tol)
     xaxis = Point(1.0, 0.0)
 
     def frame_key(s: int) -> tuple[float, float, float]:
-        return (_sweep_angle(xaxis, us[s], cwd, tol), points[ring[s]].x, points[ring[s]].y)
+        return (sweep_angle(xaxis, us[s], cwd, tol), points[ring[s]].x, points[ring[s]].y)
 
     return ring[min(candidates, key=frame_key)]
 
@@ -144,8 +124,8 @@ def _hop_rank(points: Sequence[Point], p1: Sequence[int], c: Point, ray_from: Po
     from c through ray_from (a vertex on the ray itself ranks first)."""
     cwd = _clock(handedness)
     u0 = ray_from - c
-    return sorted(p1, key=lambda v: (_sweep_angle(u0, points[v] - c, cwd, tol),
-                                     points[v].x, points[v].y))
+    return sorted(p1, key=lambda v: (sweep_angle(u0, points[v] - c, cwd, tol),
+                                    points[v].x, points[v].y))
 
 
 def compute_movement_central(points: Sequence[Point], handedness: str = CCW,
@@ -173,7 +153,7 @@ def compute_movement_central(points: Sequence[Point], handedness: str = CCW,
         for sign in (1.0, -1.0):
             apex = c + normal * (sign * s_len / 2.0)
             # all three points sit at distance s/2 from c, so c is the arc center
-            first = min((e1, e2), key=lambda i: _sweep_angle(apex - c, points[i] - c, cwd, tol))
+            first = min((e1, e2), key=lambda i: sweep_angle(apex - c, points[i] - c, cwd, tol))
             if first == pivot:
                 return apex, pivot
         raise InvalidHop("no perpendicular side makes the pivot first clockwise")
@@ -222,8 +202,8 @@ def compute_movement_not_central(points: Sequence[Point], own: int,
         return points[rx] + u * ((2.0 + e) * outer.radius)
     if on_outer and len(outer.indices) == 3:
         others = [i for i in outer.indices if i != own]
-        ahead = min(others, key=lambda i: _sweep_angle(points[own] - c, points[i] - c,
-                                                       handedness, tol))
+        ahead = min(others, key=lambda i: sweep_angle(points[own] - c, points[i] - c,
+                                                      handedness, tol))
         spin = -e * THIRD_TURN if handedness == CCW else e * THIRD_TURN
         return c + (points[ahead] - c).rotated(spin)
     rho = points[own].dist(c)
@@ -285,8 +265,8 @@ def _attempts_three(points: Sequence[Point], handedness: str,
         rec[apex] = foot
         ra = Analysis(rec, tol)
         if first_coincident_pair(rec, tol) is None and ra.in_c_dot:
-            first = min((a, b), key=lambda i: _sweep_angle(points[apex] - foot,
-                                                           points[i] - foot, cwd, tol))
+            first = min((a, b), key=lambda i: sweep_angle(points[apex] - foot,
+                                                          points[i] - foot, cwd, tol))
             out.append(LeaderMark(apex, first, ra, "C1"))
     for moved, fixed in ((a, b), (b, a)):
         d_m = points[moved].dist(foot)
@@ -345,10 +325,10 @@ def _attempts_many(points: Analysis, handedness: str, tol: Tolerance) -> list[Le
     outer = nondeg[-1]
     if len(outer.indices) == 3:
         ring = sorted(outer.indices,
-                      key=lambda i: _sweep_angle(Point(1.0, 0.0), points[i] - c,
-                                                 handedness, tol))
-        gaps = [_sweep_angle(points[ring[t]] - c, points[ring[(t + 1) % 3]] - c,
-                             handedness, tol) for t in range(3)]
+                      key=lambda i: sweep_angle(Point(1.0, 0.0), points[i] - c,
+                                                handedness, tol))
+        gaps = [sweep_angle(points[ring[t]] - c, points[ring[(t + 1) % 3]] - c,
+                            handedness, tol) for t in range(3)]
         if not all(tol.eq(g, THIRD_TURN) for g in gaps):
             t_min = min(range(3), key=lambda t: gaps[t])
             others = sorted(gaps[:t_min] + gaps[t_min + 1:])

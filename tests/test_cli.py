@@ -70,6 +70,9 @@ def test_scenario_unknown_frame_key(tmp_path):
 
 
 _TRIANGLE = '"points": [[0, 0], [1, 0], [0, 1]], "protocol": "VisitAllChirality"'
+# the README's scenario: no mirror axis and no robot at the circle center
+_FIVE = ('"points": [[0, 0], [3, 0], [1, 2], [-2, 1], [-1, -2]], '
+         '"protocol": "VisitAllChirality"')
 
 
 @pytest.mark.parametrize("scenario, argv, message", [
@@ -84,6 +87,8 @@ _TRIANGLE = '"points": [[0, 0], [1, 0], [0, 1]], "protocol": "VisitAllChirality"
     ('{%s, "colour": "red"}' % _TRIANGLE, [], "colour"),
     ('{%s}' % _TRIANGLE, ["--rounds", "0"], "rounds"),
     ('{%s}' % _TRIANGLE, ["verify", "--k", "0"], "--k"),
+    ('{%s, "frames": {"kind": "mirrored_pairs"}}' % _FIVE, ["--seed", "0"], "MirrorSymmetric"),
+    ('{%s, "frames": {"kind": "rotated_quarter"}}' % _FIVE, ["--seed", "0"], "NotCentral"),
 ])
 def test_bad_input_exits_malformed(tmp_path, capsys, scenario, argv, message):
     path = _write(tmp_path, "s.json", scenario)

@@ -6,18 +6,19 @@ from corpus import oracle_sec, rand_points
 
 from swarmperm import (
     AmbiguousLayering,
+    CCW,
+    CW,
     DEFAULT_TOL,
-    DegenerateReference,
     InvalidFrame,
     Point,
     Tolerance,
     centroid,
     concentric_decomposition,
     inverse_transform,
-    polar,
     smallest_enclosing_circle,
     transform,
 )
+from swarmperm.geometry import sweep_angle
 
 
 def test_point_arithmetic():
@@ -117,13 +118,19 @@ def test_sec_order_invariance():
         assert abs(c.radius - base.radius) < 1e-12
 
 
-def test_polar_and_degenerate_reference():
-    c = Point(0, 0)
-    pc = polar(Point(1, 1), Point(1, 0), c)
-    assert pc.d == pytest.approx(math.sqrt(2))
-    assert pc.theta == pytest.approx(math.pi / 4)
-    with pytest.raises(DegenerateReference):
-        polar(Point(1, 1), Point(0, 0), c)
+def test_sweep_angle_conventions():
+    u = Point(2, 0)
+    assert sweep_angle(u, Point(1, 1), CCW, DEFAULT_TOL) == pytest.approx(math.pi / 4)
+    assert sweep_angle(u, Point(1, 1), CW, DEFAULT_TOL) == pytest.approx(7 * math.pi / 4)
+    assert sweep_angle(u, Point(0, -3), CW, DEFAULT_TOL) == pytest.approx(math.pi / 2)
+    for h in (CCW, CW):
+        # rays within eps of each other, at any length, sweep exactly 0
+        assert sweep_angle(u, Point(5, 5e-10), h, DEFAULT_TOL) == 0.0
+        assert sweep_angle(u, Point(5, -5e-10), h, DEFAULT_TOL) == 0.0
+        assert sweep_angle(u, Point(-1, 0), h, DEFAULT_TOL) == pytest.approx(math.pi)
+        # a unit axis is never aligned within eps = 1, but a vector exactly
+        # on it still sweeps 0, not a full turn
+        assert sweep_angle(Point(1, 0), Point(3, 0), h, Tolerance(1.0)) == 0.0
 
 
 def test_concentric_layers():

@@ -1,5 +1,7 @@
 """The float kernels of the smallest enclosing circle and the symmetry
-candidate test against the Point-based versions they replaced.
+candidate test against the Point-based versions they replaced, and the
+shared sweep angle and least-rotation scan against the copies they
+replaced.
 
 The reference functions below are verbatim copies of those versions.
 Every comparison is exact: floats are compared through float.hex, so even
@@ -27,9 +29,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmperm import (
+    CCW,
+    CW,
     DEFAULT_TOL,
     Axis,
     Circle,
+    NotOrderable,
     Point,
     SwarmError,
     Tolerance,
@@ -41,7 +46,8 @@ from swarmperm import (
     smallest_enclosing_circle,
     view_classes,
 )
-from swarmperm.geometry import angle_of, ccw_angle
+from swarmperm.geometry import angle_of, ccw_angle, norm_angle, sweep_angle
+from swarmperm.ordering import least_rotations
 from swarmperm.symmetry import _PointIndex
 
 # --- reference: the Point-based kernels ----------------------------------
@@ -236,6 +242,77 @@ def ref_view_classes(points, frames, tol=DEFAULT_TOL, chirality=True):
     return classes
 
 
+# --- reference: the sweep-angle and least-rotation copies ----------------
+
+def _cmp_seq(a, b, tol: Tolerance) -> int:
+    for x, y in zip(a, b):
+        c = tol.cmp(x, y)
+        if c != 0:
+            return c
+    return (len(a) > len(b)) - (len(a) < len(b))
+
+
+def _flatten(pairs) -> list[float]:
+    out: list[float] = []
+    for d, g in pairs:
+        out.append(d)
+        out.append(g)
+    return out
+
+
+def _canonical_rotation_start(pairs, tol: Tolerance) -> int:
+    """Start index of the unique lexicographically smallest rotation of the
+    signature, or NotOrderable when several rotations tie within eps."""
+    m = len(pairs)
+    flat = _flatten(pairs)
+
+    def rot(s: int) -> list[float]:
+        return flat[2 * s:] + flat[:2 * s]
+
+    best = 0
+    for s in range(1, m):
+        if _cmp_seq(rot(s), rot(best), tol) < 0:
+            best = s
+    ties = [s for s in range(m) if s != best and _cmp_seq(rot(s), rot(best), tol) == 0]
+    if ties:
+        raise NotOrderable("signature is rotationally periodic, no canonical start")
+    return best
+
+
+def _pivot_candidates(gaps, tol: Tolerance) -> list[int]:
+    """The candidate scan of select_pivot."""
+    m = len(gaps)
+
+    def cmp_rot(a: int, b: int) -> int:
+        for j in range(m):
+            cc = tol.cmp(gaps[(a + j) % m], gaps[(b + j) % m])
+            if cc != 0:
+                return cc
+        return 0
+
+    best = 0
+    for s in range(1, m):
+        if cmp_rot(s, best) < 0:
+            best = s
+    candidates = [s for s in range(m) if cmp_rot(s, best) == 0]
+    return candidates
+
+
+def _cw_angle_from(u: Point, v: Point, tol: Tolerance) -> float:
+    if tol.ray_aligned(u, v):
+        return 0.0
+    return norm_angle(-ccw_angle(u, v))
+
+
+def _sweep_angle(u: Point, v: Point, direction: str, tol: Tolerance) -> float:
+    """Angle swept rotating u onto v's ray in the given direction, in
+    [0, 2*pi); exactly 0 for aligned rays."""
+    if tol.ray_aligned(u, v):
+        return 0.0
+    a = ccw_angle(u, v)
+    return a if direction == CCW else 2.0 * math.pi - a
+
+
 # --- comparison ------------------------------------------------------------
 
 def _bits(*xs: float) -> tuple[str, ...]:
@@ -308,10 +385,25 @@ def test_kernels_match_reference_on_corpus():
     assert count > 90
 
 
+def _swapped(pts):
+    """The set mirrored across the diagonal, which trades x for y."""
+    return [Point(p.y, p.x) for p in pts]
+
+
 def test_kernels_match_reference_on_regular_polygons():
     for pts in _k_gons():
-        _assert_circle_identical(pts)
-        _assert_symmetry_identical(pts)
+        for variant in (pts, _swapped(pts)):
+            _assert_circle_identical(variant)
+            _assert_symmetry_identical(variant)
+
+
+@pytest.mark.parametrize("extra", [[], [Point(0.35, 0.1)]])
+def test_kernels_match_reference_on_lines(extra):
+    # spread along one axis only: laid along y, every point falls in each
+    # image's x-window
+    line = [Point(0.1 * i - 1.0, 0.3) for i in range(21)] + extra
+    for variant in (line, _swapped(line)):
+        _assert_symmetry_identical(variant)
 
 
 def test_view_classes_match_reference():
@@ -395,5 +487,120 @@ def test_matcher_matches_reference_on_lattice_ties(xys, moves, rng, eps):
     for i, (dx, dy) in enumerate(moves[:len(images)]):
         images[i] = Point(images[i].x + dx / 2.0, images[i].y + dy / 2.0)
     tol = Tolerance(eps)
-    assert (_PointIndex(pts, tol).matches((q.x, q.y) for q in images)
-            == _matches_multiset(pts, images, tol))
+    for ps, qs in ((pts, images), (_swapped(pts), _swapped(images))):
+        assert (_PointIndex(ps, tol).matches((q.x, q.y) for q in qs)
+                == _matches_multiset(ps, qs, tol))
+
+
+# --- sweep angle and least rotations ----------------------------------------
+
+def _assert_rotations_identical(values, tol):
+    """least_rotations against the select_pivot scan on the values, and
+    against the canonical start on the values read as (radius, gap) pairs."""
+    assert least_rotations(values, 1, tol) == _pivot_candidates(values, tol)
+    pairs = list(zip(values[0::2], values[1::2]))
+    if not pairs:
+        return
+    try:
+        want = [_canonical_rotation_start(pairs, tol)]
+    except NotOrderable:
+        want = None
+    starts = least_rotations(_flatten(pairs), 2, tol)
+    assert (starts if len(starts) == 1 else None) == want
+
+
+@pytest.mark.parametrize("steps", [
+    [0.0, 0.6, 1.2],             # 0 ties 0.6 and 0.6 ties 1.2, but 0 < 1.2
+    [1.2, 0.6, 0.0],
+    [0.0, 0.6, 1.2, 0.6],        # the scan's strict update decides the tie set
+    [0.0, 0.0, 0.6, 1.2, 0.6],
+    [0.6, 1.2, 0.0, 0.6],
+    [0.0, 0.6, 1.2, 0.0, 0.6, 1.2],
+    [1.2, 0.0, 1.2, 0.6, 0.0, 0.6],
+    [0.0, 1.0, 0.0, 1.0],        # exactly eps apart ties
+    [0.0, 1.5, 0.0, 0.5, 0.0, 1.5, 0.0, 0.5],
+])
+@pytest.mark.parametrize("base", [0.0, 1.0])
+def test_least_rotations_match_reference_on_tie_chains(steps, base):
+    tol = Tolerance(1e-3)
+    _assert_rotations_identical([base + s * tol.eps for s in steps], tol)
+
+
+_NUDGES = (-1.2, -0.6, -0.5, 0.0, 0.0, 0.0, 0.5, 0.6, 1.0, 1.2, 2.0)
+
+
+@st.composite
+def _sequences(draw):
+    """Random, or periodic with each value nudged by a multiple of eps, so
+    that chains of nudged values tie non-transitively."""
+    eps = draw(st.sampled_from([1e-9, 0.5, 1.0]))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=12))
+    else:
+        block = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+        values = block * draw(st.integers(1, 4))
+        nudges = draw(st.lists(st.sampled_from(_NUDGES), min_size=len(values),
+                               max_size=len(values)))
+        values = [float(b) + n * eps for b, n in zip(values, nudges)]
+    return values, Tolerance(eps)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_sequences())
+def test_least_rotations_match_reference_on_generated_sequences(seq):
+    values, tol = seq
+    _assert_rotations_identical(values, tol)
+
+
+def _vector_pairs(rng, eps):
+    """Random vectors at scales 1e-6..1e6, and vectors on an axis or turned
+    off it by 0.5 to 2 eps radians either way, including nearly opposite."""
+    axes = [Point(1.0, 0.0), Point(0.0, 1.0), Point(-1.0, 0.0), Point(0.0, -1.0)]
+    for _ in range(400):
+        u = Point(1.0, 0.0).rotated(rng.uniform(0.0, 2.0 * math.pi)) * 10 ** rng.uniform(-6, 6)
+        v = Point(1.0, 0.0).rotated(rng.uniform(0.0, 2.0 * math.pi)) * 10 ** rng.uniform(-6, 6)
+        yield u, v
+    for u in axes + [Point(1.0, 0.0).rotated(rng.uniform(0.0, 6.3)) for _ in range(8)]:
+        for scale in (1.0, 1e-6, 1e6, rng.uniform(0.5, 3.0)):
+            for turn in (0.0, 0.5, 1.0, 1.5, 2.0, 3.0):
+                for sign in (1.0, -1.0):
+                    for back in (0.0, math.pi):
+                        v = u.rotated(back + sign * turn * eps) * scale
+                        yield u, v
+                        yield u * 3.0, v
+    yield Point(1.0, 0.0), Point(7.0, 0.0)
+    yield Point(1.0, 0.0), Point(-7.0, 0.0)
+    yield Point(0.0, 2.0), Point(0.0, -0.0)
+
+
+def _assert_sweep_matches(u, v, tol) -> bool:
+    """CCW is _sweep_angle bit for bit.  CW is _cw_angle_from up to the sign
+    of a zero, and _sweep_angle except where rounding gave that 2*pi, for a
+    vector no longer than eps, which sweeps 0.  True in that case."""
+    assert _bits(sweep_angle(u, v, CCW, tol)) == _bits(_sweep_angle(u, v, CCW, tol))
+    cw = sweep_angle(u, v, CW, tol)
+    assert _bits(cw + 0.0) == _bits(_cw_angle_from(u, v, tol) + 0.0)
+    if _sweep_angle(u, v, CW, tol) < 2.0 * math.pi:
+        assert _bits(cw) == _bits(_sweep_angle(u, v, CW, tol))
+        return False
+    assert _bits(cw) == _bits(0.0) and min(u.norm(), v.norm()) <= tol.eps
+    return True
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3, 1.0])
+def test_sweep_angle_matches_references(eps):
+    tol = Tolerance(eps)
+    rng = random.Random(74)
+    snapped = [_assert_sweep_matches(u, v, tol) for u, v in _vector_pairs(rng, eps)]
+    assert len(snapped) > 1000
+    # the zero vector, at every eps, and vectors exactly on an axis at norm
+    # 1e-6, or 1 when eps = 1, are no longer than eps
+    assert any(snapped)
+
+
+def test_sweep_angle_matches_references_on_short_vectors():
+    tol = Tolerance(1e-3)
+    short = [Point(0.0, 0.0), Point(-0.0, 0.0), Point(1e-3, 0.0), Point(0.0, -5e-4)]
+    long_ = [Point(1.0, 0.0), Point(0.0, -2.0), Point(-3.0, 1e-4)]
+    snapped = [_assert_sweep_matches(u, v, tol) for u in short + long_ for v in short + long_]
+    assert any(snapped)

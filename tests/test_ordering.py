@@ -19,6 +19,7 @@ from swarmperm import (
     MirrorSymmetric,
     NotOrderable,
     Point,
+    Tolerance,
     VoteTie,
     agree_chirality,
     inner_polygon,
@@ -192,6 +193,16 @@ def test_get_vote_exact_alignment_and_clockwise():
     # clockwise sweep from angle -0.1 reaches robot 4 at angle -pi/2 first
     assert get_vote(pts, poly, Point(math.cos(-0.1), math.sin(-0.1))) == 4
 
+
+def test_get_vote_exact_alignment_at_eps_one():
+    # a unit frame axis is no longer than eps = 1, so it is never aligned
+    # within eps; a vertex exactly on it must still be met first, not
+    # after a full clockwise turn
+    tol = Tolerance(1.0)
+    pts = [Point(0, 0)] + [p * 3.0 for p in SQUARE]
+    assert get_vote(pts, inner_polygon(pts, tol), Point(1, 0), tol) == 1
+    assert voting_elect(pts, [Point(1, 0)] * len(pts), tol) == 1
+    assert order_from_leader(pts, 1, tol) == CyclicOrder((1, 4, 3, 2, 0))
 
 def test_vote_tally_counts():
     pts = [Point(0, 0)] + SQUARE

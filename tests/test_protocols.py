@@ -17,6 +17,7 @@ from swarmperm import (
     Protocol,
     ReconstructFailure,
     Snapshot,
+    Tolerance,
     center_robot_index,
     classify,
     compute_movement_central,
@@ -102,6 +103,14 @@ def test_select_pivot_rotating_frame_moves_symmetric_choice():
     # direct check: same geometry, but pivot follows the frame
     assert SQUARE_CENTER[base] == Point(1, 0)
 
+
+def test_select_pivot_exact_axis_vertex_at_eps_one():
+    # at eps = 1 the unit +x axis is never aligned within eps; the vertex
+    # exactly on it still sweeps 0, either way, and wins the tie-break
+    tol = Tolerance(1.0)
+    pts = [Point(0, 0)] + [p * 3.0 for p in SQUARE_CENTER[1:]]
+    for h in (CCW, CW):
+        assert select_pivot(pts, h, tol) == 1
 
 # --- central movement -----------------------------------------------------
 
