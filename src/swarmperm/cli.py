@@ -240,14 +240,13 @@ def cmd_simulate(args) -> int:
     scn = load_scenario(args.scenario)
     if scn.protocol is None:
         raise ScenarioError("field 'protocol' is required to simulate")
-    tol = Tolerance(scn.tolerance)
-    protocol = make_protocol(scn.protocol, scn.handedness, tol)
+    protocol = make_protocol(scn.protocol, scn.handedness, Tolerance(scn.tolerance))
     rounds = args.rounds if args.rounds is not None else scn.rounds
     if rounds < 1:
         raise ScenarioError("--rounds must be >= 1")
     try:
         frames = scenario_frames(scn, args.seed)
-        trace = run(scn.points, frames, protocol, rounds, tol)
+        trace = run(scn.points, frames, protocol, rounds)
     except SwarmError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
@@ -370,8 +369,8 @@ def _demo_thm2(force: bool) -> int:
 
     def claim_center(a, snap, bit, handedness, tol):
         if a.in_c_dot:
-            return a[a.center_index]
-        return a[snap.own_index]
+            return a[a.center_index], bit
+        return a[snap.own_index], bit
 
     trace = run(pts, frames, Protocol(name="claim-center", step=claim_center,
                                       min_robots=3), 1)
@@ -392,11 +391,11 @@ def _demo_thm3(force: bool) -> int:
         if a.in_c_dot:
             if snap.own_index == a.center_index:
                 dest, _ = compute_movement_central(a, handedness, tol)
-                return dest
-            return a[snap.own_index]
+                return dest, bit
+            return a[snap.own_index], bit
         mark = reconstruct(a, handedness, tol)
         order = order_from_leader(mark.reconstructed, mark.pivot_index, tol)
-        return mark.reconstructed[order.successor(snap.own_index)]
+        return mark.reconstructed[order.successor(snap.own_index)], bit
 
     print("predicted obstruction: round 3 is not a permutation of round 1")
     trace = run(pts, frames, Protocol(name="two-step-no-memory", step=bitless,

@@ -51,23 +51,6 @@ IDENTITY_FRAME = Frame()
 
 
 @dataclass(frozen=True)
-class Configuration:
-    points: tuple[Point, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        if len(self.points) < 2:
-            raise EmptyConfiguration("a configuration needs at least 2 robots")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def validate_distinct(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        if (hit := first_coincident_pair(self.points, tol)) is not None:
-            raise DuplicatePoints(f"robots {hit[0]} and {hit[1]} share a position")
-
-
-@dataclass(frozen=True)
 class Snapshot:
     """What one robot sees: every position in its own frame (itself at
     the origin), and optionally every robot's +x direction."""
@@ -91,10 +74,6 @@ class RunTrace:
     records: tuple[RoundRecord, ...]
 
     @property
-    def n(self) -> int:
-        return len(self.records[0].positions)
-
-    @property
     def failed(self) -> bool:
         return self.records[-1].error is not None
 
@@ -114,32 +93,28 @@ def to_local_snapshot(points: Sequence[Point], frames: Sequence[Frame], i: int,
     if visible:
         axis_dirs = []
         for g in frames:
-            tip = origin + Point(math.cos(g.rotation), math.sin(g.rotation))
-            axis_dirs.append(inverse_transform(tip, f.rotation, f.mirror, f.scale,
-                                               origin).unit())
+            x_dir = Point(math.cos(g.rotation), math.sin(g.rotation))
+            axis_dirs.append(inverse_transform(x_dir, f.rotation, f.mirror, f.scale).unit())
         dirs = tuple(axis_dirs)
     return Snapshot(local, i, dirs)
 
 
 def fsync_round(points: Sequence[Point], frames: Sequence[Frame], protocol: Protocol,
-                bits: Sequence[int], tol: Tolerance = DEFAULT_TOL):
+                bits: Sequence[int]):
     """One synchronous cycle.  All destinations are computed from the
     round-start snapshots, then applied together; a shared destination is
     a collision and the round does not commit."""
-    n = len(points)
-    new_bits = list(bits)
+    tol = protocol.tol
+    new_bits: list[int] = []
     dests_local: list[Point] = []
-    for i in range(n):
+    for i in range(len(points)):
         snap = to_local_snapshot(points, frames, i, protocol.needs_visible_frames)
         try:
-            if protocol.needs_memory:
-                dest, nb = protocol.compute(snap, bits[i])
-                new_bits[i] = int(nb)
-            else:
-                dest = protocol.compute(snap)
+            dest, bit = protocol.compute(snap, bits[i])
         except SwarmError as exc:
             raise type(exc)(f"{exc} (robot {i})") from exc
         dests_local.append(dest)
+        new_bits.append(int(bit))
     new_points = tuple(
         transform(d, frames[i].rotation, frames[i].mirror, frames[i].scale, points[i])
         for i, d in enumerate(dests_local))
@@ -151,27 +126,28 @@ def fsync_round(points: Sequence[Point], frames: Sequence[Frame], protocol: Prot
     return new_points, tuple(new_bits), moved
 
 
-def run(c0, frames: Sequence[Frame], protocol: Protocol, rounds: int,
-        tol: Tolerance = DEFAULT_TOL) -> RunTrace:
+def run(c0: Sequence[Point], frames: Sequence[Frame], protocol: Protocol,
+        rounds: int) -> RunTrace:
     """Iterate fsync_round.  A failing round embeds its error in the
     trace (positions unchanged) and stops; nothing escapes."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    config = c0 if isinstance(c0, Configuration) else Configuration(tuple(c0))
-    config.validate_distinct(tol)
-    points = config.points
+    points = tuple(c0)
     n = len(points)
+    if n < 2:
+        raise EmptyConfiguration("a configuration needs at least 2 robots")
+    if (hit := first_coincident_pair(points, protocol.tol)) is not None:
+        raise DuplicatePoints(f"robots {hit[0]} and {hit[1]} share a position")
     if len(frames) != n:
         raise InvalidFrame(f"{len(frames)} frames for {n} robots")
     if n < protocol.min_robots:
-        raise ValueError(f"{protocol.name} needs at least {protocol.min_robots} robots")
+        raise EmptyConfiguration(f"{protocol.name} needs at least {protocol.min_robots} robots")
     bits = tuple(0 for _ in range(n))
     quiet = tuple(False for _ in range(n))
     records = [RoundRecord(0, points, bits, quiet, None)]
     for r in range(1, rounds + 1):
         try:
-            points_next, bits_next, moved = fsync_round(points, frames, protocol,
-                                                        bits, tol)
+            points_next, bits_next, moved = fsync_round(points, frames, protocol, bits)
         except SwarmError as exc:
             records.append(RoundRecord(r, points, bits, quiet,
                                        f"{type(exc).__name__}: {exc}"))

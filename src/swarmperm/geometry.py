@@ -135,12 +135,6 @@ class Layer:
     indices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ConcentricDecomposition:
-    center: Point
-    layers: tuple[Layer, ...]  # innermost first; layer 0 may be the degenerate center
-
-
 def angle_of(v: Point) -> float:
     return math.atan2(v.y, v.x)
 
@@ -306,8 +300,9 @@ def smallest_enclosing_circle(points: Sequence[Point], tol: Tolerance = DEFAULT_
 # --- layering -----------------------------------------------------------
 
 def concentric_decomposition(points: Sequence[Point], center: Point,
-                             tol: Tolerance = DEFAULT_TOL) -> ConcentricDecomposition:
-    """Group points into circles about center by radius.
+                             tol: Tolerance = DEFAULT_TOL) -> tuple[Layer, ...]:
+    """Group points into circles about center by radius, innermost first;
+    layer 0 may be the degenerate center.
 
     Radii within one layer agree to eps; consecutive layers are separated
     by more than eps.  A chain of radii with pairwise gaps <= eps that
@@ -331,7 +326,7 @@ def concentric_decomposition(points: Sequence[Point], center: Point,
             raise AmbiguousLayering(
                 f"radius chain spans {group_ds[-1] - group_ds[0]:.3e} > eps about {center}")
     layers.append(Layer(math.fsum(group_ds) / len(group_ds), tuple(group)))
-    return ConcentricDecomposition(center, tuple(layers))
+    return tuple(layers)
 
 
 # --- frame transform -----------------------------------------------------

@@ -449,17 +449,16 @@ def voting_elect(points: Sequence[Point], x_dirs: Sequence[Point],
 
 
 def order_from_leader(points: Sequence[Point], leader: int,
-                      tol: Tolerance = DEFAULT_TOL, handedness: str = CW) -> CyclicOrder:
+                      tol: Tolerance = DEFAULT_TOL) -> CyclicOrder:
     """Cyclic order anchored at a leader point: non-center points sorted by
     (clockwise angle from the ray center->leader, then radius), with the
     center point appended last."""
     a = analyze(points, tol)
-    _check_handedness(handedness)
     c = a.sec.center
     u = points[leader] - c
     if u.norm() <= tol.eps:
         raise InvalidLeader("leader must not occupy the center")
     center_idxs = [i for i, p in enumerate(points) if tol.same_point(p, c)]
     rest = [i for i in range(len(points)) if i not in center_idxs]
-    rest.sort(key=lambda i: (sweep_angle(u, points[i] - c, handedness, tol), points[i].dist(c)))
+    rest.sort(key=lambda i: (sweep_angle(u, points[i] - c, CW, tol), points[i].dist(c)))
     return CyclicOrder(tuple(rest + center_idxs))

@@ -1,12 +1,12 @@
 """Robot-side decision rules.
 
-Each protocol is a pure function from a local snapshot (plus, for the
-one-bit protocol, a memory bit) to a destination expressed in the same
-local coordinates.  The heavy machinery lives in the centered-symmetric
-case: the central robot and the persistent leader exchange information
-through carefully quantized displacements, and every robot can invert
-those displacements to recover the underlying configuration, the leader,
-and a pivot point that anchors a shared cyclic order.
+Each protocol is a pure function from a local snapshot and a memory bit
+to a destination in the same local coordinates and a new bit, which only
+the one-bit protocol changes.  The heavy machinery lives in the
+centered-symmetric case: the central robot and the persistent leader
+exchange information through carefully quantized displacements, and
+every robot can invert those displacements to recover the underlying
+configuration, the leader, and a pivot point that anchors a shared order.
 """
 
 from __future__ import annotations
@@ -188,8 +188,8 @@ def compute_movement_not_central(points: Sequence[Point], own: int,
         # sliding away from the old midpoint drags the new midpoint toward
         # the own side; toward it points at the opposite endpoint
         return points[own] + u * (delta if pivot == own else -delta)
-    deco = concentric_decomposition(points, c, tol)
-    nondeg = [layer for layer in deco.layers if layer.radius > tol.eps]
+    layers = concentric_decomposition(points, c, tol)
+    nondeg = [layer for layer in layers if layer.radius > tol.eps]
     p1 = list(nondeg[0].indices)
     ranked = _hop_rank(points, p1, c, points[own], handedness, tol)
     nhop = ranked.index(pivot)
@@ -221,10 +221,10 @@ def _finish_mark(points: Sequence[Point], rec: list[Point], leader: int, e: floa
     pivot from the leader's encoded fraction."""
     rest = [i for i in range(len(points)) if i != leader]
     try:
-        deco = concentric_decomposition([points[i] for i in rest], c, tol)
+        layers = concentric_decomposition([points[i] for i in rest], c, tol)
     except AmbiguousLayering:
         return None
-    inner = next((layer for layer in deco.layers if layer.radius > tol.eps), None)
+    inner = next((layer for layer in layers if layer.radius > tol.eps), None)
     if inner is None or len(inner.indices) != 1:
         return None
     qc = rest[inner.indices[0]]
@@ -418,19 +418,20 @@ def reconstruct(points: Sequence[Point], handedness: str = CCW,
 
 # --- per-protocol step functions -----------------------------------------
 # Every step takes (a, snapshot, bit, handedness, tol): a is the Analysis
-# of snapshot.local_points, the robot's memory bit (None for memoryless
-# protocols), and the protocol's handedness and tolerance.
+# of snapshot.local_points, the robot's memory bit, and the protocol's
+# handedness and tolerance.  It returns (destination, new bit); memoryless
+# steps return the bit they were given.
 
-def visit_all_chirality_step(a: Analysis, snapshot, bit, handedness: str,
-                             tol: Tolerance) -> Point:
+def visit_all_chirality_step(a: Analysis, snapshot, bit: int, handedness: str,
+                             tol: Tolerance) -> tuple[Point, int]:
     """Move to the successor of the own position under the shared sweep
     order."""
     order = order_with_chirality(a, handedness, tol)
-    return a[order.successor(snapshot.own_index)]
+    return a[order.successor(snapshot.own_index)], bit
 
 
-def move_all_no_chirality_step(a: Analysis, snapshot, bit, handedness: str,
-                               tol: Tolerance) -> Point:
+def move_all_no_chirality_step(a: Analysis, snapshot, bit: int, handedness: str,
+                               tol: Tolerance) -> tuple[Point, int]:
     """One-round total relocation without a shared clockwise notion."""
     own = snapshot.own_index
     p = a[own]
@@ -439,11 +440,11 @@ def move_all_no_chirality_step(a: Analysis, snapshot, bit, handedness: str,
     rep = symmetry_report(a, tol)
     c = a.centroid
     if rep.is_central_symmetric:
-        return c * 2.0 - p
+        return c * 2.0 - p, bit
     if not rep.mirror_axes:
         h = agree_chirality(a, tol)
         order = order_with_chirality(a, h, tol)
-        return a[order.successor(own)]
+        return a[order.successor(own)], bit
     if 1 in rep.robot_counts_on_axes:
         raise NotOrderable("a symmetry axis carries exactly one robot")
     mine = [t for t, on in enumerate(a.axis_robots) if own in on]
@@ -451,25 +452,25 @@ def move_all_no_chirality_step(a: Analysis, snapshot, bit, handedness: str,
         ax = rep.mirror_axes[mine[0]]
         u = orient_axis(a, ax, tol)
         on = sorted(a.axis_robots[mine[0]], key=lambda i: u.dot(a[i] - ax.point))
-        return a[on[(on.index(own) + 1) % len(on)]]
+        return a[on[(on.index(own) + 1) % len(on)]], bit
     dists = sorted((abs(ax.direction.cross(p - ax.point)), t)
                    for t, ax in enumerate(rep.mirror_axes))
     if len(dists) == 1 or tol.gt(dists[1][0], dists[0][0]):
         ax = rep.mirror_axes[dists[0][1]]
         v = p - ax.point
         d = ax.direction
-        return ax.point + d * (2.0 * d.dot(v)) - v
-    return c * 2.0 - p
+        return ax.point + d * (2.0 * d.dot(v)) - v, bit
+    return c * 2.0 - p, bit
 
 
-def visit_all_no_chirality_step(a: Analysis, snapshot, bit, handedness: str,
-                                tol: Tolerance) -> Point:
+def visit_all_no_chirality_step(a: Analysis, snapshot, bit: int, handedness: str,
+                                tol: Tolerance) -> tuple[Point, int]:
     order = order_without_chirality(a, tol)
-    return a[order.successor(snapshot.own_index)]
+    return a[order.successor(snapshot.own_index)], bit
 
 
-def voting_visit_all_step(a: Analysis, snapshot, bit, handedness: str,
-                          tol: Tolerance) -> Point:
+def voting_visit_all_step(a: Analysis, snapshot, bit: int, handedness: str,
+                          tol: Tolerance) -> tuple[Point, int]:
     """Break a centered configuration by electing an inner-circle vertex
     from the visible frame directions; otherwise fall back to the plain
     shared sweep."""
@@ -479,7 +480,7 @@ def voting_visit_all_step(a: Analysis, snapshot, bit, handedness: str,
         raise ValueError("voting needs the frame directions in the snapshot")
     leader = voting_elect(a, snapshot.visible_frames, tol)
     order = order_from_leader(a, leader, tol)
-    return a[order.successor(snapshot.own_index)]
+    return a[order.successor(snapshot.own_index)], bit
 
 
 def one_bit_step(a: Analysis, snapshot, bit: int, handedness: str,
@@ -487,7 +488,7 @@ def one_bit_step(a: Analysis, snapshot, bit: int, handedness: str,
     """Two-round cadence: centered rounds broadcast a pivot through the
     movements of the central robot and the remembered leader; off-center
     rounds invert those movements and advance everyone one slot along the
-    pivot-anchored cyclic order.  Returns (destination, new bit)."""
+    pivot-anchored cyclic order."""
     own = snapshot.own_index
     centered = a.in_c_dot
     if not centered and bit == 0:
@@ -512,42 +513,36 @@ def one_bit_step(a: Analysis, snapshot, bit: int, handedness: str,
 class Protocol:
     """A named Compute rule plus the capabilities it assumes.
 
-    `step(analysis, snapshot, bit, handedness, tol)` returns a destination
-    in the snapshot's frame, or (destination, new bit) with `needs_memory`.
+    `step(analysis, snapshot, bit, handedness, tol)` returns (destination
+    in the snapshot's frame, new bit).  `tol` is the tolerance of every
+    run of the protocol.
     """
 
     name: str
     step: Callable
-    needs_memory: bool = False
     needs_visible_frames: bool = False
     min_robots: int = 2
     handedness: str = CCW
     tol: Tolerance = DEFAULT_TOL
 
-    def compute(self, snapshot, bit: int | None = None):
+    def compute(self, snapshot, bit: int) -> tuple[Point, int]:
         analysis = Analysis(snapshot.local_points, self.tol)
         return self.step(analysis, snapshot, bit, self.handedness, self.tol)
 
 
-PROTOCOL_IDS = (
-    "VisitAllChirality",
-    "MoveAllNoChirality",
-    "VisitAllNoChirality",
-    "VotingVisitAll",
-    "OneBitVisitAll",
-)
+_PROTOCOLS = {
+    "VisitAllChirality": dict(step=visit_all_chirality_step, min_robots=3),
+    "MoveAllNoChirality": dict(step=move_all_no_chirality_step, min_robots=2),
+    "VisitAllNoChirality": dict(step=visit_all_no_chirality_step, min_robots=3),
+    "VotingVisitAll": dict(step=voting_visit_all_step, min_robots=3,
+                           needs_visible_frames=True),
+    "OneBitVisitAll": dict(step=one_bit_step, min_robots=3),
+}
+PROTOCOL_IDS = tuple(_PROTOCOLS)
 
 
 def make_protocol(protocol_id: str, handedness: str = CCW,
                   tol: Tolerance = DEFAULT_TOL) -> Protocol:
-    table = {
-        "VisitAllChirality": dict(step=visit_all_chirality_step, min_robots=3),
-        "MoveAllNoChirality": dict(step=move_all_no_chirality_step, min_robots=2),
-        "VisitAllNoChirality": dict(step=visit_all_no_chirality_step, min_robots=3),
-        "VotingVisitAll": dict(step=voting_visit_all_step, min_robots=3,
-                               needs_visible_frames=True),
-        "OneBitVisitAll": dict(step=one_bit_step, min_robots=3, needs_memory=True),
-    }
-    if protocol_id not in table:
+    if protocol_id not in _PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol_id!r}; choose from {PROTOCOL_IDS}")
-    return Protocol(name=protocol_id, handedness=handedness, tol=tol, **table[protocol_id])
+    return Protocol(name=protocol_id, handedness=handedness, tol=tol, **_PROTOCOLS[protocol_id])

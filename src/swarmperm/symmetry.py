@@ -115,9 +115,9 @@ class Analysis(tuple):
         """Smallest non-degenerate layer about the centroid (ties to the
         innermost).  Every symmetry permutes it, so the maps of its first
         point onto its members are the only candidates."""
-        deco = concentric_decomposition(self, self.centroid, self.tol)
+        layers = concentric_decomposition(self, self.centroid, self.tol)
         best: tuple[int, ...] | None = None
-        for layer in deco.layers:
+        for layer in layers:
             if layer.radius <= self.tol.eps:
                 continue
             if best is None or len(layer.indices) < len(best):
@@ -127,7 +127,7 @@ class Analysis(tuple):
     @cached_property
     def layers(self) -> tuple[Layer, ...]:
         """Concentric layers about the circle center, innermost first."""
-        return concentric_decomposition(self, self.sec.center, self.tol).layers
+        return concentric_decomposition(self, self.sec.center, self.tol)
 
     @cached_property
     def inner_polygon(self) -> tuple[int, ...]:

@@ -70,7 +70,7 @@ def _standalone(pts, tol):
         "in_c_dot": lambda: k_without_center() > 1,
         "centroid": lambda: centroid(raw()),
         "layers": lambda: concentric_decomposition(
-            raw(), smallest_enclosing_circle(raw(), tol).center, tol).layers,
+            raw(), smallest_enclosing_circle(raw(), tol).center, tol),
         "inner_polygon": lambda: inner_polygon(raw(), tol),
         "rotational_order": lambda: rotational_order(raw(), tol),
         "mirror_axes": lambda: mirror_axes(raw(), tol),

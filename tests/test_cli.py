@@ -89,6 +89,8 @@ _FIVE = ('"points": [[0, 0], [3, 0], [1, 2], [-2, 1], [-1, -2]], '
     ('{%s}' % _TRIANGLE, ["verify", "--k", "0"], "--k"),
     ('{%s, "frames": {"kind": "mirrored_pairs"}}' % _FIVE, ["--seed", "0"], "MirrorSymmetric"),
     ('{%s, "frames": {"kind": "rotated_quarter"}}' % _FIVE, ["--seed", "0"], "NotCentral"),
+    ('{"points": [[0, 0], [1, 0]], "protocol": "VisitAllChirality"}', ["--seed", "0"],
+     "needs at least 3"),
 ])
 def test_bad_input_exits_malformed(tmp_path, capsys, scenario, argv, message):
     path = _write(tmp_path, "s.json", scenario)

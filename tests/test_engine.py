@@ -5,10 +5,10 @@ import random
 import pytest
 from corpus import chirality_preserving_frames, rand_non_c_dot
 
+import swarmperm.errors as errors
 from swarmperm import (
     ADVERSARY_KINDS,
     CollisionDetected,
-    Configuration,
     DuplicatePoints,
     EmptyConfiguration,
     Frame,
@@ -16,7 +16,9 @@ from swarmperm import (
     InvalidFrame,
     MirrorSymmetric,
     NotCentral,
+    PROTOCOL_IDS,
     Point,
+    SwarmError,
     adversary_frames,
     fsync_round,
     make_protocol,
@@ -46,10 +48,11 @@ def test_frame_validation():
 
 
 def test_configuration_validation():
+    proto = make_protocol("MoveAllNoChirality")
     with pytest.raises(EmptyConfiguration):
-        Configuration((Point(0, 0),))
+        run((Point(0, 0),), _ident(1), proto, rounds=1)
     with pytest.raises(DuplicatePoints):
-        Configuration((Point(0, 0), Point(0, 0), Point(1, 1))).validate_distinct()
+        run((Point(0, 0), Point(0, 0), Point(1, 1)), _ident(3), proto, rounds=1)
 
 
 def test_snapshot_identity_frame_translates_to_origin():
@@ -164,7 +167,7 @@ def test_collision_reported_with_pair():
     def grab_middle(analysis, snapshot, bit, handedness, tol):
         loc = snapshot.local_points
         mid = min(loc, key=lambda q: sum(q.dist(r) for r in loc))
-        return mid
+        return mid, bit
 
     proto = make_protocol("VisitAllChirality")
     proto = type(proto)(name="GrabMiddle", step=grab_middle, min_robots=2)
@@ -179,7 +182,7 @@ def test_run_records_collision_without_advancing():
 
     def grab_middle(analysis, snapshot, bit, handedness, tol):
         loc = snapshot.local_points
-        return min(loc, key=lambda q: sum(q.dist(r) for r in loc))
+        return min(loc, key=lambda q: sum(q.dist(r) for r in loc)), bit
 
     proto = make_protocol("VisitAllChirality")
     proto = type(proto)(name="GrabMiddle", step=grab_middle, min_robots=2)
@@ -189,6 +192,36 @@ def test_run_records_collision_without_advancing():
     assert last.error.startswith("CollisionDetected")
     for p, q in zip(last.positions, pts):
         assert p.dist(q) < 1e-12  # nobody advanced on the failed round
+
+
+# the README's 5-point set, and a center plus two squares (demos/one_bit_cadence.py)
+_README_FIVE = [Point(0, 0), Point(3, 0), Point(1, 2), Point(-2, 1), Point(-1, -2)]
+_INNER = [Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1)]
+_CENTER_TWO_SQUARES = ([Point(0, 0)] + _INNER
+                       + [Point(p.x * 2.4, p.y * 2.4).rotated(0.6) for p in _INNER])
+
+
+@pytest.mark.parametrize("e", [
+    -12, -6, 0, 6, 12, 17, 100,
+    # the enclosing circle's circumcenter, a product of three coordinates,
+    # overflows to nan (from about 1e102 for the README set) and Point raises
+    pytest.param(150, marks=pytest.mark.xfail(strict=True, raises=ValueError)),
+])
+def test_only_swarm_errors_leave_run(e):
+    s = 10.0 ** e
+    for base in (_README_FIVE, _CENTER_TWO_SQUARES):
+        pts = [Point(p.x * s, p.y * s) for p in base]
+        for pid in PROTOCOL_IDS:
+            for kind in ("identical", "pairwise_distinct"):
+                frames = adversary_frames(kind, pts, seed=0)
+                try:
+                    trace = run(pts, frames, make_protocol(pid), rounds=2 * len(pts))
+                except SwarmError:
+                    continue  # the start configuration was refused
+                err = trace.records[-1].error
+                if err is not None:
+                    cls = getattr(errors, err.split(":", 1)[0], None)
+                    assert isinstance(cls, type) and issubclass(cls, SwarmError), err
 
 
 # --- adversary frame factories -------------------------------------------

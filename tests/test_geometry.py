@@ -138,13 +138,13 @@ def test_concentric_layers():
     pts = [c,
            c + Point(1, 0), c + Point(-1, 0),
            c + Point(0, 2), c + Point(2, 0), c + Point(0, -2)]
-    deco = concentric_decomposition(pts, c)
-    radii = [layer.radius for layer in deco.layers]
+    layers = concentric_decomposition(pts, c)
+    radii = [layer.radius for layer in layers]
     assert radii[0] == pytest.approx(0.0, abs=1e-12)
     assert radii[1] == pytest.approx(1.0)
     assert radii[2] == pytest.approx(2.0)
-    assert len(deco.layers[1].indices) == 2
-    assert len(deco.layers[2].indices) == 3
+    assert len(layers[1].indices) == 2
+    assert len(layers[2].indices) == 3
 
 
 def test_concentric_ambiguous_chain():

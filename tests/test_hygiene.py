@@ -1,0 +1,31 @@
+"""Source hygiene checks on the package itself, by static inspection."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "swarmperm"
+# __init__.py imports names only to re-export them
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"engine.py", "geometry.py", "protocols.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _unused_imports(tree) == []

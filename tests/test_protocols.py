@@ -344,7 +344,6 @@ def test_protocol_registry():
         proto = make_protocol(pid)
         assert isinstance(proto, Protocol)
         assert proto.name == pid
-    assert make_protocol("OneBitVisitAll").needs_memory
     assert make_protocol("VotingVisitAll").needs_visible_frames
     with pytest.raises(ValueError):
         make_protocol("NoSuchProtocol")
