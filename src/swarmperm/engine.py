@@ -25,7 +25,7 @@ from .errors import (
     SwarmError,
 )
 from .geometry import (DEFAULT_TOL, Point, Tolerance, first_coincident_pair,
-                       inverse_transform, transform)
+                       inverse_transform_points, transform)
 from .protocols import Protocol
 from .symmetry import center_robot_index, mirror_axes
 
@@ -86,16 +86,13 @@ def to_local_snapshot(points: Sequence[Point], frames: Sequence[Frame], i: int,
     if len(frames) != len(points):
         raise InvalidFrame(f"{len(frames)} frames for {len(points)} robots")
     f = frames[i]
-    origin = points[i]
-    local = tuple(inverse_transform(p, f.rotation, f.mirror, f.scale, origin)
-                  for p in points)
+    local = tuple(inverse_transform_points(points, f.rotation, f.mirror, f.scale, points[i]))
     dirs = None
     if visible:
-        axis_dirs = []
-        for g in frames:
-            x_dir = Point(math.cos(g.rotation), math.sin(g.rotation))
-            axis_dirs.append(inverse_transform(x_dir, f.rotation, f.mirror, f.scale).unit())
-        dirs = tuple(axis_dirs)
+        # each robot's unit x-direction, turned into this robot's frame
+        x_dirs = (Point(math.cos(g.rotation), math.sin(g.rotation)) for g in frames)
+        dirs = tuple(d.unit() for d in inverse_transform_points(x_dirs, f.rotation,
+                                                                f.mirror, f.scale))
     return Snapshot(local, i, dirs)
 
 
@@ -115,14 +112,14 @@ def fsync_round(points: Sequence[Point], frames: Sequence[Frame], protocol: Prot
             raise type(exc)(f"{exc} (robot {i})") from exc
         dests_local.append(dest)
         new_bits.append(int(bit))
-    new_points = tuple(
-        transform(d, frames[i].rotation, frames[i].mirror, frames[i].scale, points[i])
-        for i, d in enumerate(dests_local))
+    new_points = tuple(transform(d, f.rotation, f.mirror, f.scale, p)
+                       for d, f, p in zip(dests_local, frames, points))
     if (hit := first_coincident_pair(new_points, tol)) is not None:
         i, j = hit
         raise CollisionDetected(f"robots {i} and {j} share the destination "
                                 f"({new_points[i].x:.6g}, {new_points[i].y:.6g})", hit)
-    moved = tuple(not tol.same_point(p, q) for p, q in zip(points, new_points))
+    eps = tol.eps
+    moved = tuple(math.hypot(p.x - q.x, p.y - q.y) > eps for p, q in zip(points, new_points))
     return new_points, tuple(new_bits), moved
 
 

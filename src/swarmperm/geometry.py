@@ -9,8 +9,9 @@ callers can tighten or relax it per run.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     AmbiguousLayering,
@@ -169,14 +170,82 @@ def sweep_angle(u: Point, v: Point, handedness: str, tol: Tolerance) -> float:
     return cw if cw < TWO_PI else 0.0
 
 
+class PointIndex:
+    """The points' coordinates with an x-sorted index, for the eps queries
+    of coincidence checks, site matching and symmetry image sets."""
+
+    def __init__(self, points: Sequence[Point], tol: Tolerance):
+        self.xs = [p.x for p in points]
+        self.ys = [p.y for p in points]
+        self.order = sorted(range(len(points)), key=self.xs.__getitem__)
+        self.sorted_xs = [self.xs[j] for j in self.order]
+        self.eps = tol.eps
+        # A point within eps has a rounded x-gap of at most eps, so an exact
+        # one of at most eps plus half an ulp of eps; two ulps also cover
+        # the last bit of hypot.  Rounding a window bound is monotone, so it
+        # never moves past a float that the exact bound holds.
+        self.window = tol.eps + 2.0 * math.ulp(tol.eps)
+
+    def within(self, x: float, y: float) -> list[int]:
+        """Every index j with hypot(x - xs[j], y - ys[j]) <= eps, ascending."""
+        xs, ys, order, eps, w = self.xs, self.ys, self.order, self.eps, self.window
+        hits = []
+        for k in range(bisect_left(self.sorted_xs, x - w), bisect_right(self.sorted_xs, x + w)):
+            j = order[k]
+            if math.hypot(x - xs[j], y - ys[j]) <= eps:
+                hits.append(j)
+        hits.sort()
+        return hits
+
+    def matches(self, images: Iterable[tuple[float, float]]) -> bool:
+        """True when `images` is a permutation of the points within eps.
+
+        Each image in turn takes the nearest unused point, the lower index
+        on equal distance, and the match fails as soon as that point is
+        more than eps away.  Only points in the image's x-window are
+        compared, so the first image without a match ends the test.
+        """
+        xs, ys, order, sorted_xs = self.xs, self.ys, self.order, self.sorted_xs
+        eps, w = self.eps, self.window
+        used = [False] * len(xs)
+        for qx, qy in images:
+            best, best_d = -1, math.inf
+            for k in range(bisect_left(sorted_xs, qx - w), bisect_right(sorted_xs, qx + w)):
+                j = order[k]
+                if used[j]:
+                    continue
+                d = math.hypot(xs[j] - qx, ys[j] - qy)
+                if d < best_d or (d == best_d and j < best):
+                    best, best_d = j, d
+            if best < 0 or best_d > eps:
+                return False
+            used[best] = True
+        return True
+
+
 def first_coincident_pair(points: Sequence[Point], tol: Tolerance) -> tuple[int, int] | None:
     """The first pair (i, j), i < j, of points within eps of each other, in
-    row-major order, or None when all points are distinct."""
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if tol.same_point(points[i], points[j]):
-                return i, j
-    return None
+    row-major order, or None when all points are distinct.
+
+    One sweep of the x-sorted index compares each point with the points
+    after it in its window: O(n log n) plus the pairs that share a window,
+    where the pairwise scan was O(n^2)."""
+    index = PointIndex(points, tol)
+    xs, ys, order, sorted_xs = index.xs, index.ys, index.order, index.sorted_xs
+    eps, w = index.eps, index.window
+    best = None
+    for k, i in enumerate(order):
+        x, y = xs[i], ys[i]
+        edge = x + w
+        for k2 in range(k + 1, len(order)):
+            if sorted_xs[k2] > edge:
+                break
+            j = order[k2]
+            if math.hypot(x - xs[j], y - ys[j]) <= eps:
+                pair = (i, j) if i < j else (j, i)
+                if best is None or pair < best:
+                    best = pair
+    return best
 
 
 def centroid(points: Sequence[Point]) -> Point:
@@ -331,22 +400,48 @@ def concentric_decomposition(points: Sequence[Point], center: Point,
 
 # --- frame transform -----------------------------------------------------
 
+def _frame_trig(rotation: float, scale: float) -> tuple[float, float]:
+    if not (scale > 0.0 and math.isfinite(scale) and math.isfinite(rotation)):
+        raise InvalidFrame(f"scale must be positive and parameters finite, got scale={scale}")
+    return math.cos(rotation), math.sin(rotation)
+
+
+def transform_points(points: Iterable[Point], rotation: float = 0.0, mirror: bool = False,
+                     scale: float = 1.0, translation: Point = ORIGIN) -> list[Point]:
+    """transform of every point, with one frame check and one cos and sin.
+    The arithmetic is the per-point Point arithmetic, on raw floats."""
+    c, s = _frame_trig(rotation, scale)
+    tx, ty = translation.x, translation.y
+    out = []
+    for p in points:
+        x, y = p.x, (-p.y if mirror else p.y)
+        out.append(Point((c * x - s * y) * scale + tx, (s * x + c * y) * scale + ty))
+    return out
+
+
+def inverse_transform_points(points: Iterable[Point], rotation: float = 0.0,
+                             mirror: bool = False, scale: float = 1.0,
+                             translation: Point = ORIGIN) -> list[Point]:
+    """inverse_transform of every point, with one frame check and one cos
+    and sin.  The arithmetic is the per-point Point arithmetic, on raw
+    floats."""
+    c, s = _frame_trig(-rotation, scale)
+    tx, ty = translation.x, translation.y
+    out = []
+    for p in points:
+        x, y = (p.x - tx) / scale, (p.y - ty) / scale
+        rx, ry = c * x - s * y, s * x + c * y
+        out.append(Point(rx, -ry if mirror else ry))
+    return out
+
+
 def transform(p: Point, rotation: float = 0.0, mirror: bool = False,
               scale: float = 1.0, translation: Point = ORIGIN) -> Point:
     """Apply mirror (about x-axis), then rotation, then scale, then translation."""
-    if not (scale > 0.0 and math.isfinite(scale) and math.isfinite(rotation)):
-        raise InvalidFrame(f"scale must be positive and parameters finite, got scale={scale}")
-    q = p.mirrored() if mirror else p
-    q = q.rotated(rotation)
-    return Point(q.x * scale + translation.x, q.y * scale + translation.y)
+    return transform_points((p,), rotation, mirror, scale, translation)[0]
 
 
 def inverse_transform(p: Point, rotation: float = 0.0, mirror: bool = False,
                       scale: float = 1.0, translation: Point = ORIGIN) -> Point:
     """Inverse of transform with identical parameters."""
-    if not (scale > 0.0 and math.isfinite(scale) and math.isfinite(rotation)):
-        raise InvalidFrame(f"scale must be positive and parameters finite, got scale={scale}")
-    q = Point((p.x - translation.x) / scale, (p.y - translation.y) / scale)
-    q = q.rotated(-rotation)
-    return q.mirrored() if mirror else q
-
+    return inverse_transform_points((p,), rotation, mirror, scale, translation)[0]

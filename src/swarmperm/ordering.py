@@ -99,30 +99,46 @@ def _check_distinct(points: Sequence[Point], tol: Tolerance) -> None:
 def _ray_groups(points: Sequence[Point], idxs: Sequence[int], c: Point,
                 handedness: str, tol: Tolerance) -> list[list[int]]:
     """Indices grouped by ray from c, groups in sweep order for the given
-    handedness, each group sorted by increasing distance from c."""
+    handedness, each group sorted by increasing distance from c.  Runs on
+    raw floats with the operation order of the Point arithmetic, so the
+    angles, distances and ray tests are those of `points[i] - c`,
+    `Point.dist` and `Tolerance.ray_aligned`."""
+    cx, cy, eps = c.x, c.y, tol.eps
+    vec: dict[int, tuple[float, float]] = {}
+    dist: dict[int, float] = {}
+    heading: dict[int, float] = {}
+    for i in idxs:
+        p = points[i]
+        vx, vy = p.x - cx, p.y - cy
+        th = norm_angle(math.atan2(vy, vx))
+        vec[i] = (vx, vy)
+        dist[i] = math.hypot(vx, vy)
+        heading[i] = th if handedness == CCW else norm_angle(-th)
 
-    def heading(v: Point) -> float:
-        th = norm_angle(angle_of(v))
-        return th if handedness == CCW else norm_angle(-th)
+    def aligned(u: tuple[float, float], v: tuple[float, float]) -> bool:
+        nu, nv = math.hypot(*u), math.hypot(*v)
+        if nu <= eps or nv <= eps:
+            return False
+        return (u[0] * v[0] + u[1] * v[1] > 0.0
+                and abs(u[0] * v[1] - u[1] * v[0]) <= eps * nu * nv)
 
-    ordered = sorted(idxs, key=lambda i: (heading(points[i] - c), points[i].dist(c)))
+    ordered = sorted(idxs, key=lambda i: (heading[i], dist[i]))
     groups: list[list[int]] = []
-    reps: list[Point] = []
+    reps: list[tuple[float, float]] = []
     for i in ordered:
-        v = points[i] - c
-        if groups and tol.ray_aligned(reps[-1], v):
+        v = vec[i]
+        if groups and aligned(reps[-1], v):
             groups[-1].append(i)
         else:
             groups.append([i])
             reps.append(v)
-    if len(groups) > 1 and tol.ray_aligned(reps[0], reps[-1]):
+    if len(groups) > 1 and aligned(reps[0], reps[-1]):
         merged = groups.pop() + groups.pop(0)
-        reps.pop()
-        merged.sort(key=lambda i: points[i].dist(c))
+        merged.sort(key=dist.__getitem__)
         groups.insert(0, merged)
     else:
         for g in groups:
-            g.sort(key=lambda i: points[i].dist(c))
+            g.sort(key=dist.__getitem__)
     return groups
 
 
@@ -238,7 +254,8 @@ def order_with_chirality(points: Sequence[Point], handedness: str = CCW,
     if a.in_c_dot:
         raise NotOrderable("centered rotationally-symmetric configuration")
     c = a.centroid
-    center_idxs = [i for i, p in enumerate(points) if tol.same_point(p, c)]
+    cx, cy, eps = c.x, c.y, tol.eps
+    center_idxs = [i for i, p in enumerate(points) if math.hypot(p.x - cx, p.y - cy) <= eps]
     rest = [i for i in range(len(points)) if i not in center_idxs]
     groups = _ray_groups(points, rest, c, handedness, tol)
     flat = [i for g in groups for i in g]

@@ -19,6 +19,7 @@ from .errors import (
     AmbiguousLayering,
     DecodeFailure,
     InvalidCaller,
+    InvalidFrame,
     InvalidHop,
     NotCentral,
     NotOrderable,
@@ -477,7 +478,7 @@ def voting_visit_all_step(a: Analysis, snapshot, bit: int, handedness: str,
     if not a.in_c_dot:
         return visit_all_chirality_step(a, snapshot, bit, handedness, tol)
     if snapshot.visible_frames is None:
-        raise ValueError("voting needs the frame directions in the snapshot")
+        raise InvalidFrame("voting needs the frame directions in the snapshot")
     leader = voting_elect(a, snapshot.visible_frames, tol)
     order = order_from_leader(a, leader, tol)
     return a[order.successor(snapshot.own_index)], bit

@@ -9,7 +9,6 @@ here that takes points also accepts an Analysis and reuses what it holds.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -20,13 +19,14 @@ from .geometry import (
     Circle,
     Layer,
     Point,
+    PointIndex,
     Tolerance,
     angle_of,
     ccw_angle,
     centroid,
     concentric_decomposition,
     first_coincident_pair,
-    inverse_transform,
+    inverse_transform_points,
     smallest_enclosing_circle,
 )
 
@@ -155,48 +155,6 @@ def analyze(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> Analysis:
     return Analysis(points, tol)
 
 
-class _PointIndex:
-    """The points' coordinates with an x-sorted index, for matching image
-    sets against the points."""
-
-    def __init__(self, points: Sequence[Point], tol: Tolerance):
-        self.xs = [p.x for p in points]
-        self.ys = [p.y for p in points]
-        self.order = sorted(range(len(points)), key=self.xs.__getitem__)
-        self.sorted_xs = [self.xs[j] for j in self.order]
-        self.eps = tol.eps
-        # Every point within eps of an image lies within eps of it in x.
-        # Twice eps, plus a few ulps of the largest coordinate for the
-        # rounding of the window bounds, keeps all of them in the window.
-        top = max(map(abs, self.xs), default=0.0)
-        self.window = 2.0 * tol.eps + 4.0 * math.ulp(top)
-
-    def matches(self, images: Iterable[tuple[float, float]]) -> bool:
-        """True when `images` is a permutation of the points within eps.
-
-        Each image in turn takes the nearest unused point, the lower index
-        on equal distance, and the match fails as soon as that point is
-        more than eps away.  Only points in the image's x-window are
-        compared, so the first image without a match ends the test.
-        """
-        xs, ys, order, sorted_xs = self.xs, self.ys, self.order, self.sorted_xs
-        eps, w = self.eps, self.window
-        used = [False] * len(xs)
-        for qx, qy in images:
-            best, best_d = -1, math.inf
-            for k in range(bisect_left(sorted_xs, qx - w), bisect_right(sorted_xs, qx + w)):
-                j = order[k]
-                if used[j]:
-                    continue
-                d = math.hypot(xs[j] - qx, ys[j] - qy)
-                if d < best_d or (d == best_d and j < best):
-                    best, best_d = j, d
-            if best < 0 or best_d > eps:
-                return False
-            used[best] = True
-        return True
-
-
 def rotational_order(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> int:
     """Largest k such that rotation by 2*pi/k about the centroid maps the
     point set onto itself."""
@@ -207,7 +165,7 @@ def rotational_order(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> i
     layer = a.reference_layer
     if not layer:
         return 1
-    index = _PointIndex(a, tol)
+    index = PointIndex(a, tol)
     base = a[layer[0]] - c
     count = 0
     for i in layer:
@@ -226,7 +184,7 @@ def mirror_axes(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> tuple[
     layer = a.reference_layer
     if not layer:
         return ()
-    index = _PointIndex(a, tol)
+    index = PointIndex(a, tol)
     theta_base = angle_of(a[layer[0]] - c)
     angles: list[float] = []
     for i in layer:
@@ -305,7 +263,8 @@ def center_robot_index(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) ->
     circle, or None."""
     a = analyze(points, tol)
     c = a.sec.center
-    hits = [i for i, p in enumerate(points) if tol.same_point(p, c)]
+    cx, cy, eps = c.x, c.y, tol.eps
+    hits = [i for i, p in enumerate(points) if math.hypot(p.x - cx, p.y - cy) <= eps]
     return hits[0] if len(hits) == 1 else None
 
 
@@ -342,7 +301,7 @@ def _congruent_about_origin(va: Sequence[Point], vb: Sequence[Point],
     anchor = max(variants[0], key=lambda p: p.norm())
     if anchor.norm() <= tol.eps:
         return True  # all points at the origin on both sides
-    index = _PointIndex(vb, tol)
+    index = PointIndex(vb, tol)
     for cand in variants:
         a = max(cand, key=lambda p: p.norm())
         for b in vb:
@@ -361,12 +320,8 @@ def view_classes(points: Sequence[Point], frames: Sequence, tol: Tolerance = DEF
     without it, also up to reflection.  `frames` supplies per-robot
     rotation/mirror/scale attributes.
     """
-    views: list[list[Point]] = []
-    for i, p in enumerate(points):
-        z = frames[i]
-        views.append([
-            inverse_transform(q - p, z.rotation, z.mirror, z.scale) for q in points
-        ])
+    views = [inverse_transform_points(points, z.rotation, z.mirror, z.scale, p)
+             for p, z in zip(points, frames)]
     classes: list[list[int]] = []
     for i in range(len(points)):
         placed = False

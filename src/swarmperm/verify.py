@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import NotAPermutation
-from .geometry import DEFAULT_TOL, Point, Tolerance
+from .geometry import DEFAULT_TOL, Point, PointIndex, Tolerance
 
 MOVE_ALL = "MoveAll"
 VISIT_ALL = "VisitAll"
@@ -54,8 +54,8 @@ class SpecVerdict:
         return json.dumps(self.to_dict(), separators=(",", ":"))
 
 
-def _match_index(p: Point, pts: Sequence[Point], tol: Tolerance) -> int:
-    hits = [j for j, q in enumerate(pts) if tol.same_point(p, q)]
+def _match_index(p: Point, sites: PointIndex) -> int:
+    hits = sites.within(p.x, p.y)
     if len(hits) != 1:
         raise NotAPermutation(
             f"point ({p.x:.6g}, {p.y:.6g}) matches {len(hits)} points")
@@ -78,14 +78,16 @@ def _cycle_flags(pi: Sequence[int]) -> tuple[bool, bool]:
             length += 1
         lengths.append(length)
     single = len(lengths) == 1 and lengths[0] == n
-    assert sum(lengths) == n
+    if sum(lengths) != n:
+        raise NotAPermutation(f"cycle lengths sum to {sum(lengths)}, not {n}")
     # independent check: one cycle iff the orbit of 0 covers everything
     orbit = 1
     i = pi[0]
     while i != 0:
         i = pi[i]
         orbit += 1
-    assert single == (orbit == n), "cycle structure disagrees with orbit size"
+    if single != (orbit == n):
+        raise NotAPermutation("cycle structure disagrees with orbit size")
     return fpf, single
 
 
@@ -95,7 +97,8 @@ def extract_permutation(c_a: Sequence[Point], c_b: Sequence[Point],
     unmatched is a violation, not something to repair."""
     if len(c_a) != len(c_b):
         raise NotAPermutation(f"sizes differ: {len(c_a)} vs {len(c_b)}")
-    pi = tuple(_match_index(p, c_a, tol) for p in c_b)
+    sites = PointIndex(c_a, tol)
+    pi = tuple(_match_index(p, sites) for p in c_b)
     if len(set(pi)) != len(pi):
         raise NotAPermutation("matching is not a bijection")
     fpf, single = _cycle_flags(pi)
@@ -174,10 +177,10 @@ def visit_matrix(trace, stride: int = 1,
     base = records[0].positions
     n = len(base)
     counts = [[0] * n for _ in range(n)]
+    sites = PointIndex(base, tol)
     sampled = records[:-1] if len(records) > 1 else records
     for rec in sampled[::stride]:
         for i, p in enumerate(rec.positions):
-            for l, q in enumerate(base):
-                if tol.same_point(p, q):
-                    counts[i][l] += 1
+            for l in sites.within(p.x, p.y):
+                counts[i][l] += 1
     return counts

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "swarmperm"
+SOURCES = sorted(SRC.glob("*.py"))
 # __init__.py imports names only to re-export them
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -29,3 +30,11 @@ def test_modules_found():
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    """`python -O` strips asserts, so a runtime check must raise."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []

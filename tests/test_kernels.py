@@ -1,13 +1,15 @@
 """The float kernels of the smallest enclosing circle and the symmetry
-candidate test against the Point-based versions they replaced, and the
-shared sweep angle and least-rotation scan against the copies they
-replaced.
+candidate test against the Point-based versions they replaced, the shared
+sweep angle and least-rotation scan against the copies they replaced, and
+the x-sorted point index and the float snapshot path against the scans and
+Point arithmetic they replaced.
 
 The reference functions below are verbatim copies of those versions.
 Every comparison is exact: floats are compared through float.hex, so even
 the sign of a zero must agree.
 """
 
+import functools
 import math
 import random
 
@@ -34,21 +36,41 @@ from swarmperm import (
     DEFAULT_TOL,
     Axis,
     Circle,
+    Frame,
+    InvalidFrame,
+    NotAPermutation,
     NotOrderable,
     Point,
+    RoundRecord,
+    RunTrace,
+    Snapshot,
     SwarmError,
     Tolerance,
     adversary_frames,
     analyze,
+    centroid,
     inverse_transform,
     mirror_axes,
     rotational_order,
     smallest_enclosing_circle,
+    to_local_snapshot,
+    transform,
     view_classes,
+    visit_matrix,
 )
-from swarmperm.geometry import angle_of, ccw_angle, norm_angle, sweep_angle
-from swarmperm.ordering import least_rotations
-from swarmperm.symmetry import _PointIndex
+from swarmperm.geometry import (
+    ORIGIN,
+    PointIndex,
+    angle_of,
+    ccw_angle,
+    first_coincident_pair,
+    inverse_transform_points,
+    norm_angle,
+    sweep_angle,
+    transform_points,
+)
+from swarmperm.ordering import _ray_groups, least_rotations
+from swarmperm.verify import _match_index
 
 # --- reference: the Point-based kernels ----------------------------------
 
@@ -227,7 +249,7 @@ def ref_view_classes(points, frames, tol=DEFAULT_TOL, chirality=True):
     for i, p in enumerate(points):
         z = frames[i]
         views.append([
-            inverse_transform(q - p, z.rotation, z.mirror, z.scale) for q in points
+            ref_inverse_transform(q - p, z.rotation, z.mirror, z.scale) for q in points
         ])
     classes: list[list[int]] = []
     for i in range(len(points)):
@@ -313,6 +335,106 @@ def _sweep_angle(u: Point, v: Point, direction: str, tol: Tolerance) -> float:
     return a if direction == CCW else 2.0 * math.pi - a
 
 
+# --- reference: the pairwise scans and the Point-based snapshot path -------
+
+def ref_first_coincident_pair(points, tol):
+    """The first pair (i, j), i < j, of points within eps of each other, in
+    row-major order, or None when all points are distinct."""
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if tol.same_point(points[i], points[j]):
+                return i, j
+    return None
+
+
+def ref_match_index(p: Point, pts, tol: Tolerance) -> int:
+    hits = [j for j, q in enumerate(pts) if tol.same_point(p, q)]
+    if len(hits) != 1:
+        raise NotAPermutation(
+            f"point ({p.x:.6g}, {p.y:.6g}) matches {len(hits)} points")
+    return hits[0]
+
+
+def ref_visit_matrix(trace, stride: int = 1, tol: Tolerance = DEFAULT_TOL):
+    records = trace.records
+    base = records[0].positions
+    n = len(base)
+    counts = [[0] * n for _ in range(n)]
+    sampled = records[:-1] if len(records) > 1 else records
+    for rec in sampled[::stride]:
+        for i, p in enumerate(rec.positions):
+            for l, q in enumerate(base):
+                if tol.same_point(p, q):
+                    counts[i][l] += 1
+    return counts
+
+
+def ref_transform(p: Point, rotation: float = 0.0, mirror: bool = False,
+                  scale: float = 1.0, translation: Point = ORIGIN) -> Point:
+    """Apply mirror (about x-axis), then rotation, then scale, then translation."""
+    if not (scale > 0.0 and math.isfinite(scale) and math.isfinite(rotation)):
+        raise InvalidFrame(f"scale must be positive and parameters finite, got scale={scale}")
+    q = p.mirrored() if mirror else p
+    q = q.rotated(rotation)
+    return Point(q.x * scale + translation.x, q.y * scale + translation.y)
+
+
+def ref_inverse_transform(p: Point, rotation: float = 0.0, mirror: bool = False,
+                          scale: float = 1.0, translation: Point = ORIGIN) -> Point:
+    """Inverse of transform with identical parameters."""
+    if not (scale > 0.0 and math.isfinite(scale) and math.isfinite(rotation)):
+        raise InvalidFrame(f"scale must be positive and parameters finite, got scale={scale}")
+    q = Point((p.x - translation.x) / scale, (p.y - translation.y) / scale)
+    q = q.rotated(-rotation)
+    return q.mirrored() if mirror else q
+
+
+def ref_to_local_snapshot(points, frames, i: int, visible: bool = False) -> Snapshot:
+    if len(frames) != len(points):
+        raise InvalidFrame(f"{len(frames)} frames for {len(points)} robots")
+    f = frames[i]
+    origin = points[i]
+    local = tuple(ref_inverse_transform(p, f.rotation, f.mirror, f.scale, origin)
+                  for p in points)
+    dirs = None
+    if visible:
+        axis_dirs = []
+        for g in frames:
+            x_dir = Point(math.cos(g.rotation), math.sin(g.rotation))
+            axis_dirs.append(ref_inverse_transform(x_dir, f.rotation, f.mirror, f.scale).unit())
+        dirs = tuple(axis_dirs)
+    return Snapshot(local, i, dirs)
+
+
+def ref_ray_groups(points, idxs, c: Point, handedness: str, tol: Tolerance):
+    """Indices grouped by ray from c, groups in sweep order for the given
+    handedness, each group sorted by increasing distance from c."""
+
+    def heading(v: Point) -> float:
+        th = norm_angle(angle_of(v))
+        return th if handedness == CCW else norm_angle(-th)
+
+    ordered = sorted(idxs, key=lambda i: (heading(points[i] - c), points[i].dist(c)))
+    groups: list[list[int]] = []
+    reps: list[Point] = []
+    for i in ordered:
+        v = points[i] - c
+        if groups and tol.ray_aligned(reps[-1], v):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+            reps.append(v)
+    if len(groups) > 1 and tol.ray_aligned(reps[0], reps[-1]):
+        merged = groups.pop() + groups.pop(0)
+        reps.pop()
+        merged.sort(key=lambda i: points[i].dist(c))
+        groups.insert(0, merged)
+    else:
+        for g in groups:
+            g.sort(key=lambda i: points[i].dist(c))
+    return groups
+
+
 # --- comparison ------------------------------------------------------------
 
 def _bits(*xs: float) -> tuple[str, ...]:
@@ -365,6 +487,13 @@ def _corpus(rng):
         yield dihedral_config(rng, m)
         yield pinwheel_config(rng, m)
     yield dihedral_config(rng, 4, on_axis_pairs=True)
+
+
+@functools.cache
+def _corpus_sets() -> tuple[list[Point], ...]:
+    """One seeded draw of _corpus, shared: drawing collinear sets of 20
+    points with gaps of at least 0.2 takes most of a second."""
+    return tuple(_corpus(random.Random(71)))
 
 
 def _k_gons():
@@ -488,7 +617,7 @@ def test_matcher_matches_reference_on_lattice_ties(xys, moves, rng, eps):
         images[i] = Point(images[i].x + dx / 2.0, images[i].y + dy / 2.0)
     tol = Tolerance(eps)
     for ps, qs in ((pts, images), (_swapped(pts), _swapped(images))):
-        assert (_PointIndex(ps, tol).matches((q.x, q.y) for q in qs)
+        assert (PointIndex(ps, tol).matches((q.x, q.y) for q in qs)
                 == _matches_multiset(ps, qs, tol))
 
 
@@ -604,3 +733,210 @@ def test_sweep_angle_matches_references_on_short_vectors():
     long_ = [Point(1.0, 0.0), Point(0.0, -2.0), Point(-3.0, 1e-4)]
     snapped = [_assert_sweep_matches(u, v, tol) for u in short + long_ for v in short + long_]
     assert any(snapped)
+
+
+# --- the x-sorted index: coincidence, site matching and visit counts --------
+
+def _trace_of(configs) -> RunTrace:
+    n = len(configs[0])
+    return RunTrace(tuple(RoundRecord(r, tuple(c), (0,) * n, (False,) * n)
+                          for r, c in enumerate(configs)))
+
+
+def _assert_index_identical(sites, queries, tol):
+    """first_coincident_pair on both sets, the site match of every query,
+    and the visit matrix of a trace that visits the queries."""
+    for pts in (sites, queries):
+        assert first_coincident_pair(pts, tol) == ref_first_coincident_pair(pts, tol)
+    index = PointIndex(sites, tol)
+    for q in queries:
+        assert (_outcome(lambda: _match_index(q, index))
+                == _outcome(lambda: ref_match_index(q, sites, tol)))
+    if len(queries) == len(sites):
+        trace = _trace_of([sites, queries, queries, sites])
+        for stride in (1, 2):
+            assert visit_matrix(trace, stride, tol) == ref_visit_matrix(trace, stride, tol)
+
+
+def _moved(rng, p: Point, eps: float) -> Point:
+    d = rng.choice((0.0, 0.5, 1.0, 1.5)) * eps
+    t = rng.uniform(0.0, 2.0 * math.pi)
+    return Point(p.x + d * math.cos(t), p.y + d * math.sin(t))
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3, 0.5])
+def test_index_matches_reference_on_corpus(eps):
+    """Every corpus family, with up to three near copies inserted, against
+    queries moved by 0 to 1.5 eps."""
+    tol = Tolerance(eps)
+    rng = random.Random(75)
+    count = 0
+    for pts in _corpus_sets():
+        sites = list(pts)
+        for _ in range(rng.randint(0, 3)):
+            sites.insert(rng.randrange(len(sites) + 1), _moved(rng, rng.choice(pts), eps))
+        queries = [_moved(rng, p, eps) for p in sites]
+        rng.shuffle(queries)
+        _assert_index_identical(sites, queries, tol)
+        _assert_index_identical(_swapped(sites), _swapped(queries), tol)
+        count += 1
+    assert count > 90
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e12])
+def test_index_matches_reference_on_window_edges(scale):
+    tol = Tolerance(0.625)
+    # exactly eps apart along x and along a 3-4-5 diagonal, and one ulp more
+    base = Point(scale, scale)
+    exact = [base, Point(scale + 0.625, scale), Point(scale + 0.375, scale + 0.5),
+             Point(math.nextafter(scale + 0.625, math.inf), scale - 3.0)]
+    assert ref_first_coincident_pair(exact, tol) == (0, 1)
+    _assert_index_identical(exact, exact[::-1], tol)
+    _assert_index_identical(exact[1:], [exact[0]] * 3, tol)
+    # an x-gap that rounds down onto eps: points straddling zero, eps = scale
+    half = 0.5 * scale
+    straddle = [Point(half, 0.0), Point(-math.nextafter(half, math.inf), 0.0)]
+    wide = Tolerance(scale)
+    assert ref_first_coincident_pair(straddle, wide) == (0, 1)
+    _assert_index_identical(straddle, straddle[::-1], wide)
+    _assert_index_identical([straddle[0], Point(0.0, 3.0 * scale)],
+                            [straddle[1], Point(0.0, 3.0 * scale)], wide)
+    _assert_index_identical([straddle[1], Point(0.0, 3.0 * scale)],
+                            [straddle[0], Point(0.0, 3.0 * scale)], wide)
+    # gaps of whole ulps around eps = 2.5 ulps of the scale
+    u = math.ulp(scale)
+    fine = Tolerance(2.5 * u)
+    steps = [Point(scale + k * u, scale + (k % 2) * u) for k in range(0, 12, 3)]
+    steps += [Point(scale + k * u, -scale) for k in (0, 2, 5, 7)]
+    _assert_index_identical(steps, steps[::-1], fine)
+
+
+def test_index_counts_every_site_within_eps():
+    tol = Tolerance(0.5)
+    sites = [Point(5.0, 5.0), Point(0.3, 0.0), Point(-0.3, 0.0), Point(0.0, 0.0)]
+    queries = [Point(0.0, 0.0), Point(5.0, 5.0), Point(9.0, 9.0), Point(0.1, 0.0)]
+    _assert_index_identical(sites, queries, tol)
+    counts = visit_matrix(_trace_of([sites, queries, sites]), 1, tol)
+    assert counts[0] == [1, 1, 1, 1] and counts[3] == [0, 2, 2, 2]
+
+
+def test_first_coincident_pair_is_row_major():
+    # the pair (1, 2) comes first in x, but (0, 3) comes first row by row
+    pts = [Point(3.0, 0.0), Point(0.0, 0.0), Point(0.0, 1e-10), Point(3.0, 1e-10),
+           Point(0.0, -1e-10)]
+    assert first_coincident_pair(pts, DEFAULT_TOL) == ref_first_coincident_pair(pts, DEFAULT_TOL)
+    assert first_coincident_pair(pts, DEFAULT_TOL) == (0, 3)
+
+
+_half_steps = st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),
+                                 st.sampled_from((-1, 0, 0, 0, 1))), min_size=1, max_size=10)
+
+
+def _lattice_points(xys, scale):
+    """Half-integer lattice points times scale, some pushed one ulp off, so
+    distances land on eps and x-gaps on the window edge."""
+    out = []
+    for x, y, nudge in xys:
+        px = x / 2.0 * scale
+        if nudge:
+            px = math.nextafter(px, nudge * math.inf)
+        out.append(Point(px, y / 2.0 * scale))
+    return out
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_half_steps, _half_steps, st.sampled_from([0.5, 1.0]),
+       st.sampled_from([1.0, 1e6, 1e12]))
+def test_index_matches_reference_on_generated_sets(xys, qxys, eps, scale):
+    sites = _lattice_points(xys, scale)
+    queries = _lattice_points((qxys * len(xys))[:len(xys)], scale)
+    _assert_index_identical(sites, queries, Tolerance(eps * scale))
+
+
+# --- the float snapshot path -------------------------------------------------
+
+def _point_bits(pts):
+    return tuple(_bits(p.x, p.y) for p in pts)
+
+
+def _snapshot_bits(snap: Snapshot):
+    dirs = None if snap.visible_frames is None else _point_bits(snap.visible_frames)
+    return _point_bits(snap.local_points), snap.own_index, dirs
+
+
+def _frames(rng, n):
+    """Frames turned, mirrored and scaled, from 1e-6 to 1e6."""
+    return [Frame(rng.uniform(-7.0, 7.0), rng.random() < 0.5,
+                  rng.choice((1.0, 0.5, 2.0, 1e-6, 1e6, rng.uniform(0.1, 10.0))))
+            for _ in range(n)]
+
+
+def test_snapshots_match_reference_on_corpus():
+    rng = random.Random(76)
+    for pts in _corpus_sets():
+        for scale in (1.0, 1e6, 1e12):
+            big = [Point(p.x * scale, p.y * scale) for p in pts]
+            frames = _frames(rng, len(big))
+            for i in range(len(big)):
+                for visible in (False, True):
+                    assert (_snapshot_bits(to_local_snapshot(big, frames, i, visible))
+                            == _snapshot_bits(ref_to_local_snapshot(big, frames, i, visible)))
+
+
+_frame_params = st.tuples(st.floats(-10.0, 10.0), st.booleans(),
+                          st.sampled_from([1.0, 0.5, 3.0, 1e-6, 1e6]))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=8), _frame_params,
+       st.tuples(_coord, _coord), st.sampled_from([1.0, 1e6, 1e12]))
+def test_transforms_match_reference_on_generated_points(xys, frame, t, scale):
+    rotation, mirror, unit = frame
+    pts = [Point(x * scale, y * scale) for x, y in xys]
+    shift = Point(t[0] * scale, t[1] * scale)
+    for fn, ref in ((transform, ref_transform), (inverse_transform, ref_inverse_transform)):
+        for p in pts:
+            assert (_point_bits([fn(p, rotation, mirror, unit, shift)])
+                    == _point_bits([ref(p, rotation, mirror, unit, shift)]))
+    for batch, ref in ((transform_points, ref_transform),
+                       (inverse_transform_points, ref_inverse_transform)):
+        assert (_point_bits(batch(pts, rotation, mirror, unit, shift))
+                == _point_bits([ref(p, rotation, mirror, unit, shift) for p in pts]))
+
+
+@pytest.mark.parametrize("rotation, unit", [(0.0, 0.0), (0.0, -1.0), (math.inf, 1.0),
+                                            (0.0, math.nan), (math.nan, 1.0)])
+def test_transforms_refuse_bad_frames_like_reference(rotation, unit):
+    p = Point(1.0, 2.0)
+    for fn, ref in ((transform, ref_transform), (inverse_transform, ref_inverse_transform)):
+        assert _outcome(lambda: fn(p, rotation, False, unit)) == _outcome(
+            lambda: ref(p, rotation, False, unit))
+        assert _outcome(lambda: fn(p, rotation, False, unit))[1] is InvalidFrame
+
+
+def _spokes(rng, k, eps):
+    """Points on k rays from the origin at several radii, some turned off
+    their ray by 0.5 to 2 eps radians."""
+    out = []
+    for t in range(k):
+        th = 2.0 * math.pi * t / k
+        for r in (1.0, 2.0, 3.5):
+            a = th + rng.choice((0.0, 0.0, 0.5, -0.5, 1.0, -2.0)) * eps
+            out.append(Point(r * math.cos(a), r * math.sin(a)))
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3, 1.0])
+def test_ray_groups_match_reference(eps):
+    tol = Tolerance(eps)
+    rng = random.Random(77)
+    sets = list(_corpus_sets()) + [_spokes(rng, k, eps) for k in (1, 2, 3, 5, 8)]
+    for pts in sets:
+        for c in (centroid(pts), Point(0.0, 0.0), pts[0]):
+            idxs = list(range(len(pts)))
+            rng.shuffle(idxs)
+            for subset in (idxs, idxs[: max(1, len(idxs) // 2)]):
+                for hand in (CCW, CW):
+                    assert (_ray_groups(pts, subset, c, hand, tol)
+                            == ref_ray_groups(pts, subset, c, hand, tol))

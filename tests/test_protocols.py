@@ -10,6 +10,7 @@ from swarmperm import (
     DEFAULT_TOL,
     Analysis,
     DecodeFailure,
+    Frame,
     InvalidCaller,
     InvalidHop,
     NotCentral,
@@ -27,10 +28,11 @@ from swarmperm import (
     inner_polygon,
     make_protocol,
     reconstruct,
+    run,
     select_pivot,
     smallest_enclosing_circle,
 )
-from swarmperm.protocols import one_bit_step
+from swarmperm.protocols import one_bit_step, voting_visit_all_step
 
 SQUARE_CENTER = [Point(0, 0), Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1)]
 
@@ -347,3 +349,13 @@ def test_protocol_registry():
     assert make_protocol("VotingVisitAll").needs_visible_frames
     with pytest.raises(ValueError):
         make_protocol("NoSuchProtocol")
+
+
+def test_voting_without_frame_directions_fails_in_the_trace():
+    # a custom protocol that runs the voting step but does not ask for the
+    # frame directions: on a centered set the step has nothing to vote with
+    proto = Protocol(name="BlindVoting", step=voting_visit_all_step, min_robots=3)
+    trace = run(SQUARE_CENTER, [Frame()] * len(SQUARE_CENTER), proto, 3)
+    assert trace.failed
+    assert trace.records[-1].error.startswith("InvalidFrame:")
+    assert len(trace.records) == 2
