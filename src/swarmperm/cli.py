@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import colorsys
+import functools
 import json
 import math
 import sys
@@ -36,8 +37,9 @@ from .protocols import (
     compute_movement_central,
     make_protocol,
     reconstruct,
+    refusal,
 )
-from .symmetry import ConfigClass, analyze, classify, symmetry_report
+from .symmetry import analyze, classify, symmetry_report
 from .verify import MOVE_ALL, VISIT_ALL, check_k_step_spec
 
 EXIT_OK = 0
@@ -117,7 +119,7 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(
             f"field 'protocol': unknown id {protocol!r}, choose from {PROTOCOL_IDS}")
     rounds = _field(obj, "rounds", 1)
-    if not isinstance(rounds, int) or rounds < 1:
+    if isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 1:
         raise ScenarioError("field 'rounds': need an integer >= 1")
     tolerance = _finite(_field(obj, "tolerance", 1e-9))
     if tolerance is None or tolerance <= 0:
@@ -169,43 +171,6 @@ def scenario_frames(scn: Scenario, seed_override: int | None = None) -> list[Fra
 
 # --- classify -------------------------------------------------------------
 
-def feasibility_table(n: int, cls: ConfigClass) -> list[tuple[str, bool, str]]:
-    """(protocol, feasible, reason) for n robots of the given class."""
-    blocked_centered = ("the centered symmetric class defeats every memoryless "
-                        "one-shot rule (demo thm2)")
-    out = []
-    if n < 3:
-        out.append(("VisitAllChirality", False, "needs at least 3 robots"))
-    elif cls.in_c_dot:
-        out.append(("VisitAllChirality", False, blocked_centered))
-    else:
-        out.append(("VisitAllChirality", True, "shared sweep order exists"))
-    if cls.in_c_dot:
-        out.append(("MoveAllNoChirality", False, blocked_centered))
-    elif cls.axis_with_single_robot:
-        out.append(("MoveAllNoChirality", False,
-                    "a symmetry axis carries exactly one robot (demo thm5)"))
-    else:
-        out.append(("MoveAllNoChirality", True, "relocation rule exists"))
-    if n < 3:
-        out.append(("VisitAllNoChirality", False, "needs at least 3 robots"))
-    elif cls.in_c_dot:
-        out.append(("VisitAllNoChirality", False, blocked_centered))
-    elif cls.axis_count == 0 or cls.unique_axis_no_robots:
-        out.append(("VisitAllNoChirality", True,
-                    "no axis, or a unique empty axis, leaves an agreed order"))
-    else:
-        out.append(("VisitAllNoChirality", False,
-                    "multiple symmetry axes or an occupied unique axis (demo thm9)"))
-    for name, why in (("VotingVisitAll", "frame-direction voting breaks any symmetry"),
-                      ("OneBitVisitAll", "one bit of memory spans the two-round cadence")):
-        if n < 3:
-            out.append((name, False, "needs at least 3 robots"))
-        else:
-            out.append((name, True, why))
-    return out
-
-
 def cmd_classify(args) -> int:
     scn = load_scenario(args.scenario)
     tol = Tolerance(scn.tolerance)
@@ -228,9 +193,10 @@ def cmd_classify(args) -> int:
     print(f"axis_with_single_robot={'yes' if cls.axis_with_single_robot else 'no'}")
     print(f"unique_empty_axis={'yes' if cls.unique_axis_no_robots else 'no'}")
     print("feasibility:")
-    for name, ok, why in feasibility_table(len(scn.points), cls):
-        verdict = "feasible" if ok else "infeasible"
-        print(f"  {name}: {verdict} - {why}")
+    for pid in PROTOCOL_IDS:
+        err = refusal(pid, a)
+        print(f"  {pid}: " + ("feasible" if err is None
+                              else f"infeasible - {type(err).__name__}: {err}"))
     return EXIT_OK
 
 
@@ -264,21 +230,15 @@ def cmd_simulate(args) -> int:
 
 def _load_trace(path: str) -> RunTrace:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read trace {path}: {exc}") from exc
-    return parse_trace(text)
+        return parse_trace(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"cannot read trace {path}: {exc}") from exc
 
 
 def cmd_verify(args) -> int:
-    try:
-        trace = _load_trace(args.trace)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
     if args.k < 1:
-        print("error: --k must be >= 1", file=sys.stderr)
-        return EXIT_MALFORMED
+        raise ScenarioError("--k must be >= 1")
+    trace = _load_trace(args.trace)
     spec = MOVE_ALL if args.spec == "move-all" else VISIT_ALL
     verdict = check_k_step_spec(trace, spec, args.k, DEFAULT_TOL)
     print(verdict.to_json())
@@ -329,11 +289,7 @@ def render_svg(trace: RunTrace, width: int = 640) -> str:
 
 
 def cmd_render(args) -> int:
-    try:
-        trace = _load_trace(args.trace)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
+    trace = _load_trace(args.trace)
     Path(args.svg).write_text(render_svg(trace))
     print(f"wrote {args.svg}")
     return EXIT_OK
@@ -342,17 +298,26 @@ def cmd_render(args) -> int:
 # --- demos ----------------------------------------------------------------
 
 def _report(trace: RunTrace, predicted: str) -> int:
+    """Print the run's last error; exit 0 when it starts with the predicted one."""
     rec = trace.records[-1]
     if rec.error is None:
         print("observed: clean run - NOT the predicted obstruction")
         return EXIT_SPEC_FAIL
     print(f"round {rec.round_index}: {rec.error}")
     name = rec.error.split(":", 1)[0]
-    if name == predicted:
+    if rec.error.startswith(predicted):
         print(f"observed: {name} - as predicted")
         return EXIT_OK
     print(f"observed: {name} - NOT the predicted obstruction")
     return EXIT_SPEC_FAIL
+
+
+def _refused(pts: list[Point], frames: list[Frame], protocol_id: str) -> int:
+    """Run the protocol one round and check it refuses as its row predicts."""
+    err = refusal(protocol_id, analyze(pts))
+    predicted = "no refusal" if err is None else f"{type(err).__name__}: {err}"
+    print(f"predicted obstruction ({protocol_id} row): {predicted}")
+    return _report(run(pts, frames, make_protocol(protocol_id), 1), predicted)
 
 
 def _demo_thm2(force: bool) -> int:
@@ -361,9 +326,7 @@ def _demo_thm2(force: bool) -> int:
     print("demo thm2: occupied center of a square, each corner's frame rotated")
     print("so that all four corners have byte-identical local views")
     if not force:
-        print("predicted obstruction: NotOrderable (the shared-order guard refuses)")
-        trace = run(pts, frames, make_protocol("VisitAllChirality"), 1)
-        return _report(trace, "NotOrderable")
+        return _refused(pts, frames, "VisitAllChirality")
     print("guard disabled: every robot walks to the occupied center it sees")
     print("predicted obstruction: CollisionDetected (symmetric views, same target)")
 
@@ -414,16 +377,25 @@ def _demo_thm3(force: bool) -> int:
     return EXIT_SPEC_FAIL
 
 
-def _demo_thm5(force: bool) -> int:
-    degs = (0, 10, -10, 60, -60, 120, -120)
-    pts = [Point(2 * math.cos(math.radians(d)), 2 * math.sin(math.radians(d)))
-           for d in degs]
-    print("demo thm5: seven robots on a circle, mirror-symmetric about the")
-    print("x axis, with exactly one robot on the axis")
+# Mirror-symmetric sets and the protocol whose row refuses each.  Forced, the
+# chirality-based sweep under mirrored_pairs frames sends mirror twins to one target.
+_MIRROR_DEMOS = {
+    "thm5": ("seven robots on a circle, mirror-symmetric about the x axis,\n"
+             "with exactly one robot on the axis",
+             [Point(2 * math.cos(math.radians(d)), 2 * math.sin(math.radians(d)))
+              for d in (0, 10, -10, 60, -60, 120, -120)],
+             "MoveAllNoChirality"),
+    "thm9": ("a rectangle, two symmetry axes, no robot on either",
+             [Point(2, 1), Point(-2, 1), Point(-2, -1), Point(2, -1)],
+             "VisitAllNoChirality"),
+}
+
+
+def _demo_mirror(name: str, force: bool) -> int:
+    about, pts, protocol_id = _MIRROR_DEMOS[name]
+    print(f"demo {name}: {about}")
     if not force:
-        print("predicted obstruction: NotOrderable (single-robot axis refused)")
-        trace = run(pts, [Frame()] * len(pts), make_protocol("MoveAllNoChirality"), 1)
-        return _report(trace, "NotOrderable")
+        return _refused(pts, [Frame()] * len(pts), protocol_id)
     print("guard disabled: chirality-based sweep under mirrored frames")
     print("predicted obstruction: CollisionDetected (mirror twins, same target)")
     frames = adversary_frames("mirrored_pairs", pts)
@@ -431,22 +403,8 @@ def _demo_thm5(force: bool) -> int:
     return _report(trace, "CollisionDetected")
 
 
-def _demo_thm9(force: bool) -> int:
-    pts = [Point(2, 1), Point(-2, 1), Point(-2, -1), Point(2, -1)]
-    print("demo thm9: a rectangle, two symmetry axes, no robot on either")
-    if not force:
-        print("predicted obstruction: NotOrderable (two axes leave no agreed order)")
-        trace = run(pts, [Frame()] * 4, make_protocol("VisitAllNoChirality"), 1)
-        return _report(trace, "NotOrderable")
-    print("guard disabled: chirality-based sweep under mirrored frames")
-    print("predicted obstruction: CollisionDetected (mirror twins, same target)")
-    frames = adversary_frames("mirrored_pairs", pts)
-    trace = run(pts, frames, make_protocol("VisitAllChirality"), 1)
-    return _report(trace, "CollisionDetected")
-
-
-DEMOS = {"thm2": _demo_thm2, "thm3": _demo_thm3, "thm5": _demo_thm5,
-         "thm9": _demo_thm9}
+DEMOS = {"thm2": _demo_thm2, "thm3": _demo_thm3,
+         **{name: functools.partial(_demo_mirror, name) for name in _MIRROR_DEMOS}}
 
 
 def cmd_demo(args) -> int:
@@ -496,10 +454,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except OSError as exc:
+    except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
 

@@ -277,18 +277,28 @@ def _reach(r: float) -> float:
 
 def _circum_circle(ax0: float, ay0: float, bx0: float, by0: float,
                    cx0: float, cy0: float) -> tuple[float, float, float] | None:
-    ox = (min(ax0, bx0, cx0) + max(ax0, bx0, cx0)) / 2.0
-    oy = (min(ay0, by0, cy0) + max(ay0, by0, cy0)) / 2.0
+    xlo, xhi = min(ax0, bx0, cx0), max(ax0, bx0, cx0)
+    ylo, yhi = min(ay0, by0, cy0), max(ay0, by0, cy0)
+    ox, oy = (xlo + xhi) / 2.0, (ylo + yhi) / 2.0
     ax, ay = ax0 - ox, ay0 - oy
     bx, by = bx0 - ox, by0 - oy
     cx, cy = cx0 - ox, cy0 - oy
+    # offsets past about 2^300 could overflow a product of three: scale them
+    # by a power of two, which is exact, and the circumcenter back
+    k = 0
+    if xhi - xlo > 2.0 ** 301 or yhi - ylo > 2.0 ** 301:
+        k = math.frexp(max(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy)))[1]
+        ax, ay, bx, by, cx, cy = (math.ldexp(v, -k) for v in (ax, ay, bx, by, cx, cy))
     d = (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by)) * 2.0
     if d == 0.0:
         return None
-    x = ox + ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
-              + (cx * cx + cy * cy) * (ay - by)) / d
-    y = oy + ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
-              + (cx * cx + cy * cy) * (bx - ax)) / d
+    qx = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
+          + (cx * cx + cy * cy) * (ay - by)) / d
+    qy = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
+          + (cx * cx + cy * cy) * (bx - ax)) / d
+    if k:
+        qx, qy = math.ldexp(qx, k), math.ldexp(qy, k)
+    x, y = ox + qx, oy + qy
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"point coordinates must be finite, got ({x}, {y})")
     r = max(math.hypot(x - ax0, y - ay0), math.hypot(x - bx0, y - by0),

@@ -36,7 +36,7 @@ from .geometry import (
     norm_angle,
     sweep_angle,
 )
-from .symmetry import Axis, analyze
+from .symmetry import BLOCKING_AXES, CENTERED, Axis, analyze
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,8 +251,7 @@ def order_with_chirality(points: Sequence[Point], handedness: str = CCW,
     a = analyze(points, tol)
     _check_handedness(handedness)
     _check_distinct(points, tol)
-    if a.in_c_dot:
-        raise NotOrderable("centered rotationally-symmetric configuration")
+    CENTERED.check(a)
     c = a.centroid
     cx, cy, eps = c.x, c.y, tol.eps
     center_idxs = [i for i, p in enumerate(points) if math.hypot(p.x - cx, p.y - cy) <= eps]
@@ -376,30 +375,25 @@ def order_without_chirality(points: Sequence[Point], tol: Tolerance = DEFAULT_TO
     No axes: derive a handedness from the asymmetry and sweep.  Exactly
     one axis with no point on it: orient the axis, split by side, sort
     each side by (along-axis coordinate, distance from axis), concatenate.
-    Anything else is not orderable.
+    Anything else is the BLOCKING_AXES obstruction.
     """
     a = analyze(points, tol)
     _check_distinct(points, tol)
-    if a.in_c_dot:
-        raise NotOrderable("centered rotationally-symmetric configuration")
+    CENTERED.check(a)
     axes = a.mirror_axes
     if not axes:
         return order_with_chirality(a, agree_chirality(a, tol), tol)
-    if len(axes) == 1 and not a.axis_robots[0]:
-        u = orient_axis(a, axes[0], tol)
-        c = axes[0].point
+    BLOCKING_AXES.check(a)
+    u = orient_axis(a, axes[0], tol)
+    c = axes[0].point
 
-        def key(i: int) -> tuple[float, float]:
-            v = points[i] - c
-            return (u.dot(v), abs(u.cross(v)))
+    def key(i: int) -> tuple[float, float]:
+        v = points[i] - c
+        return (u.dot(v), abs(u.cross(v)))
 
-        side_a = sorted((i for i in range(len(points)) if u.cross(points[i] - c) > 0.0), key=key)
-        side_b = sorted((i for i in range(len(points)) if u.cross(points[i] - c) <= 0.0), key=key)
-        return CyclicOrder(tuple(side_a + side_b))
-    on_axis = sum(1 for on in a.axis_robots if on)
-    raise NotOrderable(
-        f"symmetry axes block an agreed cyclic order "
-        f"(axes={len(axes)}, occupied axes={on_axis})")
+    side_a = sorted((i for i in range(len(points)) if u.cross(points[i] - c) > 0.0), key=key)
+    side_b = sorted((i for i in range(len(points)) if u.cross(points[i] - c) <= 0.0), key=key)
+    return CyclicOrder(tuple(side_a + side_b))
 
 
 # --- voting --------------------------------------------------------------

@@ -18,12 +18,14 @@ from typing import Callable, Sequence
 from .errors import (
     AmbiguousLayering,
     DecodeFailure,
+    EmptyConfiguration,
     InvalidCaller,
     InvalidFrame,
     InvalidHop,
     NotCentral,
     NotOrderable,
     ReconstructFailure,
+    SwarmError,
 )
 from .geometry import (
     CCW,
@@ -45,7 +47,8 @@ from .ordering import (
     orient_axis,
     voting_elect,
 )
-from .symmetry import Analysis, analyze, symmetry_report
+from .symmetry import (BLOCKING_AXES, CENTERED, ONE_ROBOT_AXIS, Analysis, analyze,
+                       symmetry_report)
 
 THIRD_TURN = 2.0 * math.pi / 3.0
 
@@ -436,8 +439,7 @@ def move_all_no_chirality_step(a: Analysis, snapshot, bit: int, handedness: str,
     """One-round total relocation without a shared clockwise notion."""
     own = snapshot.own_index
     p = a[own]
-    if a.in_c_dot:
-        raise NotOrderable("centered rotationally-symmetric configuration")
+    CENTERED.check(a)
     rep = symmetry_report(a, tol)
     c = a.centroid
     if rep.is_central_symmetric:
@@ -446,8 +448,7 @@ def move_all_no_chirality_step(a: Analysis, snapshot, bit: int, handedness: str,
         h = agree_chirality(a, tol)
         order = order_with_chirality(a, h, tol)
         return a[order.successor(own)], bit
-    if 1 in rep.robot_counts_on_axes:
-        raise NotOrderable("a symmetry axis carries exactly one robot")
+    ONE_ROBOT_AXIS.check(a)
     mine = [t for t, on in enumerate(a.axis_robots) if own in on]
     if mine:
         ax = rep.mirror_axes[mine[0]]
@@ -540,6 +541,24 @@ _PROTOCOLS = {
     "OneBitVisitAll": dict(step=one_bit_step, min_robots=3),
 }
 PROTOCOL_IDS = tuple(_PROTOCOLS)
+
+# The paper's characterization: the obstructions each protocol refuses.  The
+# steps' guards raise them; `swarmperm classify` and the demos read `refusal`.
+REFUSES = {
+    "VisitAllChirality": (CENTERED,),
+    "MoveAllNoChirality": (CENTERED, ONE_ROBOT_AXIS),
+    "VisitAllNoChirality": (CENTERED, BLOCKING_AXES),
+    "VotingVisitAll": (),
+    "OneBitVisitAll": (),
+}
+
+
+def refusal(protocol_id: str, a: Analysis) -> SwarmError | None:
+    """The error a run of the protocol from configuration a stops with, by its row."""
+    need = _PROTOCOLS[protocol_id]["min_robots"]
+    if len(a) < need:
+        return EmptyConfiguration(f"{protocol_id} needs at least {need} robots")
+    return next((NotOrderable(ob.message) for ob in REFUSES[protocol_id] if ob.holds(a)), None)
 
 
 def make_protocol(protocol_id: str, handedness: str = CCW,

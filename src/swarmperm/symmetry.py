@@ -1,6 +1,6 @@
 """Symmetry analysis of point configurations: rotational order about the
-centroid, mirror axes, symmetricity, view classes, and the feasibility
-classification used by the protocols.
+centroid, mirror axes, symmetricity, view classes, the feasibility
+classification, and the paper's obstructions that the protocols refuse.
 
 `Analysis` caches these results for one point set.  Every public function
 here that takes points also accepts an Analysis and reuses what it holds.
@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .errors import DuplicatePoints
+from .errors import DuplicatePoints, NotOrderable
 from .geometry import (
     DEFAULT_TOL,
     Circle,
@@ -269,18 +269,38 @@ def center_robot_index(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) ->
 
 
 def classify(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> ConfigClass:
-    """Feasibility-relevant classification of a configuration.  Protocol
-    steps read `Analysis.in_c_dot`, which needs no mirror axes."""
+    """Feasibility-relevant classification of a configuration."""
     a = analyze(points, tol)
-    in_c_dot = a.in_c_dot
-    counts = [len(on) for on in a.axis_robots]
     return ConfigClass(
-        in_c_dot=in_c_dot,
+        in_c_dot=a.in_c_dot,
         k_without_center=a.k_without_center,
-        axis_with_single_robot=any(c == 1 for c in counts),
-        unique_axis_no_robots=(len(counts) == 1 and counts[0] == 0),
-        axis_count=len(counts),
+        axis_with_single_robot=ONE_ROBOT_AXIS.holds(a),
+        unique_axis_no_robots=len(a.mirror_axes) == 1 and not a.axis_robots[0],
+        axis_count=len(a.mirror_axes),
     )
+
+
+# --- the paper's obstructions ---------------------------------------------
+
+@dataclass(frozen=True)
+class Obstruction:
+    """A class of configurations that defeats a family of protocols: a predicate
+    over an Analysis, reading only what it needs, and the message it is refused with."""
+
+    holds: Callable[[Analysis], bool]
+    message: str
+
+    def check(self, a: Analysis) -> None:
+        if self.holds(a):
+            raise NotOrderable(self.message)
+
+
+CENTERED = Obstruction(lambda a: a.in_c_dot, "centered symmetric class, which defeats "
+                       "every memoryless one-step rule (demo thm2)")
+ONE_ROBOT_AXIS = Obstruction(lambda a: any(len(on) == 1 for on in a.axis_robots),
+                             "a mirror axis carries exactly one robot (demo thm5)")
+BLOCKING_AXES = Obstruction(lambda a: len(a.mirror_axes) > 1 or any(a.axis_robots),
+                            "two or more mirror axes, or an occupied one (demo thm9)")
 
 
 # --- view classes --------------------------------------------------------

@@ -189,14 +189,16 @@ def occupied_axis_config(rng: random.Random, pairs: int, on_axis: int) -> list[P
 
 
 def collinear_config(rng: random.Random, n: int) -> list[Point]:
+    """n robots on a line, at offsets in [-4, 4] at least 0.2 apart.  Sorted
+    uniforms on [-4, 4 - 0.2(n-1)] spread out by 0.2 per rank have the
+    distribution of sorted uniforms on [-4, 4] conditioned on every gap
+    being at least 0.2, with no redraw loop whose time depends on the seed."""
     while True:
         c = Point(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
         alpha = rng.uniform(0.0, math.pi)
         d = Point(math.cos(alpha), math.sin(alpha))
-        us = sorted(rng.uniform(-4.0, 4.0) for _ in range(n))
-        if min(b - a for a, b in zip(us, us[1:])) < 0.2:
-            continue
-        pts = [c + d * u for u in us]
+        us = sorted(rng.uniform(-4.0, 4.0 - 0.2 * (n - 1)) for _ in range(n))
+        pts = [c + d * (u + 0.2 * i) for i, u in enumerate(us)]
         if not classify(pts).in_c_dot:
             rng.shuffle(pts)
             return pts

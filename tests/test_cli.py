@@ -1,4 +1,5 @@
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -86,6 +87,7 @@ _FIVE = ('"points": [[0, 0], [3, 0], [1, 2], [-2, 1], [-1, -2]], '
     ('{%s, "frames": [{}, {}, {"scale": -2}]}' % _TRIANGLE, [], "scale"),
     ('{%s, "colour": "red"}' % _TRIANGLE, [], "colour"),
     ('{%s}' % _TRIANGLE, ["--rounds", "0"], "rounds"),
+    ('{%s, "rounds": true}' % _TRIANGLE, [], "rounds"),
     ('{%s}' % _TRIANGLE, ["verify", "--k", "0"], "--k"),
     ('{%s, "frames": {"kind": "mirrored_pairs"}}' % _FIVE, ["--seed", "0"], "MirrorSymmetric"),
     ('{%s, "frames": {"kind": "rotated_quarter"}}' % _FIVE, ["--seed", "0"], "NotCentral"),
@@ -126,9 +128,13 @@ def test_missing_scenario_file_is_malformed(capsys):
 
 # --- classify -------------------------------------------------------------
 
+CENTERED_SQUARE = [[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1]]
+RECTANGLE = [[2, 1], [-2, 1], [-2, -1], [2, -1]]
+UNIQUE_EMPTY_AXIS = [[1, 1], [-1, 1], [2.5, 0.3], [-2.5, 0.3], [0.7, -1.9], [-0.7, -1.9]]
+
+
 def test_classify_centered_square(tmp_path, capsys):
-    path = _write(tmp_path, "s.json",
-                  {"points": [[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1]]})
+    path = _write(tmp_path, "s.json", {"points": CENTERED_SQUARE})
     assert main(["classify", "--scenario", path]) == EXIT_OK
     out = capsys.readouterr().out
     assert "n=5" in out
@@ -139,8 +145,7 @@ def test_classify_centered_square(tmp_path, capsys):
 
 
 def test_classify_rectangle(tmp_path, capsys):
-    path = _write(tmp_path, "s.json",
-                  {"points": [[2, 1], [-2, 1], [-2, -1], [2, -1]]})
+    path = _write(tmp_path, "s.json", {"points": RECTANGLE})
     assert main(["classify", "--scenario", path]) == EXIT_OK
     out = capsys.readouterr().out
     assert "mirror_axes=2" in out
@@ -149,13 +154,37 @@ def test_classify_rectangle(tmp_path, capsys):
 
 
 def test_classify_unique_empty_axis(tmp_path, capsys):
-    pts = [[1, 1], [-1, 1], [2.5, 0.3], [-2.5, 0.3], [0.7, -1.9], [-0.7, -1.9]]
-    path = _write(tmp_path, "s.json", {"points": pts})
+    path = _write(tmp_path, "s.json", {"points": UNIQUE_EMPTY_AXIS})
     assert main(["classify", "--scenario", path]) == EXIT_OK
     out = capsys.readouterr().out
     assert "mirror_axes=1" in out
     assert "unique_empty_axis=yes" in out
     assert "VisitAllNoChirality: feasible" in out
+
+
+@pytest.mark.parametrize("pts, infeasible", [
+    (CENTERED_SQUARE, 3), (RECTANGLE, 1), (UNIQUE_EMPTY_AXIS, 0)])
+def test_classify_rows_match_simulate_errors(tmp_path, capsys, pts, infeasible):
+    path = _write(tmp_path, "s.json", {"points": pts})
+    assert main(["classify", "--scenario", path]) == EXIT_OK
+    rows = re.findall(r"^  (\w+): infeasible - (.*)$", capsys.readouterr().out, re.M)
+    assert len(rows) == infeasible
+    for pid, reason in rows:
+        scn = _write(tmp_path, "s.json", {"points": pts, "protocol": pid})
+        trace = str(tmp_path / "t.jsonl")
+        assert main(["simulate", "--scenario", scn, "--trace", trace]) == EXIT_PROTOCOL_ERROR
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"run stopped at round 1: (.*) \(robot \d+\)\n", err).group(1) == reason
+
+
+def test_huge_coordinates_classify_and_simulate(tmp_path, capsys):
+    # the README set at 1e103: the enclosing circle's circumcenter, a
+    # product of three coordinates, once overflowed to nan here
+    pts = [[x * 1e103, y * 1e103] for x, y in ((0, 0), (3, 0), (1, 2), (-2, 1), (-1, -2))]
+    path = _write(tmp_path, "s.json", {"points": pts, "protocol": "VisitAllChirality"})
+    assert main(["classify", "--scenario", path]) == EXIT_OK
+    assert main(["simulate", "--scenario", path, "--trace", str(tmp_path / "t.jsonl")]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # --- simulate -------------------------------------------------------------

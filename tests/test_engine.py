@@ -201,12 +201,7 @@ _CENTER_TWO_SQUARES = ([Point(0, 0)] + _INNER
                        + [Point(p.x * 2.4, p.y * 2.4).rotated(0.6) for p in _INNER])
 
 
-@pytest.mark.parametrize("e", [
-    -12, -6, 0, 6, 12, 17, 100,
-    # the enclosing circle's circumcenter, a product of three coordinates,
-    # overflows to nan (from about 1e102 for the README set) and Point raises
-    pytest.param(150, marks=pytest.mark.xfail(strict=True, raises=ValueError)),
-])
+@pytest.mark.parametrize("e", [-12, -6, 0, 6, 12, 17, 100, 150])
 def test_only_swarm_errors_leave_run(e):
     s = 10.0 ** e
     for base in (_README_FIVE, _CENTER_TWO_SQUARES):

@@ -38,3 +38,27 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == []
+
+
+BROAD = {"Exception", "BaseException"}
+
+
+def _broad_handlers(tree: ast.Module) -> list[int]:
+    """Lines of `except:` and of handlers naming Exception or BaseException,
+    alone or in a tuple."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        if node.type is None or any(isinstance(t, ast.Name) and t.id in BROAD for t in types):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_broad_exception_handlers(path):
+    """Every failure is a typed error: a broad handler would turn a bug
+    into a silent refusal or swallow an interrupt."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _broad_handlers(tree) == []

@@ -491,8 +491,7 @@ def _corpus(rng):
 
 @functools.cache
 def _corpus_sets() -> tuple[list[Point], ...]:
-    """One seeded draw of _corpus, shared: drawing collinear sets of 20
-    points with gaps of at least 0.2 takes most of a second."""
+    """One seeded draw of _corpus, shared by the corpus comparisons."""
     return tuple(_corpus(random.Random(71)))
 
 
