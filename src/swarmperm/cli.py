@@ -29,7 +29,7 @@ from .engine import (
     serialize_trace,
 )
 from .errors import SwarmError
-from .geometry import CCW, CW, DEFAULT_TOL, Point, Tolerance
+from .geometry import DEFAULT_TOL, Point, Tolerance
 from .ordering import order_from_leader
 from .protocols import (
     PROTOCOL_IDS,
@@ -59,10 +59,9 @@ class Scenario:
     protocol: str | None
     rounds: int
     tolerance: float
-    handedness: str
 
 
-SCENARIO_KEYS = ("points", "protocol", "rounds", "tolerance", "handedness", "frames")
+SCENARIO_KEYS = ("points", "protocol", "rounds", "tolerance", "frames")
 FRAME_KEYS = ("rotation", "mirror", "scale")
 ADVERSARY_KEYS = ("kind", "seed", "angle")
 
@@ -124,9 +123,6 @@ def load_scenario(path: str) -> Scenario:
     tolerance = _finite(_field(obj, "tolerance", 1e-9))
     if tolerance is None or tolerance <= 0:
         raise ScenarioError("field 'tolerance': need a positive finite number")
-    handedness = _field(obj, "handedness", CCW)
-    if handedness not in (CCW, CW):
-        raise ScenarioError(f"field 'handedness': must be 'ccw' or 'cw', got {handedness!r}")
     frames_spec = _field(obj, "frames", {"kind": "identical", "seed": 0})
     if isinstance(frames_spec, dict):
         _unknown_keys(frames_spec, ADVERSARY_KEYS, "field 'frames'")
@@ -156,7 +152,7 @@ def load_scenario(path: str) -> Scenario:
                 raise ScenarioError(f"field 'frames[{i}]': 'mirror' must be true or false")
     else:
         raise ScenarioError("field 'frames': expected an adversary object or a list")
-    return Scenario(tuple(points), frames_spec, protocol, rounds, tolerance, handedness)
+    return Scenario(tuple(points), frames_spec, protocol, rounds, tolerance)
 
 
 def scenario_frames(scn: Scenario, seed_override: int | None = None) -> list[Frame]:
@@ -206,7 +202,7 @@ def cmd_simulate(args) -> int:
     scn = load_scenario(args.scenario)
     if scn.protocol is None:
         raise ScenarioError("field 'protocol' is required to simulate")
-    protocol = make_protocol(scn.protocol, scn.handedness, Tolerance(scn.tolerance))
+    protocol = make_protocol(scn.protocol, Tolerance(scn.tolerance))
     rounds = args.rounds if args.rounds is not None else scn.rounds
     if rounds < 1:
         raise ScenarioError("--rounds must be >= 1")
@@ -330,7 +326,7 @@ def _demo_thm2(force: bool) -> int:
     print("guard disabled: every robot walks to the occupied center it sees")
     print("predicted obstruction: CollisionDetected (symmetric views, same target)")
 
-    def claim_center(a, snap, bit, handedness, tol):
+    def claim_center(a, snap, bit):
         if a.in_c_dot:
             return a[a.center_index], bit
         return a[snap.own_index], bit
@@ -350,14 +346,14 @@ def _demo_thm3(force: bool) -> int:
     if force:
         print("(--force has no effect: the memoryless attempt is already forced)")
 
-    def bitless(a, snap, bit, handedness, tol):
+    def bitless(a, snap, bit):
         if a.in_c_dot:
             if snap.own_index == a.center_index:
-                dest, _ = compute_movement_central(a, handedness, tol)
+                dest, _ = compute_movement_central(a, a.tol)
                 return dest, bit
             return a[snap.own_index], bit
-        mark = reconstruct(a, handedness, tol)
-        order = order_from_leader(mark.reconstructed, mark.pivot_index, tol)
+        mark = reconstruct(a, a.tol)
+        order = order_from_leader(mark.reconstructed, mark.pivot_index, a.tol)
         return mark.reconstructed[order.successor(snap.own_index)], bit
 
     print("predicted obstruction: round 3 is not a permutation of round 1")

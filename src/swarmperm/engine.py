@@ -86,13 +86,17 @@ def to_local_snapshot(points: Sequence[Point], frames: Sequence[Frame], i: int,
     if len(frames) != len(points):
         raise InvalidFrame(f"{len(frames)} frames for {len(points)} robots")
     f = frames[i]
-    local = tuple(inverse_transform_points(points, f.rotation, f.mirror, f.scale, points[i]))
-    dirs = None
-    if visible:
-        # each robot's unit x-direction, turned into this robot's frame
-        x_dirs = (Point(math.cos(g.rotation), math.sin(g.rotation)) for g in frames)
-        dirs = tuple(d.unit() for d in inverse_transform_points(x_dirs, f.rotation,
-                                                                f.mirror, f.scale))
+    try:
+        local = tuple(inverse_transform_points(points, f.rotation, f.mirror, f.scale, points[i]))
+        dirs = None
+        if visible:
+            # each robot's unit x-direction, turned into this robot's frame
+            x_dirs = (Point(math.cos(g.rotation), math.sin(g.rotation)) for g in frames)
+            dirs = tuple(d.unit() for d in inverse_transform_points(x_dirs, f.rotation,
+                                                                    f.mirror, f.scale))
+    except ValueError as exc:  # a coordinate left the finite floats
+        raise InvalidFrame(f"robot {i}'s frame (scale {f.scale:g}) cannot hold the "
+                           f"configuration: {exc}") from exc
     return Snapshot(local, i, dirs)
 
 
@@ -112,8 +116,12 @@ def fsync_round(points: Sequence[Point], frames: Sequence[Frame], protocol: Prot
             raise type(exc)(f"{exc} (robot {i})") from exc
         dests_local.append(dest)
         new_bits.append(int(bit))
-    new_points = tuple(transform(d, f.rotation, f.mirror, f.scale, p)
-                       for d, f, p in zip(dests_local, frames, points))
+    try:
+        new_points = tuple(transform(d, f.rotation, f.mirror, f.scale, p)
+                           for d, f, p in zip(dests_local, frames, points))
+    except ValueError as exc:  # a destination left the finite floats
+        raise InvalidFrame(f"a destination does not map back to the global frame: "
+                           f"{exc}") from exc
     if (hit := first_coincident_pair(new_points, tol)) is not None:
         i, j = hit
         raise CollisionDetected(f"robots {i} and {j} share the destination "
@@ -158,6 +166,13 @@ def run(c0: Sequence[Point], frames: Sequence[Frame], protocol: Protocol,
 
 ADVERSARY_KINDS = ("identical", "rotated_quarter", "pairwise_distinct",
                    "mirrored_pairs", "random")
+# pairwise_distinct draws rotations in [0, 2*pi) until it has n that are
+# more than _MIN_ROTATION_GAP apart.  The draw stalls only when no gap, the
+# two ends included, has room left, and by then it holds at least
+# pi / _MIN_ROTATION_GAP rotations; so it always ends for up to
+# _MAX_DISTINCT_FRAMES robots.
+_MIN_ROTATION_GAP = 1e-3
+_MAX_DISTINCT_FRAMES = int(math.pi / _MIN_ROTATION_GAP) + 1
 
 
 def adversary_frames(kind: str, points: Sequence[Point], seed: int = 0,
@@ -181,11 +196,14 @@ def adversary_frames(kind: str, points: Sequence[Point], seed: int = 0,
         return [Frame(angle, False, 1.0) if i == ci
                 else Frame(angle + math.pi / 2.0, False, 1.0) for i in range(n)]
     if kind == "pairwise_distinct":
+        if n > _MAX_DISTINCT_FRAMES:
+            raise InvalidFrame(f"pairwise_distinct keeps at most {_MAX_DISTINCT_FRAMES} "
+                               f"rotations {_MIN_ROTATION_GAP} apart, got {n} robots")
         rng = random.Random(seed)
         angles: list[float] = []
         while len(angles) < n:
             a = rng.uniform(0.0, 2.0 * math.pi)
-            if all(abs(a - b) > 1e-3 for b in angles):
+            if all(abs(a - b) > _MIN_ROTATION_GAP for b in angles):
                 angles.append(a)
         return [Frame(a, False, 1.0) for a in angles]
     if kind == "mirrored_pairs":
@@ -247,6 +265,9 @@ def parse_trace(text: str) -> RunTrace:
             raise ValueError(f"trace line {lineno + 1}: bad record ({exc})") from exc
         if not (len(rec.positions) == len(rec.bits) == len(rec.moved)):
             raise ValueError(f"trace line {lineno + 1}: mismatched lengths")
+        if rec.round_index != len(records):
+            raise ValueError(f"trace line {lineno + 1}: round {rec.round_index} where "
+                             f"round {len(records)} is due")
         records.append(rec)
     if not records:
         raise ValueError("trace is empty")

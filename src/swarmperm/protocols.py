@@ -89,12 +89,7 @@ def decode_hop(e: float, m: int) -> int:
     return best
 
 
-def _clock(handedness: str) -> str:
-    return CW if handedness == CCW else CCW
-
-
-def select_pivot(points: Sequence[Point], handedness: str = CCW,
-                 tol: Tolerance = DEFAULT_TOL) -> int:
+def select_pivot(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> int:
     """Pick one vertex of the innermost circle as the pivot.
 
     Among the vertices starting a lexicographically minimal clockwise
@@ -107,32 +102,29 @@ def select_pivot(points: Sequence[Point], handedness: str = CCW,
     """
     a = analyze(points, tol)
     c = a.sec.center
-    ring_ccw = a.inner_polygon
-    ring = list(reversed(ring_ccw)) if handedness == CCW else list(ring_ccw)
+    ring = list(reversed(a.inner_polygon))
     m = len(ring)
-    cwd = _clock(handedness)
     us = [points[i] - c for i in ring]
-    gaps = [sweep_angle(us[t], us[(t + 1) % m], cwd, tol) for t in range(m)]
+    gaps = [sweep_angle(us[t], us[(t + 1) % m], CW, tol) for t in range(m)]
     candidates = least_rotations(gaps, 1, tol)
     xaxis = Point(1.0, 0.0)
 
     def frame_key(s: int) -> tuple[float, float, float]:
-        return (sweep_angle(xaxis, us[s], cwd, tol), points[ring[s]].x, points[ring[s]].y)
+        return (sweep_angle(xaxis, us[s], CW, tol), points[ring[s]].x, points[ring[s]].y)
 
     return ring[min(candidates, key=frame_key)]
 
 
 def _hop_rank(points: Sequence[Point], p1: Sequence[int], c: Point, ray_from: Point,
-              handedness: str, tol: Tolerance) -> list[int]:
+              tol: Tolerance) -> list[int]:
     """Innermost-circle vertices ordered clockwise starting at the ray
     from c through ray_from (a vertex on the ray itself ranks first)."""
-    cwd = _clock(handedness)
     u0 = ray_from - c
-    return sorted(p1, key=lambda v: (sweep_angle(u0, points[v] - c, cwd, tol),
+    return sorted(p1, key=lambda v: (sweep_angle(u0, points[v] - c, CW, tol),
                                     points[v].x, points[v].y))
 
 
-def compute_movement_central(points: Sequence[Point], handedness: str = CCW,
+def compute_movement_central(points: Sequence[Point],
                              tol: Tolerance = DEFAULT_TOL) -> tuple[Point, int]:
     """Destination of the central robot in a centered configuration, plus
     the pivot index its displacement direction encodes.
@@ -147,17 +139,16 @@ def compute_movement_central(points: Sequence[Point], handedness: str = CCW,
     ci = a.center_index
     c = points[ci]
     n = len(points)
-    pivot = select_pivot(a, handedness, tol)
+    pivot = select_pivot(a, tol)
     if n == 3:
         e1, e2 = [i for i in range(n) if i != ci]
         seg = points[e2] - points[e1]
         s_len = seg.norm()
         normal = seg.unit().rotated(math.pi / 2.0)
-        cwd = _clock(handedness)
         for sign in (1.0, -1.0):
             apex = c + normal * (sign * s_len / 2.0)
             # all three points sit at distance s/2 from c, so c is the arc center
-            first = min((e1, e2), key=lambda i: sweep_angle(apex - c, points[i] - c, cwd, tol))
+            first = min((e1, e2), key=lambda i: sweep_angle(apex - c, points[i] - c, CW, tol))
             if first == pivot:
                 return apex, pivot
         raise InvalidHop("no perpendicular side makes the pivot first clockwise")
@@ -166,7 +157,6 @@ def compute_movement_central(points: Sequence[Point], handedness: str = CCW,
 
 
 def compute_movement_not_central(points: Sequence[Point], own: int,
-                                 handedness: str = CCW,
                                  tol: Tolerance = DEFAULT_TOL) -> Point:
     """Destination of the non-central leader in a centered configuration.
 
@@ -183,7 +173,7 @@ def compute_movement_not_central(points: Sequence[Point], own: int,
         raise InvalidCaller("the central robot must use the central movement")
     c = points[ci]
     n = len(points)
-    pivot = select_pivot(a, handedness, tol)
+    pivot = select_pivot(a, tol)
     if n == 3:
         u = (points[own] - c).unit()
         other = next(i for i in range(n) if i not in (own, ci))
@@ -195,7 +185,7 @@ def compute_movement_not_central(points: Sequence[Point], own: int,
     layers = concentric_decomposition(points, c, tol)
     nondeg = [layer for layer in layers if layer.radius > tol.eps]
     p1 = list(nondeg[0].indices)
-    ranked = _hop_rank(points, p1, c, points[own], handedness, tol)
+    ranked = _hop_rank(points, p1, c, points[own], tol)
     nhop = ranked.index(pivot)
     e = encode_hop(nhop, len(p1))
     outer = nondeg[-1]
@@ -206,10 +196,8 @@ def compute_movement_not_central(points: Sequence[Point], own: int,
         return points[rx] + u * ((2.0 + e) * outer.radius)
     if on_outer and len(outer.indices) == 3:
         others = [i for i in outer.indices if i != own]
-        ahead = min(others, key=lambda i: sweep_angle(points[own] - c, points[i] - c,
-                                                      handedness, tol))
-        spin = -e * THIRD_TURN if handedness == CCW else e * THIRD_TURN
-        return c + (points[ahead] - c).rotated(spin)
+        ahead = min(others, key=lambda i: sweep_angle(points[own] - c, points[i] - c, CCW, tol))
+        return c + (points[ahead] - c).rotated(-e * THIRD_TURN)
     rho = points[own].dist(c)
     below = [0.0] + [layer.radius for layer in nondeg if tol.lt(layer.radius, rho)]
     x = rho - max(below)
@@ -219,7 +207,7 @@ def compute_movement_not_central(points: Sequence[Point], own: int,
 # --- reconstruction ------------------------------------------------------
 
 def _finish_mark(points: Sequence[Point], rec: list[Point], leader: int, e: float,
-                 c: Point, case: str, handedness: str, tol: Tolerance) -> LeaderMark | None:
+                 c: Point, case: str, tol: Tolerance) -> LeaderMark | None:
     """Shared tail of the two-mover cases: locate and snap the displaced
     central robot, validate the restored configuration, and decode the
     pivot from the leader's encoded fraction."""
@@ -249,12 +237,11 @@ def _finish_mark(points: Sequence[Point], rec: list[Point], leader: int, e: floa
         nhop = decode_hop(e, len(p1))
     except (DecodeFailure, InvalidHop):
         return None
-    ranked = _hop_rank(rec, p1, c, rec[leader], handedness, tol)
+    ranked = _hop_rank(rec, p1, c, rec[leader], tol)
     return LeaderMark(leader, ranked[nhop], ra, case)
 
 
-def _attempts_three(points: Sequence[Point], handedness: str,
-                    tol: Tolerance) -> list[LeaderMark]:
+def _attempts_three(points: Sequence[Point], tol: Tolerance) -> list[LeaderMark]:
     out: list[LeaderMark] = []
     pairs = [(0, 1), (0, 2), (1, 2)]
     a, b = max(pairs, key=lambda ij: points[ij[0]].dist(points[ij[1]]))
@@ -263,14 +250,13 @@ def _attempts_three(points: Sequence[Point], handedness: str,
     foot = points[a] + base_dir * base_dir.dot(points[apex] - points[a])
     h = points[apex].dist(foot)
     e_len = points[a].dist(points[b])
-    cwd = _clock(handedness)
     if tol.eq(h, e_len / 2.0):
         rec = list(points)
         rec[apex] = foot
         ra = Analysis(rec, tol)
         if first_coincident_pair(rec, tol) is None and ra.in_c_dot:
             first = min((a, b), key=lambda i: sweep_angle(points[apex] - foot,
-                                                          points[i] - foot, cwd, tol))
+                                                          points[i] - foot, CW, tol))
             out.append(LeaderMark(apex, first, ra, "C1"))
     for moved, fixed in ((a, b), (b, a)):
         d_m = points[moved].dist(foot)
@@ -293,7 +279,7 @@ def _attempts_three(points: Sequence[Point], handedness: str,
     return out
 
 
-def _attempts_many(points: Analysis, handedness: str, tol: Tolerance) -> list[LeaderMark]:
+def _attempts_many(points: Analysis, tol: Tolerance) -> list[LeaderMark]:
     out: list[LeaderMark] = []
     n = len(points)
     sec = points.sec
@@ -314,7 +300,7 @@ def _attempts_many(points: Analysis, handedness: str, tol: Tolerance) -> list[Le
                 if tol.ray_aligned(points[lead] - points[anchor], c2 - points[anchor]):
                     rec = list(points)
                     rec[lead] = c2 * 2.0 - points[anchor]
-                    mark = _finish_mark(points, rec, lead, e, c2, "L2.3", handedness, tol)
+                    mark = _finish_mark(points, rec, lead, e, c2, "L2.3", tol)
                     if mark:
                         out.append(mark)
 
@@ -329,10 +315,9 @@ def _attempts_many(points: Analysis, handedness: str, tol: Tolerance) -> list[Le
     outer = nondeg[-1]
     if len(outer.indices) == 3:
         ring = sorted(outer.indices,
-                      key=lambda i: sweep_angle(Point(1.0, 0.0), points[i] - c,
-                                                handedness, tol))
-        gaps = [sweep_angle(points[ring[t]] - c, points[ring[(t + 1) % 3]] - c,
-                            handedness, tol) for t in range(3)]
+                      key=lambda i: sweep_angle(Point(1.0, 0.0), points[i] - c, CCW, tol))
+        gaps = [sweep_angle(points[ring[t]] - c, points[ring[(t + 1) % 3]] - c, CCW, tol)
+                for t in range(3)]
         if not all(tol.eq(g, THIRD_TURN) for g in gaps):
             t_min = min(range(3), key=lambda t: gaps[t])
             others = sorted(gaps[:t_min] + gaps[t_min + 1:])
@@ -340,10 +325,9 @@ def _attempts_many(points: Analysis, handedness: str, tol: Tolerance) -> list[Le
                 lead = ring[t_min]
                 ahead = ring[(t_min + 1) % 3]
                 e = gaps[t_min] / THIRD_TURN
-                back = -THIRD_TURN if handedness == CCW else THIRD_TURN
                 rec = list(points)
-                rec[lead] = c + (points[ahead] - c).rotated(back)
-                mark = _finish_mark(points, rec, lead, e, c, "L2.2", handedness, tol)
+                rec[lead] = c + (points[ahead] - c).rotated(-THIRD_TURN)
+                mark = _finish_mark(points, rec, lead, e, c, "L2.2", tol)
                 if mark:
                     out.append(mark)
 
@@ -369,7 +353,7 @@ def _attempts_many(points: Analysis, handedness: str, tol: Tolerance) -> list[Le
             e = 2.0 * (rho_above - rho_l) / x
             rec = list(points)
             rec[ql] = c + (points[ql] - c).unit() * rho_above
-            mark = _finish_mark(points, rec, ql, e, c, "L2.1", handedness, tol)
+            mark = _finish_mark(points, rec, ql, e, c, "L2.1", tol)
             if mark:
                 out.append(mark)
 
@@ -389,8 +373,7 @@ def _attempts_many(points: Analysis, handedness: str, tol: Tolerance) -> list[Le
     return out
 
 
-def reconstruct(points: Sequence[Point], handedness: str = CCW,
-                tol: Tolerance = DEFAULT_TOL) -> LeaderMark:
+def reconstruct(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> LeaderMark:
     """Invert an intermediate configuration back to its centered original.
 
     Tries every movement case, keeps the interpretations that validate
@@ -404,8 +387,7 @@ def reconstruct(points: Sequence[Point], handedness: str = CCW,
         raise ReconstructFailure("need at least 3 points")
     if a.in_c_dot:
         raise ReconstructFailure("configuration is already centered; nothing to invert")
-    marks = _attempts_three(points, handedness, tol) if n == 3 \
-        else _attempts_many(a, handedness, tol)
+    marks = _attempts_three(points, tol) if n == 3 else _attempts_many(a, tol)
     unique: list[LeaderMark] = []
     for mk in marks:
         dup = any(mk.leader_index == u.leader_index
@@ -421,22 +403,23 @@ def reconstruct(points: Sequence[Point], handedness: str = CCW,
 
 
 # --- per-protocol step functions -----------------------------------------
-# Every step takes (a, snapshot, bit, handedness, tol): a is the Analysis
-# of snapshot.local_points, the robot's memory bit, and the protocol's
-# handedness and tolerance.  It returns (destination, new bit); memoryless
-# steps return the bit they were given.
+# Every step takes (a, snapshot, bit): a is the Analysis of
+# snapshot.local_points under the protocol's tolerance, which the step reads
+# as a.tol, and bit is the robot's memory bit.  It returns (destination, new
+# bit); memoryless steps return the bit they were given.  Clockwise is the
+# snapshot's own clockwise: a swarm whose shared sense is the other one is
+# the same run with every frame mirrored.
 
-def visit_all_chirality_step(a: Analysis, snapshot, bit: int, handedness: str,
-                             tol: Tolerance) -> tuple[Point, int]:
+def visit_all_chirality_step(a: Analysis, snapshot, bit: int) -> tuple[Point, int]:
     """Move to the successor of the own position under the shared sweep
     order."""
-    order = order_with_chirality(a, handedness, tol)
+    order = order_with_chirality(a, CCW, a.tol)
     return a[order.successor(snapshot.own_index)], bit
 
 
-def move_all_no_chirality_step(a: Analysis, snapshot, bit: int, handedness: str,
-                               tol: Tolerance) -> tuple[Point, int]:
+def move_all_no_chirality_step(a: Analysis, snapshot, bit: int) -> tuple[Point, int]:
     """One-round total relocation without a shared clockwise notion."""
+    tol = a.tol
     own = snapshot.own_index
     p = a[own]
     CENTERED.check(a)
@@ -465,45 +448,43 @@ def move_all_no_chirality_step(a: Analysis, snapshot, bit: int, handedness: str,
     return c * 2.0 - p, bit
 
 
-def visit_all_no_chirality_step(a: Analysis, snapshot, bit: int, handedness: str,
-                                tol: Tolerance) -> tuple[Point, int]:
-    order = order_without_chirality(a, tol)
+def visit_all_no_chirality_step(a: Analysis, snapshot, bit: int) -> tuple[Point, int]:
+    order = order_without_chirality(a, a.tol)
     return a[order.successor(snapshot.own_index)], bit
 
 
-def voting_visit_all_step(a: Analysis, snapshot, bit: int, handedness: str,
-                          tol: Tolerance) -> tuple[Point, int]:
+def voting_visit_all_step(a: Analysis, snapshot, bit: int) -> tuple[Point, int]:
     """Break a centered configuration by electing an inner-circle vertex
     from the visible frame directions; otherwise fall back to the plain
     shared sweep."""
     if not a.in_c_dot:
-        return visit_all_chirality_step(a, snapshot, bit, handedness, tol)
+        return visit_all_chirality_step(a, snapshot, bit)
     if snapshot.visible_frames is None:
         raise InvalidFrame("voting needs the frame directions in the snapshot")
-    leader = voting_elect(a, snapshot.visible_frames, tol)
-    order = order_from_leader(a, leader, tol)
+    leader = voting_elect(a, snapshot.visible_frames, a.tol)
+    order = order_from_leader(a, leader, a.tol)
     return a[order.successor(snapshot.own_index)], bit
 
 
-def one_bit_step(a: Analysis, snapshot, bit: int, handedness: str,
-                 tol: Tolerance) -> tuple[Point, int]:
+def one_bit_step(a: Analysis, snapshot, bit: int) -> tuple[Point, int]:
     """Two-round cadence: centered rounds broadcast a pivot through the
     movements of the central robot and the remembered leader; off-center
     rounds invert those movements and advance everyone one slot along the
     pivot-anchored cyclic order."""
+    tol = a.tol
     own = snapshot.own_index
     centered = a.in_c_dot
     if not centered and bit == 0:
-        order = order_with_chirality(a, handedness, tol)
+        order = order_with_chirality(a, CCW, tol)
         return a[order.successor(own)], 0
     if centered:
         if a.center_index == own:
-            dest, _pivot = compute_movement_central(a, handedness, tol)
+            dest, _pivot = compute_movement_central(a, tol)
             return dest, 1
         if bit == 0:
             return a[own], 1
-        return compute_movement_not_central(a, own, handedness, tol), 1
-    mark = reconstruct(a, handedness, tol)
+        return compute_movement_not_central(a, own, tol), 1
+    mark = reconstruct(a, tol)
     order = order_from_leader(mark.reconstructed, mark.pivot_index, tol)
     new_b = 1 if own == mark.leader_index else 0
     return mark.reconstructed[order.successor(own)], new_b
@@ -515,21 +496,20 @@ def one_bit_step(a: Analysis, snapshot, bit: int, handedness: str,
 class Protocol:
     """A named Compute rule plus the capabilities it assumes.
 
-    `step(analysis, snapshot, bit, handedness, tol)` returns (destination
-    in the snapshot's frame, new bit).  `tol` is the tolerance of every
-    run of the protocol.
+    `step(analysis, snapshot, bit)` returns (destination in the snapshot's
+    frame, new bit).  `tol` is the tolerance of every run of the protocol;
+    the step reads it as `analysis.tol`.
     """
 
     name: str
     step: Callable
     needs_visible_frames: bool = False
     min_robots: int = 2
-    handedness: str = CCW
     tol: Tolerance = DEFAULT_TOL
 
     def compute(self, snapshot, bit: int) -> tuple[Point, int]:
         analysis = Analysis(snapshot.local_points, self.tol)
-        return self.step(analysis, snapshot, bit, self.handedness, self.tol)
+        return self.step(analysis, snapshot, bit)
 
 
 _PROTOCOLS = {
@@ -561,8 +541,7 @@ def refusal(protocol_id: str, a: Analysis) -> SwarmError | None:
     return next((NotOrderable(ob.message) for ob in REFUSES[protocol_id] if ob.holds(a)), None)
 
 
-def make_protocol(protocol_id: str, handedness: str = CCW,
-                  tol: Tolerance = DEFAULT_TOL) -> Protocol:
+def make_protocol(protocol_id: str, tol: Tolerance = DEFAULT_TOL) -> Protocol:
     if protocol_id not in _PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol_id!r}; choose from {PROTOCOL_IDS}")
-    return Protocol(name=protocol_id, handedness=handedness, tol=tol, **_PROTOCOLS[protocol_id])
+    return Protocol(name=protocol_id, tol=tol, **_PROTOCOLS[protocol_id])

@@ -2,7 +2,9 @@
 
 For every corpus family, protocol and applicable adversary kind, a row
 that `refusal` calls feasible runs clean and passes its contract, and an
-infeasible row stops in round 1 with exactly the row's error.
+infeasible row stops in round 1 with exactly the row's error.  The
+protocols that assume a shared clockwise sense also run with every frame
+mirrored: a swarm whose shared sense is the other one.
 """
 
 import random
@@ -23,6 +25,7 @@ from corpus import (
 
 from swarmperm import (
     MOVE_ALL,
+    Frame,
     PROTOCOL_IDS,
     VISIT_ALL,
     MirrorSymmetric,
@@ -48,7 +51,7 @@ FAMILIES = {
     "collinear": lambda rng: collinear_config(rng, rng.randint(3, 8)),
 }
 SETS_PER_FAMILY = 12
-# Frames that keep a shared handedness, for the protocols that assume one.
+# Frames that keep a shared clockwise sense, for the protocols that assume one.
 CHIRAL_KINDS = ("identical", "rotated_quarter", "pairwise_distinct")
 ALL_KINDS = ("identical", "rotated_quarter", "pairwise_distinct", "mirrored_pairs", "random")
 KINDS = {
@@ -62,6 +65,15 @@ KINDS = {
 
 def test_every_protocol_has_a_row():
     assert tuple(REFUSES) == tuple(KINDS) == PROTOCOL_IDS
+
+
+def _frame_sets(kind, pts, seed, pid):
+    """The kind's frames, and for a chirality protocol the same frames all
+    mirrored, which flips the swarm's shared clockwise sense."""
+    frames = adversary_frames(kind, pts, seed=seed)
+    yield kind, frames
+    if KINDS[pid] is CHIRAL_KINDS:
+        yield f"{kind}, mirrored", [Frame(f.rotation, not f.mirror, f.scale) for f in frames]
 
 
 def _outcome(pts, frames, pid):
@@ -97,14 +109,15 @@ def test_rows_agree_with_runs(family):
         for pid in PROTOCOL_IDS:
             for kind in KINDS[pid]:
                 try:
-                    frames = adversary_frames(kind, pts, seed=s)
+                    frame_sets = list(_frame_sets(kind, pts, s, pid))
                 except (MirrorSymmetric, NotCentral):
                     continue  # mirrored_pairs needs an axis, rotated_quarter a center
-                miss, ok = _outcome(pts, frames, pid)
-                feasible += ok
-                infeasible += not ok
-                if miss is not None:
-                    misses.append((s, pid, kind, miss))
+                for label, frames in frame_sets:
+                    miss, ok = _outcome(pts, frames, pid)
+                    feasible += ok
+                    infeasible += not ok
+                    if miss is not None:
+                        misses.append((s, pid, label, miss))
     assert misses == []
     assert feasible + infeasible > 0
     print(f"{family}: {feasible} feasible and {infeasible} infeasible runs agree "

@@ -1,6 +1,7 @@
 import json
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +75,9 @@ _TRIANGLE = '"points": [[0, 0], [1, 0], [0, 1]], "protocol": "VisitAllChirality"
 # the README's scenario: no mirror axis and no robot at the circle center
 _FIVE = ('"points": [[0, 0], [3, 0], [1, 2], [-2, 1], [-1, -2]], '
          '"protocol": "VisitAllChirality"')
+# one robot more than pairwise_distinct can keep 1e-3 apart in rotation
+_OVER_DISTINCT = ('"points": [%s], "protocol": "VisitAllChirality"'
+                  % ", ".join(f"[{i}, 0]" for i in range(3143)))
 
 
 @pytest.mark.parametrize("scenario, argv, message", [
@@ -93,6 +97,10 @@ _FIVE = ('"points": [[0, 0], [3, 0], [1, 2], [-2, 1], [-1, -2]], '
     ('{%s, "frames": {"kind": "rotated_quarter"}}' % _FIVE, ["--seed", "0"], "NotCentral"),
     ('{"points": [[0, 0], [1, 0]], "protocol": "VisitAllChirality"}', ["--seed", "0"],
      "needs at least 3"),
+    ('{%s, "handedness": "cw"}' % _TRIANGLE, [], r"unknown keys \['handedness'\]"),
+    pytest.param('{%s, "frames": {"kind": "pairwise_distinct"}}' % _OVER_DISTINCT,
+                 ["--seed", "0"], "InvalidFrame: pairwise_distinct keeps at most 3142",
+                 id="pairwise_distinct-3143-robots"),
 ])
 def test_bad_input_exits_malformed(tmp_path, capsys, scenario, argv, message):
     path = _write(tmp_path, "s.json", scenario)
@@ -117,7 +125,6 @@ def test_scenario_defaults(tmp_path):
     scn = load_scenario(path)
     assert scn.rounds == 1
     assert scn.tolerance == 1e-9
-    assert scn.handedness == "ccw"
     assert scn.protocol is None
 
 
@@ -257,6 +264,30 @@ def test_verify_garbage_trace(tmp_path, capsys):
     path = tmp_path / "bad.jsonl"
     path.write_text("definitely not json\n")
     assert main(["verify", "--trace", str(path), "--spec", "move-all"]) == EXIT_MALFORMED
+
+
+def _drop_round_2(lines):
+    del lines[2]
+
+
+def _relabel_round_3(lines):
+    lines[3] = lines[3].replace('"round":3,', '"round":7,')
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop_round_2, "trace line 3: round 3 where round 2 is due"),
+    (_relabel_round_3, "trace line 4: round 7 where round 3 is due"),
+])
+def test_verify_rejects_rounds_out_of_sequence(tmp_path, capsys, edit, message):
+    # a 5-round trace of the README scenario, one round dropped or relabelled
+    trace_path, code = _simulated(tmp_path, capsys, json.loads("{%s}" % _FIVE), rounds=5)
+    assert code == EXIT_OK
+    lines = Path(trace_path).read_text().splitlines(keepends=True)
+    edit(lines)
+    Path(trace_path).write_text("".join(lines))
+    assert main(["verify", "--trace", trace_path, "--spec", "visit-all"]) == EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read trace {trace_path}: {message}")
 
 
 def test_bad_subcommand_exits_via_argparse():

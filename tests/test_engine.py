@@ -18,6 +18,7 @@ from swarmperm import (
     NotCentral,
     PROTOCOL_IDS,
     Point,
+    Protocol,
     SwarmError,
     adversary_frames,
     fsync_round,
@@ -164,7 +165,7 @@ def test_collision_reported_with_pair():
     # both outer robots of a 3-chain target the middle point
     pts = [Point(-1, 0), Point(0, 0), Point(1, 0)]
 
-    def grab_middle(analysis, snapshot, bit, handedness, tol):
+    def grab_middle(analysis, snapshot, bit):
         loc = snapshot.local_points
         mid = min(loc, key=lambda q: sum(q.dist(r) for r in loc))
         return mid, bit
@@ -180,7 +181,7 @@ def test_collision_reported_with_pair():
 def test_run_records_collision_without_advancing():
     pts = [Point(-1, 0), Point(0, 0), Point(1, 0)]
 
-    def grab_middle(analysis, snapshot, bit, handedness, tol):
+    def grab_middle(analysis, snapshot, bit):
         loc = snapshot.local_points
         return min(loc, key=lambda q: sum(q.dist(r) for r in loc)), bit
 
@@ -207,8 +208,10 @@ def test_only_swarm_errors_leave_run(e):
     for base in (_README_FIVE, _CENTER_TWO_SQUARES):
         pts = [Point(p.x * s, p.y * s) for p in base]
         for pid in PROTOCOL_IDS:
-            for kind in ("identical", "pairwise_distinct"):
-                frames = adversary_frames(kind, pts, seed=0)
+            for frames in (adversary_frames("identical", pts),
+                           adversary_frames("pairwise_distinct", pts, seed=0),
+                           # a subnormal unit length: most snapshots overflow
+                           [Frame(scale=1e-310)] * len(pts)):
                 try:
                     trace = run(pts, frames, make_protocol(pid), rounds=2 * len(pts))
                 except SwarmError:
@@ -217,6 +220,21 @@ def test_only_swarm_errors_leave_run(e):
                 if err is not None:
                     cls = getattr(errors, err.split(":", 1)[0], None)
                     assert isinstance(cls, type) and issubclass(cls, SwarmError), err
+
+
+def test_frame_that_cannot_hold_the_floats_is_invalid():
+    # a subnormal unit length: the snapshot overflows
+    tiny = [Frame(scale=1e-310)] * len(SQUARE)
+    trace = run(SQUARE, tiny, make_protocol("VisitAllChirality"), 1)
+    assert trace.records[-1].error.startswith("InvalidFrame: robot 0's frame")
+
+    def far(analysis, snapshot, bit):
+        return Point(1e300, 0.0), bit
+
+    # the destination is finite locally but overflows in the global frame
+    trace = run(SQUARE, [Frame(scale=1e10)] * len(SQUARE), Protocol("Far", far), 1)
+    assert trace.records[-1].error.startswith(
+        "InvalidFrame: a destination does not map back to the global frame")
 
 
 # --- adversary frame factories -------------------------------------------
@@ -313,6 +331,8 @@ def test_parse_trace_rejects_malformed():
         parse_trace("")
     with pytest.raises(ValueError, match="line 1"):
         parse_trace('{"round":0,"positions":[[0,0],[1,1]],"bits":[0],"moved":[false,false]}\n')
+    with pytest.raises(ValueError, match="line 1: round 1 where round 0 is due"):
+        parse_trace('{"round":1,"positions":[[0,0]],"bits":[0],"moved":[false]}\n')
 
 
 def test_error_round_preserved_in_jsonl():

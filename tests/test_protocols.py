@@ -5,8 +5,6 @@ import pytest
 from corpus import rand_c_dot
 
 from swarmperm import (
-    CCW,
-    CW,
     DEFAULT_TOL,
     Analysis,
     DecodeFailure,
@@ -108,11 +106,10 @@ def test_select_pivot_rotating_frame_moves_symmetric_choice():
 
 def test_select_pivot_exact_axis_vertex_at_eps_one():
     # at eps = 1 the unit +x axis is never aligned within eps; the vertex
-    # exactly on it still sweeps 0, either way, and wins the tie-break
+    # exactly on it still sweeps 0 and wins the tie-break
     tol = Tolerance(1.0)
     pts = [Point(0, 0)] + [p * 3.0 for p in SQUARE_CENTER[1:]]
-    for h in (CCW, CW):
-        assert select_pivot(pts, h, tol) == 1
+    assert select_pivot(pts, tol) == 1
 
 # --- central movement -----------------------------------------------------
 
@@ -315,7 +312,7 @@ def _snap(pts, i):
 
 
 def _one_bit(snap, bit):
-    return one_bit_step(Analysis(snap.local_points), snap, bit, CCW, DEFAULT_TOL)
+    return one_bit_step(Analysis(snap.local_points), snap, bit)
 
 
 def test_one_bit_branches():
