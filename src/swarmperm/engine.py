@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -201,9 +202,14 @@ def adversary_frames(kind: str, points: Sequence[Point], seed: int = 0,
                                f"rotations {_MIN_ROTATION_GAP} apart, got {n} robots")
         rng = random.Random(seed)
         angles: list[float] = []
+        ranked: list[float] = []  # the accepted angles, sorted
         while len(angles) < n:
             a = rng.uniform(0.0, 2.0 * math.pi)
-            if all(abs(a - b) > _MIN_ROTATION_GAP for b in angles):
+            # rounding a difference is monotone, so the nearest accepted
+            # angles on either side are the only ones that can be too close
+            k = bisect_left(ranked, a)
+            if all(abs(a - b) > _MIN_ROTATION_GAP for b in ranked[max(k - 1, 0):k + 1]):
+                ranked.insert(k, a)
                 angles.append(a)
         return [Frame(a, False, 1.0) for a in angles]
     if kind == "mirrored_pairs":

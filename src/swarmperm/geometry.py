@@ -161,13 +161,35 @@ def sweep_angle(u: Point, v: Point, handedness: str, tol: Tolerance) -> float:
     angle, or 2*pi minus it for CW.  A vector no longer than eps (a unit
     axis once eps >= 1) is never aligned, so CW also maps a 2*pi that only
     rounding produced, as for an exactly aligned such vector, to 0."""
-    if tol.ray_aligned(u, v):
+    return sweep_angle_xy(u.x, u.y, u.norm(), v.x, v.y, v.norm(), handedness, tol.eps)
+
+
+def sweep_angle_xy(ux: float, uy: float, nu: float, vx: float, vy: float, nv: float,
+                   handedness: str, eps: float) -> float:
+    """sweep_angle on raw floats: vectors (ux, uy) and (vx, vy) with their
+    norms nu and nv.  The arithmetic is that of `Tolerance.ray_aligned` and
+    `ccw_angle`, so a caller that takes each norm once gets the same bits."""
+    dot = ux * vx + uy * vy
+    cross = ux * vy - uy * vx
+    if nu > eps and nv > eps and dot > 0.0 and abs(cross) <= eps * nu * nv:
         return 0.0
-    a = ccw_angle(u, v)
+    a = norm_angle(math.atan2(cross, dot))
     if handedness == CCW:
         return a
     cw = TWO_PI - a
     return cw if cw < TWO_PI else 0.0
+
+
+def offsets(points: Iterable[Point], c: Point) -> list[tuple[float, float, float]]:
+    """Each point's vector from c as raw floats, with its norm, which is
+    also the point's `Point.dist` to c: the vector arguments of
+    sweep_angle_xy."""
+    cx, cy = c.x, c.y
+    out = []
+    for p in points:
+        vx, vy = p.x - cx, p.y - cy
+        out.append((vx, vy, math.hypot(vx, vy)))
+    return out
 
 
 class PointIndex:
@@ -275,8 +297,8 @@ def _reach(r: float) -> float:
     return r * (1.0 + _REL_EPS) + 1e-300
 
 
-def _circum_circle(ax0: float, ay0: float, bx0: float, by0: float,
-                   cx0: float, cy0: float) -> tuple[float, float, float] | None:
+def _circum_center(ax0: float, ay0: float, bx0: float, by0: float,
+                   cx0: float, cy0: float) -> tuple[float, float] | None:
     xlo, xhi = min(ax0, bx0, cx0), max(ax0, bx0, cx0)
     ylo, yhi = min(ay0, by0, cy0), max(ay0, by0, cy0)
     ox, oy = (xlo + xhi) / 2.0, (ylo + yhi) / 2.0
@@ -301,9 +323,7 @@ def _circum_circle(ax0: float, ay0: float, bx0: float, by0: float,
     x, y = ox + qx, oy + qy
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"point coordinates must be finite, got ({x}, {y})")
-    r = max(math.hypot(x - ax0, y - ay0), math.hypot(x - bx0, y - by0),
-            math.hypot(x - cx0, y - cy0))
-    return x, y, r
+    return x, y
 
 
 def _diameter_circle(ax: float, ay: float, bx: float, by: float) -> tuple[float, float, float]:
@@ -313,31 +333,37 @@ def _diameter_circle(ax: float, ay: float, bx: float, by: float) -> tuple[float,
 
 def _circle_two_points(xs: list[float], ys: list[float], count: int,
                        px: float, py: float, qx: float, qy: float) -> tuple[float, float, float]:
-    """Smallest circle through p and q enclosing the first count points."""
+    """Smallest circle through p and q enclosing the first count points.
+    Only the circles it chooses between take a radius."""
     circ = _diameter_circle(px, py, qx, qy)
     cx, cy, cr = circ
     reach = _reach(cr)
     left = right = None
     left_cc = right_cc = 0.0
+    left_i = right_i = 0
     pqx, pqy = qx - px, qy - py
     for i in range(count):
         rx, ry = xs[i], ys[i]
         if math.hypot(cx - rx, cy - ry) <= reach:
             continue
         cross = pqx * (ry - py) - pqy * (rx - px)
-        c = _circum_circle(px, py, qx, qy, rx, ry)
+        c = _circum_center(px, py, qx, qy, rx, ry)
         if c is None:
             continue
         cc = pqx * (c[1] - py) - pqy * (c[0] - px)
         if cross > 0.0 and (left is None or cc > left_cc):
-            left, left_cc = c, cc
+            left, left_cc, left_i = c, cc, i
         elif cross < 0.0 and (right is None or cc < right_cc):
-            right, right_cc = c, cc
-    if left is None:
-        return circ if right is None else right
-    if right is None:
-        return left
-    return left if left[2] <= right[2] else right
+            right, right_cc, right_i = c, cc, i
+    best = circ if left is None and right is None else None
+    for c, i in ((left, left_i), (right, right_i)):  # the left one wins a tie
+        if c is not None:
+            x, y = c
+            r = max(math.hypot(x - px, y - py), math.hypot(x - qx, y - qy),
+                    math.hypot(x - xs[i], y - ys[i]))
+            if best is None or r < best[2]:
+                best = x, y, r
+    return best
 
 
 def _circle_one_point(xs: list[float], ys: list[float], count: int,
@@ -364,7 +390,7 @@ def smallest_enclosing_circle(points: Sequence[Point], tol: Tolerance = DEFAULT_
     """
     if len(points) == 0:
         raise EmptyConfiguration("smallest enclosing circle of an empty point set")
-    xys = sorted((p.x, p.y) for p in points)
+    xys = sorted([(p.x, p.y) for p in points])
     xs = [x for x, _ in xys]
     ys = [y for _, y in xys]
     cx, cy, cr = xs[0], ys[0], 0.0
@@ -390,12 +416,13 @@ def concentric_decomposition(points: Sequence[Point], center: Point,
     """
     if len(points) == 0:
         raise EmptyConfiguration("decomposition of an empty point set")
-    order = sorted(range(len(points)), key=lambda i: (points[i].dist(center), points[i].x, points[i].y))
+    cx, cy = center.x, center.y
+    keys = [(math.hypot(p.x - cx, p.y - cy), p.x, p.y) for p in points]
     layers: list[Layer] = []
     group: list[int] = []
     group_ds: list[float] = []
-    for i in order:
-        d = points[i].dist(center)
+    for i in sorted(range(len(points)), key=keys.__getitem__):
+        d = keys[i][0]
         if group and d - group_ds[-1] > tol.eps:
             layers.append(Layer(math.fsum(group_ds) / len(group_ds), tuple(group)))
             group, group_ds = [], []

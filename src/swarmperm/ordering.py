@@ -34,9 +34,11 @@ from .geometry import (
     ccw_angle,
     first_coincident_pair,
     norm_angle,
+    offsets,
     sweep_angle,
+    sweep_angle_xy,
 )
-from .symmetry import BLOCKING_AXES, CENTERED, Axis, analyze
+from .symmetry import BLOCKING_AXES, CENTERED, Analysis, Axis, analyze
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,17 +420,8 @@ def get_vote(points: Sequence[Point], polygon: Sequence[int], x_dir: Point,
     """The polygon vertex first met sweeping clockwise from the frame's
     x-direction anchored at the center.  Exact alignment wins outright;
     sub-eps angular ties fall back to the canonical point sort."""
-    center = analyze(points, tol).sec.center
-    scored = []
-    for v in polygon:
-        a = sweep_angle(x_dir, points[v] - center, CW, tol)
-        scored.append((a, v))
-    best_a = min(a for a, _ in scored)
-    cluster = [(a, v) for a, v in scored if a <= best_a + tol.eps]
-    zero = [v for a, v in cluster if a == 0.0]
-    if zero:
-        return min(zero, key=lambda v: (points[v].x, points[v].y))
-    return min(cluster, key=lambda av: (points[av[1]].x, points[av[1]].y))[1]
+    a = analyze(points, tol)
+    return _votes(a, polygon, (x_dir,))[0]
 
 
 def vote_tally(points: Sequence[Point], x_dirs: Sequence[Point],
@@ -436,9 +429,29 @@ def vote_tally(points: Sequence[Point], x_dirs: Sequence[Point],
     a = analyze(points, tol)
     polygon = a.inner_polygon
     counts = {v: 0 for v in polygon}
-    for d in x_dirs:
-        counts[get_vote(a, polygon, d, tol)] += 1
+    for v in _votes(a, polygon, x_dirs):
+        counts[v] += 1
     return VoteTally(polygon=polygon, votes=tuple(counts[v] for v in polygon))
+
+
+def _votes(a: Analysis, polygon: Sequence[int], x_dirs: Sequence[Point]) -> list[int]:
+    """get_vote for each direction, with the center and each vertex's
+    vector from it, and its norm, taken once."""
+    eps = a.tol.eps
+    vecs = list(zip(offsets((a[v] for v in polygon), a.sec.center), polygon))
+    out = []
+    for d in x_dirs:
+        dx, dy = d.x, d.y
+        dn = math.hypot(dx, dy)
+        scored = [(sweep_angle_xy(dx, dy, dn, *vec, CW, eps), v) for vec, v in vecs]
+        best_a = min(s for s, _ in scored)
+        cluster = [(s, v) for s, v in scored if s <= best_a + eps]
+        zero = [v for s, v in cluster if s == 0.0]
+        if zero:
+            out.append(min(zero, key=lambda v: (a[v].x, a[v].y)))
+        else:
+            out.append(min(cluster, key=lambda sv: (a[sv[1]].x, a[sv[1]].y))[1])
+    return out
 
 
 def voting_elect(points: Sequence[Point], x_dirs: Sequence[Point],
@@ -465,11 +478,12 @@ def order_from_leader(points: Sequence[Point], leader: int,
     (clockwise angle from the ray center->leader, then radius), with the
     center point appended last."""
     a = analyze(points, tol)
-    c = a.sec.center
-    u = points[leader] - c
-    if u.norm() <= tol.eps:
+    eps = tol.eps
+    vecs = offsets(points, a.sec.center)
+    ux, uy, un = vecs[leader]
+    if un <= eps:
         raise InvalidLeader("leader must not occupy the center")
-    center_idxs = [i for i, p in enumerate(points) if tol.same_point(p, c)]
+    center_idxs = [i for i, (_, _, d) in enumerate(vecs) if d <= eps]
     rest = [i for i in range(len(points)) if i not in center_idxs]
-    rest.sort(key=lambda i: (sweep_angle(u, points[i] - c, CW, tol), points[i].dist(c)))
+    rest.sort(key=lambda i: (sweep_angle_xy(ux, uy, un, *vecs[i], CW, eps), vecs[i][2]))
     return CyclicOrder(tuple(rest + center_idxs))

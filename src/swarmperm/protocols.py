@@ -35,8 +35,10 @@ from .geometry import (
     Tolerance,
     concentric_decomposition,
     first_coincident_pair,
+    offsets,
     smallest_enclosing_circle,
     sweep_angle,
+    sweep_angle_xy,
 )
 from .ordering import (
     agree_chirality,
@@ -102,15 +104,17 @@ def select_pivot(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> int:
     """
     a = analyze(points, tol)
     c = a.sec.center
+    eps = tol.eps
     ring = list(reversed(a.inner_polygon))
     m = len(ring)
-    us = [points[i] - c for i in ring]
-    gaps = [sweep_angle(us[t], us[(t + 1) % m], CW, tol) for t in range(m)]
+    us = offsets((points[i] for i in ring), c)
+    gaps = [sweep_angle_xy(*us[t], *us[(t + 1) % m], CW, eps) for t in range(m)]
     candidates = least_rotations(gaps, 1, tol)
-    xaxis = Point(1.0, 0.0)
 
     def frame_key(s: int) -> tuple[float, float, float]:
-        return (sweep_angle(xaxis, us[s], CW, tol), points[ring[s]].x, points[ring[s]].y)
+        # the sweep from the +x axis, a unit vector of norm exactly 1
+        return (sweep_angle_xy(1.0, 0.0, 1.0, *us[s], CW, eps),
+                points[ring[s]].x, points[ring[s]].y)
 
     return ring[min(candidates, key=frame_key)]
 
@@ -119,9 +123,10 @@ def _hop_rank(points: Sequence[Point], p1: Sequence[int], c: Point, ray_from: Po
               tol: Tolerance) -> list[int]:
     """Innermost-circle vertices ordered clockwise starting at the ray
     from c through ray_from (a vertex on the ray itself ranks first)."""
-    u0 = ray_from - c
-    return sorted(p1, key=lambda v: (sweep_angle(u0, points[v] - c, CW, tol),
-                                    points[v].x, points[v].y))
+    [u] = offsets([ray_from], c)
+    keys = {v: (sweep_angle_xy(*u, *vec, CW, tol.eps), points[v].x, points[v].y)
+            for v, vec in zip(p1, offsets((points[v] for v in p1), c))}
+    return sorted(p1, key=keys.__getitem__)
 
 
 def compute_movement_central(points: Sequence[Point],

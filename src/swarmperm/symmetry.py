@@ -73,8 +73,10 @@ class ConfigClass:
 class Analysis(tuple):
     """A tuple of points that computes what the protocols ask of it, each
     part at most once, on first use, by calling the public function that a
-    standalone query calls.  A protocol builds one per snapshot and drops
-    it when the step returns."""
+    standalone query calls.  The one exception is `in_c_dot`, which counts
+    the rotations of the robots other than the center robot through the
+    private helper behind `rotational_order` and stops at the second.  A
+    protocol builds one per snapshot and drops it when the step returns."""
 
     def __new__(cls, points: Iterable[Point], tol: Tolerance = DEFAULT_TOL):
         self = super().__new__(cls, points)
@@ -92,19 +94,28 @@ class Analysis(tuple):
         return center_robot_index(self, self.tol)
 
     @cached_property
+    def without_center(self) -> Analysis | None:
+        """The robots other than the center robot; None without a center
+        robot or with fewer than three robots."""
+        rc = self.center_index
+        if rc is None or len(self) < 3:
+            return None
+        return Analysis([p for i, p in enumerate(self) if i != rc], self.tol)
+
+    @cached_property
     def k_without_center(self) -> int:
         """Rotational order of the robots other than the center robot; 0
         without a center robot or with fewer than three robots."""
-        rc = self.center_index
-        if rc is None or len(self) < 3:
-            return 0
-        return rotational_order([p for i, p in enumerate(self) if i != rc], self.tol)
+        rest = self.without_center
+        return 0 if rest is None else rotational_order(rest, self.tol)
 
     @cached_property
     def in_c_dot(self) -> bool:
         """Centered symmetric: a center robot, and the rest rotationally
-        symmetric.  Needs no mirror axes."""
-        return self.k_without_center > 1
+        symmetric.  Needs no mirror axes, and stops counting the rest's
+        rotations at the second."""
+        rest = self.without_center
+        return rest is not None and _rotation_count(rest, 2) > 1
 
     @cached_property
     def centroid(self) -> Point:
@@ -123,6 +134,11 @@ class Analysis(tuple):
             if best is None or len(layer.indices) < len(best):
                 best = layer.indices
         return best if best is not None else ()
+
+    @cached_property
+    def point_index(self) -> PointIndex:
+        """The eps index of the points, for the symmetry image tests."""
+        return PointIndex(self, self.tol)
 
     @cached_property
     def layers(self) -> tuple[Layer, ...]:
@@ -159,18 +175,27 @@ def rotational_order(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> i
     """Largest k such that rotation by 2*pi/k about the centroid maps the
     point set onto itself."""
     a = analyze(points, tol)
+    return _rotation_count(a, len(a))
+
+
+def _rotation_count(a: Analysis, stop: int) -> int:
+    """The rotational order of a, counted up to stop: the rotations about
+    the centroid that take the reference layer's first point onto a member
+    and map the set onto itself, and at least 1."""
     if len(a) <= 1:
         return 1
     c = a.centroid
     layer = a.reference_layer
-    if not layer:
+    if len(layer) <= 1:  # one member leaves only the identity to count
         return 1
-    index = PointIndex(a, tol)
+    index = a.point_index
     base = a[layer[0]] - c
     count = 0
     for i in layer:
         if index.matches(_rotated(a, c.x, c.y, ccw_angle(base, a[i] - c))):
             count += 1
+            if count == stop:
+                break
     return max(count, 1)
 
 
@@ -184,7 +209,7 @@ def mirror_axes(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> tuple[
     layer = a.reference_layer
     if not layer:
         return ()
-    index = PointIndex(a, tol)
+    index = a.point_index
     theta_base = angle_of(a[layer[0]] - c)
     angles: list[float] = []
     for i in layer:

@@ -1,8 +1,10 @@
 """The float kernels of the smallest enclosing circle and the symmetry
 candidate test against the Point-based versions they replaced, the shared
-sweep angle and least-rotation scan against the copies they replaced, and
-the x-sorted point index and the float snapshot path against the scans and
-Point arithmetic they replaced.
+sweep angle and least-rotation scan against the copies they replaced, the
+x-sorted point index and the float snapshot path against the scans and Point
+arithmetic they replaced, and the float centered path (sweep kernel, votes,
+leader order, pivot, hop rank, layering, two-point circle and the centered
+test) against the Point code it replaced.
 
 The reference functions below are verbatim copies of those versions.
 Every comparison is exact: floats are compared through float.hex, so even
@@ -34,10 +36,17 @@ from swarmperm import (
     CCW,
     CW,
     DEFAULT_TOL,
+    AmbiguousLayering,
+    Analysis,
     Axis,
     Circle,
+    CyclicOrder,
+    DegenerateReference,
+    EmptyConfiguration,
     Frame,
     InvalidFrame,
+    InvalidLeader,
+    Layer,
     NotAPermutation,
     NotOrderable,
     Point,
@@ -46,18 +55,27 @@ from swarmperm import (
     Snapshot,
     SwarmError,
     Tolerance,
+    VoteTally,
     adversary_frames,
     analyze,
+    center_robot_index,
     centroid,
+    concentric_decomposition,
+    inner_polygon,
     inverse_transform,
     mirror_axes,
+    order_from_leader,
     rotational_order,
+    select_pivot,
     smallest_enclosing_circle,
     to_local_snapshot,
     transform,
     view_classes,
     visit_matrix,
+    vote_tally,
 )
+from swarmperm.engine import _MIN_ROTATION_GAP
+from swarmperm.geometry import _circle_two_points as circle_two_points
 from swarmperm.geometry import (
     ORIGIN,
     PointIndex,
@@ -67,9 +85,11 @@ from swarmperm.geometry import (
     inverse_transform_points,
     norm_angle,
     sweep_angle,
+    sweep_angle_xy,
     transform_points,
 )
-from swarmperm.ordering import _ray_groups, least_rotations
+from swarmperm.ordering import _ray_groups, get_vote, least_rotations
+from swarmperm.protocols import _hop_rank
 from swarmperm.verify import _match_index
 
 # --- reference: the Point-based kernels ----------------------------------
@@ -744,7 +764,14 @@ def _trace_of(configs) -> RunTrace:
 
 def _assert_index_identical(sites, queries, tol):
     """first_coincident_pair on both sets, the site match of every query,
-    and the visit matrix of a trace that visits the queries."""
+    and the visit matrix of a trace that visits the queries; on the sets as
+    given and mirrored across the diagonal, so sets laid along y, which put
+    every site in each query's x-window, are covered too."""
+    _assert_index_identical_once(sites, queries, tol)
+    _assert_index_identical_once(_swapped(sites), _swapped(queries), tol)
+
+
+def _assert_index_identical_once(sites, queries, tol):
     for pts in (sites, queries):
         assert first_coincident_pair(pts, tol) == ref_first_coincident_pair(pts, tol)
     index = PointIndex(sites, tol)
@@ -777,7 +804,6 @@ def test_index_matches_reference_on_corpus(eps):
         queries = [_moved(rng, p, eps) for p in sites]
         rng.shuffle(queries)
         _assert_index_identical(sites, queries, tol)
-        _assert_index_identical(_swapped(sites), _swapped(queries), tol)
         count += 1
     assert count > 90
 
@@ -815,16 +841,18 @@ def test_index_counts_every_site_within_eps():
     sites = [Point(5.0, 5.0), Point(0.3, 0.0), Point(-0.3, 0.0), Point(0.0, 0.0)]
     queries = [Point(0.0, 0.0), Point(5.0, 5.0), Point(9.0, 9.0), Point(0.1, 0.0)]
     _assert_index_identical(sites, queries, tol)
-    counts = visit_matrix(_trace_of([sites, queries, sites]), 1, tol)
-    assert counts[0] == [1, 1, 1, 1] and counts[3] == [0, 2, 2, 2]
+    for s_, q_ in ((sites, queries), (_swapped(sites), _swapped(queries))):
+        counts = visit_matrix(_trace_of([s_, q_, s_]), 1, tol)
+        assert counts[0] == [1, 1, 1, 1] and counts[3] == [0, 2, 2, 2]
 
 
 def test_first_coincident_pair_is_row_major():
     # the pair (1, 2) comes first in x, but (0, 3) comes first row by row
     pts = [Point(3.0, 0.0), Point(0.0, 0.0), Point(0.0, 1e-10), Point(3.0, 1e-10),
            Point(0.0, -1e-10)]
-    assert first_coincident_pair(pts, DEFAULT_TOL) == ref_first_coincident_pair(pts, DEFAULT_TOL)
-    assert first_coincident_pair(pts, DEFAULT_TOL) == (0, 3)
+    for variant in (pts, _swapped(pts)):
+        assert (first_coincident_pair(variant, DEFAULT_TOL)
+                == ref_first_coincident_pair(variant, DEFAULT_TOL) == (0, 3))
 
 
 _half_steps = st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4),
@@ -939,3 +967,376 @@ def test_ray_groups_match_reference(eps):
                 for hand in (CCW, CW):
                     assert (_ray_groups(pts, subset, c, hand, tol)
                             == ref_ray_groups(pts, subset, c, hand, tol))
+
+
+# --- reference: the Point-based centered path --------------------------------
+
+def ref_sweep_angle(u: Point, v: Point, handedness: str, tol: Tolerance) -> float:
+    """Angle swept rotating ray u onto ray v in the given handedness, in
+    [0, 2*pi): exactly 0 for rays aligned within eps, otherwise the ccw
+    angle, or 2*pi minus it for CW.  A vector no longer than eps (a unit
+    axis once eps >= 1) is never aligned, so CW also maps a 2*pi that only
+    rounding produced, as for an exactly aligned such vector, to 0."""
+    if tol.ray_aligned(u, v):
+        return 0.0
+    a = ccw_angle(u, v)
+    if handedness == CCW:
+        return a
+    cw = 2.0 * math.pi - a
+    return cw if cw < 2.0 * math.pi else 0.0
+
+
+def ref_concentric_decomposition(points, center: Point, tol: Tolerance = DEFAULT_TOL):
+    """Group points into circles about center by radius, innermost first;
+    layer 0 may be the degenerate center."""
+    if len(points) == 0:
+        raise EmptyConfiguration("decomposition of an empty point set")
+    order = sorted(range(len(points)), key=lambda i: (points[i].dist(center), points[i].x, points[i].y))
+    layers: list[Layer] = []
+    group: list[int] = []
+    group_ds: list[float] = []
+    for i in order:
+        d = points[i].dist(center)
+        if group and d - group_ds[-1] > tol.eps:
+            layers.append(Layer(math.fsum(group_ds) / len(group_ds), tuple(group)))
+            group, group_ds = [], []
+        group.append(i)
+        group_ds.append(d)
+        if group_ds[-1] - group_ds[0] > tol.eps:
+            raise AmbiguousLayering(
+                f"radius chain spans {group_ds[-1] - group_ds[0]:.3e} > eps about {center}")
+    layers.append(Layer(math.fsum(group_ds) / len(group_ds), tuple(group)))
+    return tuple(layers)
+
+
+def _ref_reach(r: float) -> float:
+    return r * (1.0 + _REL_EPS) + 1e-300
+
+
+def _ref_circum_circle(ax0, ay0, bx0, by0, cx0, cy0):
+    xlo, xhi = min(ax0, bx0, cx0), max(ax0, bx0, cx0)
+    ylo, yhi = min(ay0, by0, cy0), max(ay0, by0, cy0)
+    ox, oy = (xlo + xhi) / 2.0, (ylo + yhi) / 2.0
+    ax, ay = ax0 - ox, ay0 - oy
+    bx, by = bx0 - ox, by0 - oy
+    cx, cy = cx0 - ox, cy0 - oy
+    k = 0
+    if xhi - xlo > 2.0 ** 301 or yhi - ylo > 2.0 ** 301:
+        k = math.frexp(max(abs(ax), abs(ay), abs(bx), abs(by), abs(cx), abs(cy)))[1]
+        ax, ay, bx, by, cx, cy = (math.ldexp(v, -k) for v in (ax, ay, bx, by, cx, cy))
+    d = (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by)) * 2.0
+    if d == 0.0:
+        return None
+    qx = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
+          + (cx * cx + cy * cy) * (ay - by)) / d
+    qy = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
+          + (cx * cx + cy * cy) * (bx - ax)) / d
+    if k:
+        qx, qy = math.ldexp(qx, k), math.ldexp(qy, k)
+    x, y = ox + qx, oy + qy
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"point coordinates must be finite, got ({x}, {y})")
+    r = max(math.hypot(x - ax0, y - ay0), math.hypot(x - bx0, y - by0),
+            math.hypot(x - cx0, y - cy0))
+    return x, y, r
+
+
+def _ref_diameter_circle(ax, ay, bx, by):
+    x, y = (ax + bx) / 2.0, (ay + by) / 2.0
+    return x, y, max(math.hypot(x - ax, y - ay), math.hypot(x - bx, y - by))
+
+
+def ref_circle_two_points(xs, ys, count, px, py, qx, qy):
+    """Smallest circle through p and q enclosing the first count points."""
+    circ = _ref_diameter_circle(px, py, qx, qy)
+    cx, cy, cr = circ
+    reach = _ref_reach(cr)
+    left = right = None
+    left_cc = right_cc = 0.0
+    pqx, pqy = qx - px, qy - py
+    for i in range(count):
+        rx, ry = xs[i], ys[i]
+        if math.hypot(cx - rx, cy - ry) <= reach:
+            continue
+        cross = pqx * (ry - py) - pqy * (rx - px)
+        c = _ref_circum_circle(px, py, qx, qy, rx, ry)
+        if c is None:
+            continue
+        cc = pqx * (c[1] - py) - pqy * (c[0] - px)
+        if cross > 0.0 and (left is None or cc > left_cc):
+            left, left_cc = c, cc
+        elif cross < 0.0 and (right is None or cc < right_cc):
+            right, right_cc = c, cc
+    if left is None:
+        return circ if right is None else right
+    if right is None:
+        return left
+    return left if left[2] <= right[2] else right
+
+
+def ref_inner_polygon(points, tol: Tolerance = DEFAULT_TOL) -> tuple[int, ...]:
+    a = analyze(points, tol)
+    if len(points) < 3:
+        raise DegenerateReference("inner polygon needs at least 3 points")
+    c = a.sec.center
+    for layer in ref_concentric_decomposition(a, c, tol):
+        if layer.radius > tol.eps:
+            return tuple(sorted(
+                layer.indices,
+                key=lambda i: norm_angle(angle_of(points[i] - c))))
+    raise DegenerateReference("all points coincide with the center")
+
+
+def ref_get_vote(points, polygon, x_dir: Point, tol: Tolerance = DEFAULT_TOL) -> int:
+    center = analyze(points, tol).sec.center
+    scored = []
+    for v in polygon:
+        a = ref_sweep_angle(x_dir, points[v] - center, CW, tol)
+        scored.append((a, v))
+    best_a = min(a for a, _ in scored)
+    cluster = [(a, v) for a, v in scored if a <= best_a + tol.eps]
+    zero = [v for a, v in cluster if a == 0.0]
+    if zero:
+        return min(zero, key=lambda v: (points[v].x, points[v].y))
+    return min(cluster, key=lambda av: (points[av[1]].x, points[av[1]].y))[1]
+
+
+def ref_vote_tally(points, x_dirs, tol: Tolerance = DEFAULT_TOL) -> VoteTally:
+    a = analyze(points, tol)
+    polygon = ref_inner_polygon(a, tol)
+    counts = {v: 0 for v in polygon}
+    for d in x_dirs:
+        counts[ref_get_vote(a, polygon, d, tol)] += 1
+    return VoteTally(polygon=polygon, votes=tuple(counts[v] for v in polygon))
+
+
+def ref_order_from_leader(points, leader: int, tol: Tolerance = DEFAULT_TOL) -> CyclicOrder:
+    a = analyze(points, tol)
+    c = a.sec.center
+    u = points[leader] - c
+    if u.norm() <= tol.eps:
+        raise InvalidLeader("leader must not occupy the center")
+    center_idxs = [i for i, p in enumerate(points) if tol.same_point(p, c)]
+    rest = [i for i in range(len(points)) if i not in center_idxs]
+    rest.sort(key=lambda i: (ref_sweep_angle(u, points[i] - c, CW, tol), points[i].dist(c)))
+    return CyclicOrder(tuple(rest + center_idxs))
+
+
+def ref_select_pivot(points, tol: Tolerance = DEFAULT_TOL) -> int:
+    a = analyze(points, tol)
+    c = a.sec.center
+    ring = list(reversed(ref_inner_polygon(a, tol)))
+    m = len(ring)
+    us = [points[i] - c for i in ring]
+    gaps = [ref_sweep_angle(us[t], us[(t + 1) % m], CW, tol) for t in range(m)]
+    candidates = least_rotations(gaps, 1, tol)
+    xaxis = Point(1.0, 0.0)
+
+    def frame_key(s: int) -> tuple[float, float, float]:
+        return (ref_sweep_angle(xaxis, us[s], CW, tol), points[ring[s]].x, points[ring[s]].y)
+
+    return ring[min(candidates, key=frame_key)]
+
+
+def ref_hop_rank(points, p1, c: Point, ray_from: Point, tol: Tolerance) -> list[int]:
+    u0 = ray_from - c
+    return sorted(p1, key=lambda v: (ref_sweep_angle(u0, points[v] - c, CW, tol),
+                                    points[v].x, points[v].y))
+
+
+def ref_in_c_dot(points, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """k_without_center > 1, the rest's full rotational order."""
+    a = analyze(points, tol)
+    rc = center_robot_index(a, tol)
+    if rc is None or len(a) < 3:
+        return False
+    return ref_rotational_order([p for i, p in enumerate(a) if i != rc], tol) > 1
+
+
+def ref_distinct_rotations(n: int, seed: int) -> list[float]:
+    """The pairwise_distinct draw, each angle tested against every one so far."""
+    rng = random.Random(seed)
+    angles: list[float] = []
+    while len(angles) < n:
+        a = rng.uniform(0.0, 2.0 * math.pi)
+        if all(abs(a - b) > _MIN_ROTATION_GAP for b in angles):
+            angles.append(a)
+    return angles
+
+
+# --- the float centered path ---------------------------------------------------
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3, 1.0])
+def test_sweep_kernel_matches_reference(eps):
+    tol = Tolerance(eps)
+    rng = random.Random(78)
+    count = 0
+    for u, v in _vector_pairs(rng, eps):
+        for hand in (CCW, CW):
+            want = _bits(ref_sweep_angle(u, v, hand, tol))
+            assert _bits(sweep_angle(u, v, hand, tol)) == want
+            assert _bits(sweep_angle_xy(u.x, u.y, u.norm(), v.x, v.y, v.norm(), hand, eps)) == want
+            count += 1
+    assert count > 2000
+
+
+def _layers_bits(layers):
+    return tuple((_bits(layer.radius), layer.indices) for layer in layers)
+
+
+def _centered_sets(rng):
+    """Centered sets: regular polygons and rings about a robot at their
+    center, one to three rings, and the corpus's centered family."""
+    for k in (3, 4, 5, 6, 8, 12):
+        c = Point(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+        pts = regular_polygon(k, r=rng.uniform(0.5, 2.0), base=rng.uniform(0.0, 6.3), c=c)
+        if k % 2 == 0:
+            pts += regular_polygon(k, r=rng.uniform(2.5, 4.0), base=rng.uniform(0.0, 6.3), c=c)
+        yield pts + [c]
+    for n in (4, 5, 7, 9, 10, 13, 16):
+        yield rand_c_dot(rng, n)
+
+
+def _unit_dirs(rng, count):
+    return [Point(1.0, 0.0).rotated(rng.uniform(0.0, 2.0 * math.pi)) for _ in range(count)]
+
+
+def _assert_centered_path_identical(pts, tol, x_dirs):
+    """in_c_dot, layering about the circle center and the centroid, and,
+    with three points or more, the vote tally and each vote, the leader
+    order from every point, the pivot, and the hop rank from every point."""
+    a = analyze(pts, tol)
+    assert (_outcome(lambda: Analysis(pts, tol).in_c_dot)
+            == _outcome(lambda: ref_in_c_dot(pts, tol)))
+    c = a.sec.center
+    for center in (c, a.centroid):
+        assert (_outcome(lambda: _layers_bits(concentric_decomposition(pts, center, tol)))
+                == _outcome(lambda: _layers_bits(ref_concentric_decomposition(pts, center, tol))))
+    if len(pts) < 3:
+        return
+    polygon = _outcome(lambda: inner_polygon(pts, tol))
+    assert polygon == _outcome(lambda: ref_inner_polygon(pts, tol))
+    assert (_outcome(lambda: vote_tally(pts, x_dirs, tol))
+            == _outcome(lambda: ref_vote_tally(pts, x_dirs, tol)))
+    assert _outcome(lambda: select_pivot(pts, tol)) == _outcome(lambda: ref_select_pivot(pts, tol))
+    for leader in range(len(pts)):
+        assert (_outcome(lambda: order_from_leader(pts, leader, tol).seq)
+                == _outcome(lambda: ref_order_from_leader(pts, leader, tol).seq))
+    if polygon[0] != "ok":
+        return
+    for d in x_dirs:
+        assert get_vote(pts, polygon[1], d, tol) == ref_get_vote(pts, polygon[1], d, tol)
+    for p in pts:
+        assert _hop_rank(pts, polygon[1], c, p, tol) == ref_hop_rank(pts, polygon[1], c, p, tol)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3, 1.0])
+def test_centered_path_matches_reference_on_corpus(eps):
+    tol = Tolerance(eps)
+    rng = random.Random(79)
+    sets = list(_corpus_sets()) + list(_centered_sets(random.Random(80)))
+    for pts in sets:
+        frames = adversary_frames("random", pts, seed=len(pts))
+        x_dirs = list(to_local_snapshot(pts, frames, 0, visible=True).visible_frames)
+        x_dirs += _unit_dirs(rng, 4) + [Point(1.0, 0.0), Point(0.0, -1.0)]
+        _assert_centered_path_identical(pts, tol, x_dirs)
+        _assert_centered_path_identical(_swapped(pts), tol, x_dirs)
+    assert len(sets) > 100
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=2, max_size=9,
+                unique=True),
+       st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=6),
+       st.sampled_from([1e-9, 0.5, 1.0]))
+def test_centered_path_matches_reference_on_lattice_ties(xys, dirs, eps):
+    """Half-integer lattice sets with a robot at the origin, where radii,
+    angles and point sorts tie exactly and directions lie on vertex rays."""
+    pts = [Point(0.0, 0.0)] + [Point(x / 2.0, y / 2.0) for x, y in xys if (x, y) != (0, 0)]
+    x_dirs = [Point(dx / 2.0, dy / 2.0) for dx, dy in dirs if (dx, dy) != (0, 0)]
+    _assert_centered_path_identical(pts, Tolerance(eps), x_dirs or [Point(1.0, 0.0)])
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1.0, 2.0])
+@pytest.mark.parametrize("k", [3, 4, 6, 8])
+def test_votes_match_reference_at_exact_alignments(k, eps):
+    """Frame directions exactly on a vertex ray, at full length, at unit
+    length (no longer than eps once eps >= 1), and short of it."""
+    tol = Tolerance(eps)
+    ring = [Point(3.0, 0.0), Point(0.0, 3.0), Point(-3.0, 0.0), Point(0.0, -3.0)]
+    if k != 4:
+        ring = regular_polygon(k, r=3.0, base=0.0, c=Point(0.0, 0.0))
+    pts = ring + [Point(0.0, 0.0)]
+    x_dirs = []
+    for p in ring:
+        n = p.norm()
+        x_dirs += [p, Point(p.x / n, p.y / n), p * 0.125, p * (eps / n)]
+    x_dirs += [Point(-p.x, -p.y) for p in x_dirs]
+    _assert_centered_path_identical(pts, tol, x_dirs)
+    _assert_centered_path_identical(_swapped(pts), tol, x_dirs)
+
+
+@pytest.mark.parametrize("eps, base", [(1e-3, 0.75e-3), (1e-3, -0.75e-3), (0.75, 0.3),
+                                       (0.75, -0.3)])
+def test_pivot_matches_reference_near_the_x_axis(eps, base):
+    """A vertex turned off the +x axis by less than eps, but by more than
+    eps / 2, sweeps 0 from it."""
+    for k in (3, 4, 6):
+        pts = regular_polygon(k, base=base, c=Point(0.0, 0.0)) + [Point(0.0, 0.0)]
+        _assert_centered_path_identical(pts, Tolerance(eps), [Point(1.0, 0.0)])
+
+
+def test_votes_match_reference_at_the_cluster_edge():
+    """A vertex exactly eps past the nearest one, clockwise, joins the
+    cluster and wins it on the point sort."""
+    ring = [Point(3.0, 0.0), Point(0.0, 3.0), Point(-3.0, 0.0), Point(0.0, -3.0)]
+    pts = ring + [Point(0.0, 0.0)]
+    d = Point(math.cos(math.radians(5.0)), math.sin(math.radians(5.0)))
+    first = ref_sweep_angle(d, ring[0], CW, Tolerance(1.0))
+    edge = ref_sweep_angle(d, ring[3], CW, Tolerance(1.0))
+    tol = Tolerance(edge - first)
+    assert first + tol.eps == edge
+    assert ref_get_vote(pts, ref_inner_polygon(pts, tol), d, tol) == 3
+    _assert_centered_path_identical(pts, tol, [d])
+
+
+def test_circle_two_points_matches_reference():
+    """Every pair of a set as p and q, over every prefix, on random and
+    lattice sets, where mirror-image third points tie the two circles."""
+    rng = random.Random(81)
+    sets = [rand_points(rng, n) for n in (3, 5, 8, 12)]
+    sets += [[Point(float(x), float(y)) for x, y in ((-1, 0), (1, 0), (0, 2), (0, -2), (0, 1))]]
+    sets += [[Point(rng.randint(-4, 4) / 2.0, rng.randint(-4, 4) / 2.0) for _ in range(9)]
+             for _ in range(20)]
+    for pts in sets:
+        for variant in (pts, _swapped(pts)):
+            xs = [p.x for p in variant]
+            ys = [p.y for p in variant]
+            for i, p in enumerate(variant):
+                for q in variant[i + 1:]:
+                    for count in range(len(variant) + 1):
+                        args = (xs, ys, count, p.x, p.y, q.x, q.y)
+                        assert (_bits(*circle_two_points(*args))
+                                == _bits(*ref_circle_two_points(*args)))
+
+
+def test_in_c_dot_stops_at_second_rotation(monkeypatch):
+    """in_c_dot tests two rotations of a 12-fold ring, where the full
+    count, which k_without_center keeps, tests all twelve."""
+    calls = []
+    matches = PointIndex.matches
+    monkeypatch.setattr(PointIndex, "matches",
+                        lambda self, images: calls.append(1) or matches(self, images))
+    pts = regular_polygon(12, c=Point(0.0, 0.0)) + [Point(0.0, 0.0)]
+    assert Analysis(pts, DEFAULT_TOL).in_c_dot and len(calls) == 2
+    calls.clear()
+    assert Analysis(pts, DEFAULT_TOL).k_without_center == 12 and len(calls) == 12
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n", [3, 10, 100, 1000, 3142])
+def test_pairwise_distinct_frames_match_reference_loop(n, seed):
+    frames = adversary_frames("pairwise_distinct", [Point(0.0, 0.0)] * n, seed=seed)
+    assert [float.hex(f.rotation) for f in frames] == [
+        float.hex(a) for a in ref_distinct_rotations(n, seed)]
+    assert all(not f.mirror and f.scale == 1.0 for f in frames)
