@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import DuplicatePoints, NotOrderable
@@ -73,10 +74,15 @@ class ConfigClass:
 class Analysis(tuple):
     """A tuple of points that computes what the protocols ask of it, each
     part at most once, on first use, by calling the public function that a
-    standalone query calls.  The one exception is `in_c_dot`, which counts
+    standalone query calls.  There are two exceptions.  `in_c_dot` counts
     the rotations of the robots other than the center robot through the
-    private helper behind `rotational_order` and stops at the second.  A
-    protocol builds one per snapshot and drops it when the step returns."""
+    private helper behind `rotational_order` and stops at the second.
+    `no_center_robot` bounds the enclosing radius by the bounding box on
+    raw floats and never builds the circle.  Only `CENTERED` reads it: the
+    refusing protocols use the circle for nothing else, while the centered
+    steps go on to use it, and on their snapshots a robot sits at or near
+    the center, so the bound never decides there.  A protocol builds one
+    per snapshot and drops it when the step returns."""
 
     def __new__(cls, points: Iterable[Point], tol: Tolerance = DEFAULT_TOL):
         self = super().__new__(cls, points)
@@ -92,6 +98,12 @@ class Analysis(tuple):
     def center_index(self) -> int | None:
         """The unique robot on the circle center, or None."""
         return center_robot_index(self, self.tol)
+
+    @cached_property
+    def no_center_robot(self) -> bool:
+        """True when a bound shows that no robot lies within eps of the
+        enclosing circle's center; False decides nothing."""
+        return _no_center_robot(self, self.tol.eps)
 
     @cached_property
     def without_center(self) -> Analysis | None:
@@ -293,6 +305,35 @@ def center_robot_index(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) ->
     return hits[0] if len(hits) == 1 else None
 
 
+# The circle of `smallest_enclosing_circle` holds every robot within
+# r(1 + 1e-14) + 1e-300 of its center, and its radius r exceeds by at most
+# a factor 1 + 1e-12 the distance R from any point, here the bounding-box
+# center, to the farthest robot (tests/test_geometry.py holds both facts).
+# So a robot within eps of the center is within R(1 + _BOX_SLACK) + eps +
+# 1e-300 of every robot, the slack covering those factors and the rounding
+# of R and of the test.
+_BOX_SLACK = 1e-6
+
+
+def _no_center_robot(points: Sequence[Point], eps: float) -> bool:
+    """True when every robot has an axis-extreme robot farther than that
+    bound from it, so none is the center robot."""
+    if not points:  # the circle raises EmptyConfiguration
+        return False
+    pts = [(p.x, p.y) for p in points]
+    west, east = min(pts), max(pts)
+    south, north = min(pts, key=itemgetter(1)), max(pts, key=itemgetter(1))
+    # halves before the sum: the center stays finite for every finite box
+    bx, by = 0.5 * west[0] + 0.5 * east[0], 0.5 * south[1] + 0.5 * north[1]
+    reach = max(math.hypot(x - bx, y - by) for x, y in pts)
+    bound = reach * (1.0 + _BOX_SLACK) + eps + 1e-300
+    extremes = (west, east, south, north)
+    for x, y in pts:
+        if all(math.hypot(x - ex, y - ey) <= bound for ex, ey in extremes):
+            return False
+    return True
+
+
 def classify(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> ConfigClass:
     """Feasibility-relevant classification of a configuration."""
     a = analyze(points, tol)
@@ -320,8 +361,9 @@ class Obstruction:
             raise NotOrderable(self.message)
 
 
-CENTERED = Obstruction(lambda a: a.in_c_dot, "centered symmetric class, which defeats "
-                       "every memoryless one-step rule (demo thm2)")
+CENTERED = Obstruction(lambda a: not a.no_center_robot and a.in_c_dot,
+                       "centered symmetric class, which defeats every memoryless "
+                       "one-step rule (demo thm2)")
 ONE_ROBOT_AXIS = Obstruction(lambda a: any(len(on) == 1 for on in a.axis_robots),
                              "a mirror axis carries exactly one robot (demo thm5)")
 BLOCKING_AXES = Obstruction(lambda a: len(a.mirror_axes) > 1 or any(a.axis_robots),

@@ -173,6 +173,8 @@ def visit_matrix(trace, stride: int = 1,
                  tol: Tolerance = DEFAULT_TOL) -> list[list[int]]:
     """count[i][l] = rounds (sampled every `stride`, final round dropped
     as the cycle closer) in which robot i stands on initial location l."""
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
     records = trace.records
     base = records[0].positions
     n = len(base)

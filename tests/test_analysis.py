@@ -1,5 +1,6 @@
 """The per-snapshot Analysis against the standalone functions it replaces,
-and the calls one protocol step makes into the expensive layers."""
+and the calls one protocol step makes into the expensive layers and the
+enclosing circle."""
 
 import random
 import sys
@@ -39,6 +40,7 @@ from swarmperm import (
     robots_on_axis,
     rotational_order,
     smallest_enclosing_circle,
+    to_local_snapshot,
 )
 
 
@@ -192,3 +194,53 @@ def test_one_bit_compute_skips_mirror_axes_and_repeats_no_circle(monkeypatch):
         assert len(circles) == len(set(circles))
         most = max(most, len(circles))
     assert most > 1  # reconstruct ran and analysed candidate configurations
+
+
+# --- the centered guard's bound ----------------------------------------------
+
+def _snapshots(pts, kind):
+    frames = adversary_frames(kind, pts, seed=len(pts))
+    return [to_local_snapshot(pts, frames, i, visible=True) for i in range(len(pts))]
+
+
+def test_refusing_steps_build_no_circle_where_the_bound_decides():
+    """The three protocols that refuse the centered class, on snapshots
+    where the bounding-box bound rules out a center robot, which certifies
+    them generic: their steps then never build the enclosing circle."""
+    rng = random.Random(63)
+    generic = [rand_non_c_dot(rng, n) for n in (3, 5, 8, 12, 20)]
+    cases = {
+        "VisitAllChirality": ("pairwise_distinct", generic),
+        "MoveAllNoChirality": ("random", generic + [
+            rand_central_symmetric(rng, 4), pinwheel_config(rng, 5),
+            dihedral_config(rng, 4, on_axis_pairs=True)]),
+        "VisitAllNoChirality": ("random", generic + [unique_empty_axis_config(rng, 4)]),
+    }
+    for protocol_id, (kind, sets) in cases.items():
+        proto = make_protocol(protocol_id)
+        certified = total = 0
+        for pts in sets:
+            for snap in _snapshots(pts, kind):
+                total += 1
+                if not Analysis(snap.local_points, proto.tol).no_center_robot:
+                    continue
+                certified += 1
+                a = Analysis(snap.local_points, proto.tol)
+                proto.step(a, snap, 0)
+                assert "sec" not in vars(a), protocol_id
+        assert certified >= 0.75 * total, protocol_id
+
+
+def test_centered_steps_still_build_the_circle():
+    """OneBit and Voting read the centered test on every snapshot and go on
+    to use the circle, so they build it and never ask the bound."""
+    rng = random.Random(64)
+    sets = [rand_c_dot(rng, n, k) for n, k in ((3, 2), (4, 3), (5, 2), (7, 3), (9, 4))]
+    for protocol_id in ("OneBitVisitAll", "VotingVisitAll"):
+        proto = make_protocol(protocol_id)
+        for pts in sets:
+            for snap in _snapshots(pts, "pairwise_distinct"):
+                for bit in (0, 1):
+                    a = Analysis(snap.local_points, proto.tol)
+                    proto.step(a, snap, bit)
+                    assert "sec" in vars(a) and "no_center_robot" not in vars(a)

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from corpus import oracle_sec, rand_points
+from corpus import collinear_config, oracle_sec, rand_points, regular_polygon
 
 from swarmperm import (
     AmbiguousLayering,
@@ -104,6 +104,45 @@ def test_sec_matches_oracle_small():
         cx, cy, r = oracle_sec(pts)
         assert abs(got.radius - r) < 1e-9
         assert got.center.dist(Point(cx, cy)) < 1e-9
+
+
+def _bound_sets():
+    """Criterion 01's sets at scale 1, then collinear, cocircular and
+    near-duplicate sets at scales 1e-12 to 1e12, each with the oracle's
+    center of its unscaled set, scaled alongside."""
+    rng = random.Random(101)
+    for _ in range(1000):
+        pts = rand_points(rng, rng.randint(2, 12))
+        yield pts, oracle_sec(pts)[:2]
+    rng = random.Random(7)
+    shapes = [collinear_config(rng, n) for n in (2, 3, 6, 11)]
+    shapes += [regular_polygon(k, r=rng.uniform(0.5, 3.0), base=rng.uniform(0.0, 6.3))
+               for k in (3, 4, 7, 12)]
+    shapes += [[Point(2.0 * math.cos(t), 2.0 * math.sin(t))
+                for t in sorted(rng.uniform(0.0, 6.3) for _ in range(9))]]
+    for gap in (1e-15, 1e-9, 1e-6):
+        base = rand_points(rng, 6)
+        shapes.append(base + [Point(p.x + gap, p.y - gap) for p in base[:3]])
+    for pts in shapes:
+        ox, oy, _ = oracle_sec(pts)
+        for e in range(-12, 13):
+            s = 10.0 ** e
+            yield [Point(p.x * s, p.y * s) for p in pts], (ox * s, oy * s)
+
+
+def test_sec_holds_the_facts_the_centered_bound_rests_on():
+    """Every point lies within the circle's own reach r(1 + 1e-14) + 1e-300
+    of its center, and r is at most F(o)(1 + 1e-12), where F(o) is the
+    distance from the oracle's center o to the farthest point: no circle
+    centered anywhere is smaller than the enclosing one."""
+    count = 0
+    for pts, (ox, oy) in _bound_sets():
+        got = smallest_enclosing_circle(pts)
+        cx, cy, r = got.center.x, got.center.y, got.radius
+        assert all(math.hypot(p.x - cx, p.y - cy) <= r * (1.0 + 1e-14) + 1e-300 for p in pts)
+        assert r <= max(math.hypot(p.x - ox, p.y - oy) for p in pts) * (1.0 + 1e-12)
+        count += 1
+    assert count == 1000 + 12 * 25
 
 
 def test_sec_order_invariance():

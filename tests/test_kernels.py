@@ -4,7 +4,8 @@ sweep angle and least-rotation scan against the copies they replaced, the
 x-sorted point index and the float snapshot path against the scans and Point
 arithmetic they replaced, and the float centered path (sweep kernel, votes,
 leader order, pivot, hop rank, layering, two-point circle and the centered
-test) against the Point code it replaced.
+test) against the Point code it replaced, and the centered guard's
+bounding-box bound against the centered test it short-cuts.
 
 The reference functions below are verbatim copies of those versions.
 Every comparison is exact: floats are compared through float.hex, so even
@@ -90,6 +91,7 @@ from swarmperm.geometry import (
 )
 from swarmperm.ordering import _ray_groups, get_vote, least_rotations
 from swarmperm.protocols import _hop_rank
+from swarmperm.symmetry import CENTERED
 from swarmperm.verify import _match_index
 
 # --- reference: the Point-based kernels ----------------------------------
@@ -1340,3 +1342,63 @@ def test_pairwise_distinct_frames_match_reference_loop(n, seed):
     assert [float.hex(f.rotation) for f in frames] == [
         float.hex(a) for a in ref_distinct_rotations(n, seed)]
     assert all(not f.mirror and f.scale == 1.0 for f in frames)
+
+
+# --- the centered guard's bounding-box bound --------------------------------
+
+_SCALES = [10.0 ** e for e in range(-12, 13)]
+_NEAR_CENTER = (0.0, 0.5, 0.999, 1.001, 2.0, 1e3, 1e6)
+
+
+def _variants(pts, scales=_SCALES):
+    """pts at each scale, with its x/y swap and its mirror image."""
+    for scale in scales:
+        scaled = [Point(p.x * scale, p.y * scale) for p in pts]
+        yield from (scaled, _swapped(scaled), [Point(-p.x, p.y) for p in scaled])
+
+
+def _assert_guard_matches_in_c_dot(pts, tol) -> bool:
+    """CENTERED against in_c_dot, the predicate it guarded with before the
+    bound, and the bound never deciding where a center robot stands.
+    True when the bound decided."""
+    a = Analysis(pts, tol)
+    assert _outcome(lambda: CENTERED.holds(a)) == _outcome(lambda: Analysis(pts, tol).in_c_dot)
+    decided = a.no_center_robot
+    assert not (decided and center_robot_index(pts, tol) is not None)
+    return decided
+
+
+def _guard_sets():
+    return list(_corpus_sets()) + list(_centered_sets(random.Random(80)))
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3, 1.0])
+def test_centered_guard_matches_in_c_dot_across_scales(eps):
+    tol = Tolerance(eps)
+    decided = count = 0
+    for pts in _guard_sets():
+        for variant in _variants(pts):
+            decided += _assert_guard_matches_in_c_dot(variant, tol)
+            count += 1
+    assert count > 8000
+    # the bound decides where the scale leaves eps small against the set
+    assert decided > count // 4
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3, 1.0])
+def test_centered_guard_matches_in_c_dot_near_the_center(eps):
+    """A robot added at the computed circle center plus t eps, on either
+    side of the eps cut of center_robot_index and beyond it.  Every third
+    scale: at the large ones, where eps is below the rounding of the
+    coordinates, the slack of the bound decides."""
+    tol = Tolerance(eps)
+    rng = random.Random(82)
+    count = 0
+    for pts in _guard_sets():
+        u = Point(1.0, 0.0).rotated(rng.uniform(0.0, 2.0 * math.pi))
+        for variant in _variants(pts, _SCALES[::3]):
+            c = smallest_enclosing_circle(variant, tol).center
+            for t in _NEAR_CENTER:
+                _assert_guard_matches_in_c_dot(variant + [c + u * (t * eps)], tol)
+                count += 1
+    assert count > 20000

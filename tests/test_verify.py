@@ -209,3 +209,11 @@ def test_visit_matrix_stride_skips_intermediates():
     trace = _fake_trace(rounds)
     mat = visit_matrix(trace, stride=2)
     assert all(v == 1 for row in mat for v in row)  # each site hit exactly once
+
+
+@pytest.mark.parametrize("stride", [0, -1, -2])
+def test_visit_matrix_refuses_a_stride_below_one(stride):
+    # a negative stride would sample the rounds backwards
+    trace = _trace("VisitAllChirality", SQUARE[:3], 3)
+    with pytest.raises(ValueError, match="stride must be >= 1"):
+        visit_matrix(trace, stride=stride)
