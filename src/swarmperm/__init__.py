@@ -4,7 +4,6 @@ look-compute-move scheduler."""
 
 from .errors import (
     AmbiguousLayering,
-    CentroidQuery,
     CollisionDetected,
     DecodeFailure,
     DegenerateReference,
@@ -56,7 +55,6 @@ from .ordering import (
     VoteTally,
     agree_chirality,
     inner_polygon,
-    next_point,
     order_from_leader,
     order_with_chirality,
     order_without_chirality,

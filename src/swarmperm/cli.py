@@ -174,9 +174,12 @@ def cmd_classify(args) -> int:
         a = analyze(scn.points, tol)
         rep = symmetry_report(a, tol)
         cls = classify(a, tol)
+        refusals = {pid: refusal(pid, a) for pid in PROTOCOL_IDS}
     except SwarmError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
+    except ValueError as exc:  # an intermediate left the finite floats
+        raise ScenarioError(f"coordinates too large to analyse: {exc}") from exc
     print(f"n={len(scn.points)}")
     print(f"symmetricity rho={rep.rho}")
     print(f"rotational_order={rep.rotational_order}")
@@ -189,8 +192,7 @@ def cmd_classify(args) -> int:
     print(f"axis_with_single_robot={'yes' if cls.axis_with_single_robot else 'no'}")
     print(f"unique_empty_axis={'yes' if cls.unique_axis_no_robots else 'no'}")
     print("feasibility:")
-    for pid in PROTOCOL_IDS:
-        err = refusal(pid, a)
+    for pid, err in refusals.items():
         print(f"  {pid}: " + ("feasible" if err is None
                               else f"infeasible - {type(err).__name__}: {err}"))
     return EXIT_OK

@@ -40,10 +40,6 @@ class MirrorSymmetric(SwarmError):
     pass
 
 
-class CentroidQuery(SwarmError):
-    pass
-
-
 class VoteTie(SwarmError):
     pass
 

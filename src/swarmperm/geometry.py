@@ -270,13 +270,22 @@ def first_coincident_pair(points: Sequence[Point], tol: Tolerance) -> tuple[int,
     return best
 
 
+def _mean(values: list[float]) -> float:
+    """math.fsum(values) / len(values).  Only when that sum overflows, the
+    values are first scaled by a power of two below 1 / len(values), which
+    is exact, so the mean of finite values stays finite."""
+    n = len(values)
+    try:
+        return math.fsum(values) / n
+    except OverflowError:
+        k = n.bit_length()
+        return math.ldexp(math.fsum(math.ldexp(v, -k) for v in values) / n, k)
+
+
 def centroid(points: Sequence[Point]) -> Point:
     if len(points) == 0:
         raise EmptyConfiguration("centroid of an empty point set")
-    sx = math.fsum(p.x for p in points)
-    sy = math.fsum(p.y for p in points)
-    n = len(points)
-    return Point(sx / n, sy / n)
+    return Point(_mean([p.x for p in points]), _mean([p.y for p in points]))
 
 
 # --- smallest enclosing circle ------------------------------------------
@@ -424,14 +433,14 @@ def concentric_decomposition(points: Sequence[Point], center: Point,
     for i in sorted(range(len(points)), key=keys.__getitem__):
         d = keys[i][0]
         if group and d - group_ds[-1] > tol.eps:
-            layers.append(Layer(math.fsum(group_ds) / len(group_ds), tuple(group)))
+            layers.append(Layer(_mean(group_ds), tuple(group)))
             group, group_ds = [], []
         group.append(i)
         group_ds.append(d)
         if group_ds[-1] - group_ds[0] > tol.eps:
             raise AmbiguousLayering(
                 f"radius chain spans {group_ds[-1] - group_ds[0]:.3e} > eps about {center}")
-    layers.append(Layer(math.fsum(group_ds) / len(group_ds), tuple(group)))
+    layers.append(Layer(_mean(group_ds), tuple(group)))
     return tuple(layers)
 
 

@@ -15,7 +15,6 @@ from functools import cmp_to_key
 from typing import Sequence
 
 from .errors import (
-    CentroidQuery,
     DegenerateReference,
     DuplicatePoints,
     InvalidLeader,
@@ -35,7 +34,6 @@ from .geometry import (
     first_coincident_pair,
     norm_angle,
     offsets,
-    sweep_angle,
     sweep_angle_xy,
 )
 from .symmetry import BLOCKING_AXES, CENTERED, Analysis, Axis, analyze
@@ -203,44 +201,6 @@ def least_rotations(flat: Sequence[float], width: int, tol: Tolerance) -> list[i
     return [s for s in range(m) if _cmp_seq(rot(s), rot(best), tol) == 0]
 
 
-def next_point(points: Sequence[Point], r_idx: int, handedness: str = CCW,
-               tol: Tolerance = DEFAULT_TOL) -> int:
-    """Successor of points[r_idx] under the rotating-ray sweep about the
-    centroid: the nearest strictly-farther point on the own ray if any,
-    else the closest point on the next ray in sweep direction.
-
-    Points at the centroid are excluded from the scan.
-    """
-    a = analyze(points, tol)
-    _check_handedness(handedness)
-    c = a.centroid
-    vr = points[r_idx] - c
-    dr = vr.norm()
-    if dr <= tol.eps:
-        raise CentroidQuery("the sweep successor is undefined for the centroid point")
-    same_ray: list[int] = []
-    others: list[tuple[float, float, int]] = []
-    for j in range(len(points)):
-        if j == r_idx:
-            continue
-        vj = points[j] - c
-        dj = vj.norm()
-        if dj <= tol.eps:
-            continue
-        if tol.ray_aligned(vr, vj):
-            same_ray.append(j)
-        else:
-            others.append((sweep_angle(vr, vj, handedness, tol), dj, j))
-    farther = [j for j in same_ray if tol.gt(points[j].dist(c), dr)]
-    if farther:
-        return min(farther, key=lambda j: points[j].dist(c))
-    if others:
-        return min(others)[2]
-    if same_ray:  # wrap around the full sweep back onto the own ray
-        return min(same_ray, key=lambda j: points[j].dist(c))
-    raise NotOrderable("no other point to sweep to")
-
-
 def order_with_chirality(points: Sequence[Point], handedness: str = CCW,
                          tol: Tolerance = DEFAULT_TOL) -> CyclicOrder:
     """Cyclic order by sweeping a ray about the centroid in the given
@@ -357,15 +317,16 @@ def orient_axis(points: Sequence[Point], axis: Axis, tol: Tolerance = DEFAULT_TO
     """Canonical orientation for a mirror axis: of the two unit directions,
     keep the one whose sorted (along-axis, off-axis distance) profile is
     lexicographically smaller.  A tie would force a second perpendicular
-    axis, which callers exclude."""
-    c = axis.point
+    axis, which callers exclude.  Runs on raw floats with the operation
+    order of `u.dot(p - c)` and `u.cross(p - c)`, each p - c taken once."""
+    cx, cy = axis.point.x, axis.point.y
+    vecs = [(p.x - cx, p.y - cy) for p in points]
 
-    def profile(u: Point) -> list[float]:
-        rows = sorted((u.dot(p - c), abs(u.cross(p - c))) for p in points)
-        return _flatten(rows)
+    def profile(ux: float, uy: float) -> list[float]:
+        return _flatten(sorted((ux * vx + uy * vy, abs(ux * vy - uy * vx)) for vx, vy in vecs))
 
     u = axis.direction
-    cmp = _cmp_seq(profile(u), profile(-u), tol)
+    cmp = _cmp_seq(profile(u.x, u.y), profile(-u.x, -u.y), tol)
     if cmp == 0:
         raise NotOrderable("axis orientation is ambiguous")
     return u if cmp < 0 else -u
@@ -377,7 +338,9 @@ def order_without_chirality(points: Sequence[Point], tol: Tolerance = DEFAULT_TO
     No axes: derive a handedness from the asymmetry and sweep.  Exactly
     one axis with no point on it: orient the axis, split by side, sort
     each side by (along-axis coordinate, distance from axis), concatenate.
-    Anything else is the BLOCKING_AXES obstruction.
+    Anything else is the BLOCKING_AXES obstruction.  The side split and
+    the sort keys run on raw floats with the operation order of
+    `u.cross(p - c)` and `u.dot(p - c)`.
     """
     a = analyze(points, tol)
     _check_distinct(points, tol)
@@ -387,14 +350,18 @@ def order_without_chirality(points: Sequence[Point], tol: Tolerance = DEFAULT_TO
         return order_with_chirality(a, agree_chirality(a, tol), tol)
     BLOCKING_AXES.check(a)
     u = orient_axis(a, axes[0], tol)
+    ux, uy = u.x, u.y
     c = axes[0].point
-
-    def key(i: int) -> tuple[float, float]:
-        v = points[i] - c
-        return (u.dot(v), abs(u.cross(v)))
-
-    side_a = sorted((i for i in range(len(points)) if u.cross(points[i] - c) > 0.0), key=key)
-    side_b = sorted((i for i in range(len(points)) if u.cross(points[i] - c) <= 0.0), key=key)
+    cx, cy = c.x, c.y
+    crosses: list[float] = []
+    keys: list[tuple[float, float]] = []
+    for p in points:
+        vx, vy = p.x - cx, p.y - cy
+        cross = ux * vy - uy * vx
+        crosses.append(cross)
+        keys.append((ux * vx + uy * vy, abs(cross)))
+    side_a = sorted((i for i, cr in enumerate(crosses) if cr > 0.0), key=keys.__getitem__)
+    side_b = sorted((i for i, cr in enumerate(crosses) if cr <= 0.0), key=keys.__getitem__)
     return CyclicOrder(tuple(side_a + side_b))
 
 

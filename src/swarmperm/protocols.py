@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 from .errors import (
     AmbiguousLayering,
     DecodeFailure,
+    DuplicatePoints,
     EmptyConfiguration,
     InvalidCaller,
     InvalidFrame,
@@ -49,8 +50,7 @@ from .ordering import (
     orient_axis,
     voting_elect,
 )
-from .symmetry import (BLOCKING_AXES, CENTERED, ONE_ROBOT_AXIS, Analysis, analyze,
-                       symmetry_report)
+from .symmetry import BLOCKING_AXES, CENTERED, ONE_ROBOT_AXIS, Analysis, analyze
 
 THIRD_TURN = 2.0 * math.pi / 3.0
 
@@ -423,30 +423,37 @@ def visit_all_chirality_step(a: Analysis, snapshot, bit: int) -> tuple[Point, in
 
 
 def move_all_no_chirality_step(a: Analysis, snapshot, bit: int) -> tuple[Point, int]:
-    """One-round total relocation without a shared clockwise notion."""
+    """One-round total relocation without a shared clockwise notion.
+
+    After the centered guard the decision reads, in order: the duplicate
+    check of `symmetricity_rho`; central symmetry, an even rotational
+    order, which reflects every robot through the centroid; and only then
+    the mirror axes and the robots on them, or the agreed sweep order
+    when there are none."""
     tol = a.tol
     own = snapshot.own_index
     p = a[own]
     CENTERED.check(a)
-    rep = symmetry_report(a, tol)
+    if first_coincident_pair(a, tol) is not None:
+        raise DuplicatePoints("symmetricity is undefined for coincident points")
     c = a.centroid
-    if rep.is_central_symmetric:
+    if a.rotational_order % 2 == 0:
         return c * 2.0 - p, bit
-    if not rep.mirror_axes:
+    axes = a.mirror_axes
+    if not axes:
         h = agree_chirality(a, tol)
         order = order_with_chirality(a, h, tol)
         return a[order.successor(own)], bit
     ONE_ROBOT_AXIS.check(a)
     mine = [t for t, on in enumerate(a.axis_robots) if own in on]
     if mine:
-        ax = rep.mirror_axes[mine[0]]
+        ax = axes[mine[0]]
         u = orient_axis(a, ax, tol)
         on = sorted(a.axis_robots[mine[0]], key=lambda i: u.dot(a[i] - ax.point))
         return a[on[(on.index(own) + 1) % len(on)]], bit
-    dists = sorted((abs(ax.direction.cross(p - ax.point)), t)
-                   for t, ax in enumerate(rep.mirror_axes))
+    dists = sorted((abs(ax.direction.cross(p - ax.point)), t) for t, ax in enumerate(axes))
     if len(dists) == 1 or tol.gt(dists[1][0], dists[0][0]):
-        ax = rep.mirror_axes[dists[0][1]]
+        ax = axes[dists[0][1]]
         v = p - ax.point
         d = ax.direction
         return ax.point + d * (2.0 * d.dot(v)) - v, bit

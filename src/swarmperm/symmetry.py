@@ -54,6 +54,10 @@ class Axis:
 
 @dataclass(frozen=True)
 class SymmetryReport:
+    """Every symmetry fact of a configuration at once, for `swarmperm
+    classify` and the tests.  Protocol steps read the `Analysis` instead,
+    and only the facts their branch decides on."""
+
     rho: int
     rotational_order: int
     mirror_axes: tuple[Axis, ...]
@@ -262,11 +266,14 @@ def _reflected(points: Sequence[Point], cx: float, cy: float, axis_angle: float)
 
 
 def robots_on_axis(points: Sequence[Point], axis: Axis, tol: Tolerance = DEFAULT_TOL) -> tuple[int, ...]:
-    out = []
-    for i, p in enumerate(points):
-        if abs((p - axis.point).cross(axis.direction)) <= tol.eps * max(1.0, axis.direction.norm()):
-            out.append(i)
-    return tuple(out)
+    """Indices of the robots within eps of the axis line (eps times the
+    direction's norm when that exceeds 1).  Runs on raw floats with the
+    operation order of `(p - axis.point).cross(axis.direction)`."""
+    cx, cy = axis.point.x, axis.point.y
+    dx, dy = axis.direction.x, axis.direction.y
+    bound = tol.eps * max(1.0, math.hypot(dx, dy))
+    return tuple(i for i, p in enumerate(points)
+                 if abs((p.x - cx) * dy - (p.y - cy) * dx) <= bound)
 
 
 def symmetricity_rho(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> int:
@@ -282,6 +289,9 @@ def symmetricity_rho(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> i
 
 
 def symmetry_report(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> SymmetryReport:
+    """The SymmetryReport of the points, for `swarmperm classify` and the
+    tests; it builds the mirror axes and the robots on each even where a
+    step would not read them."""
     a = analyze(points, tol)
     rho = symmetricity_rho(a, tol)
     order = a.rotational_order
@@ -327,9 +337,10 @@ def _no_center_robot(points: Sequence[Point], eps: float) -> bool:
     bx, by = 0.5 * west[0] + 0.5 * east[0], 0.5 * south[1] + 0.5 * north[1]
     reach = max(math.hypot(x - bx, y - by) for x, y in pts)
     bound = reach * (1.0 + _BOX_SLACK) + eps + 1e-300
-    extremes = (west, east, south, north)
+    (wx, wy), (ex, ey), (sx, sy), (nx, ny) = west, east, south, north
     for x, y in pts:
-        if all(math.hypot(x - ex, y - ey) <= bound for ex, ey in extremes):
+        if (math.hypot(x - wx, y - wy) <= bound and math.hypot(x - ex, y - ey) <= bound
+                and math.hypot(x - sx, y - sy) <= bound and math.hypot(x - nx, y - ny) <= bound):
             return False
     return True
 

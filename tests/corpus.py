@@ -13,13 +13,19 @@ import random
 from typing import Sequence
 
 from swarmperm import (
+    CCW,
+    DEFAULT_TOL,
     Frame,
+    NotOrderable,
     Point,
+    Tolerance,
+    centroid,
     classify,
     mirror_axes,
     robots_on_axis,
     symmetry_report,
 )
+from swarmperm.geometry import sweep_angle
 
 TWO_PI = 2.0 * math.pi
 
@@ -247,6 +253,40 @@ def oracle_sec(points: Sequence[Point]) -> tuple[float, float, float]:
                 cands.append((r, ux, uy))
     best = min((c for c in cands if contains(c[1], c[2], c[0])), key=lambda t: t[0])
     return best[1], best[2], best[0]
+
+
+def next_point(points: Sequence[Point], r_idx: int, handedness: str = CCW,
+               tol: Tolerance = DEFAULT_TOL) -> int:
+    """Successor of points[r_idx] under the rotating-ray sweep about the
+    centroid, found by a naive scan: the nearest strictly-farther point on
+    the own ray if any, else the closest point on the next ray in sweep
+    direction.  Points at the centroid are excluded from the scan."""
+    c = centroid(points)
+    vr = points[r_idx] - c
+    dr = vr.norm()
+    if dr <= tol.eps:
+        raise ValueError("the sweep successor is undefined for the centroid point")
+    same_ray: list[int] = []
+    others: list[tuple[float, float, int]] = []
+    for j in range(len(points)):
+        if j == r_idx:
+            continue
+        vj = points[j] - c
+        dj = vj.norm()
+        if dj <= tol.eps:
+            continue
+        if tol.ray_aligned(vr, vj):
+            same_ray.append(j)
+        else:
+            others.append((sweep_angle(vr, vj, handedness, tol), dj, j))
+    farther = [j for j in same_ray if tol.gt(points[j].dist(c), dr)]
+    if farther:
+        return min(farther, key=lambda j: points[j].dist(c))
+    if others:
+        return min(others)[2]
+    if same_ray:  # wrap around the full sweep back onto the own ray
+        return min(same_ray, key=lambda j: points[j].dist(c))
+    raise NotOrderable("no other point to sweep to")
 
 
 def _multiset_match(points: Sequence[Point], images: Sequence[Point],

@@ -244,3 +244,27 @@ def test_centered_steps_still_build_the_circle():
                     a = Analysis(snap.local_points, proto.tol)
                     proto.step(a, snap, bit)
                     assert "sec" in vars(a) and "no_center_robot" not in vars(a)
+
+
+# --- what the no-chirality MoveAll step reads ---------------------------------
+
+def test_move_all_reads_mirror_axes_only_without_central_symmetry(monkeypatch):
+    """A centrally symmetric snapshot is reflected through the centroid
+    without its mirror axes or the robots on them; an odd-m dihedral one
+    reads both."""
+    import swarmperm.symmetry as symmetry
+
+    log: list = []
+    for name in ("mirror_axes", "robots_on_axis"):
+        _count_calls(monkeypatch, name, symmetry, log)
+    rng = random.Random(65)
+    proto = make_protocol("MoveAllNoChirality")
+    cases = [(rand_central_symmetric(rng, 4), False), (dihedral_config(rng, 4), False),
+             (dihedral_config(rng, 4, on_axis_pairs=True), False),
+             (dihedral_config(rng, 3), True), (dihedral_config(rng, 5), True)]
+    for pts, reads_axes in cases:
+        for snap in _snapshots(pts, "random"):
+            start = len(log)
+            proto.compute(snap, 0)
+            names = {name for name, _ in log[start:]}
+            assert names == ({"mirror_axes", "robots_on_axis"} if reads_axes else set())

@@ -194,6 +194,20 @@ def test_huge_coordinates_classify_and_simulate(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pts", [
+    [[0, 0], [1e308, 0], [-1e308, 0]],  # fsum of the radii overflowed
+    [[1e308, 0], [1.5e308, 0], [1e308, 1e308]],  # and of the xs; the circle's midpoint
+])
+def test_classify_near_the_float_limit_has_no_traceback(tmp_path, capsys, pts):
+    path = _write(tmp_path, "s.json", {"points": pts})
+    code = main(["classify", "--scenario", path])
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_MALFORMED)
+    assert "Traceback" not in err
+    if code == EXIT_MALFORMED:
+        assert re.fullmatch(r"error: [^\n]+\n", err)
+
+
 # --- simulate -------------------------------------------------------------
 
 def test_simulate_writes_trace(tmp_path, capsys):

@@ -4,8 +4,10 @@ sweep angle and least-rotation scan against the copies they replaced, the
 x-sorted point index and the float snapshot path against the scans and Point
 arithmetic they replaced, and the float centered path (sweep kernel, votes,
 leader order, pivot, hop rank, layering, two-point circle and the centered
-test) against the Point code it replaced, and the centered guard's
-bounding-box bound against the centered test it short-cuts.
+test) against the Point code it replaced, the centered guard's
+bounding-box bound against the centered test it short-cuts, and the
+no-chirality path (the MoveAll step without its symmetry report, the axis
+helpers on floats) against the versions it replaced.
 
 The reference functions below are verbatim copies of those versions.
 Every comparison is exact: floats are compared through float.hex, so even
@@ -15,6 +17,7 @@ the sign of a zero must agree.
 import functools
 import math
 import random
+from operator import itemgetter
 
 import pytest
 from corpus import (
@@ -43,6 +46,7 @@ from swarmperm import (
     Circle,
     CyclicOrder,
     DegenerateReference,
+    DuplicatePoints,
     EmptyConfiguration,
     Frame,
     InvalidFrame,
@@ -58,6 +62,7 @@ from swarmperm import (
     Tolerance,
     VoteTally,
     adversary_frames,
+    agree_chirality,
     analyze,
     center_robot_index,
     centroid,
@@ -66,9 +71,14 @@ from swarmperm import (
     inverse_transform,
     mirror_axes,
     order_from_leader,
+    order_with_chirality,
+    order_without_chirality,
+    orient_axis,
+    robots_on_axis,
     rotational_order,
     select_pivot,
     smallest_enclosing_circle,
+    symmetry_report,
     to_local_snapshot,
     transform,
     view_classes,
@@ -89,9 +99,9 @@ from swarmperm.geometry import (
     sweep_angle_xy,
     transform_points,
 )
-from swarmperm.ordering import _ray_groups, get_vote, least_rotations
-from swarmperm.protocols import _hop_rank
-from swarmperm.symmetry import CENTERED
+from swarmperm.ordering import _check_distinct, _ray_groups, get_vote, least_rotations
+from swarmperm.protocols import _hop_rank, move_all_no_chirality_step
+from swarmperm.symmetry import BLOCKING_AXES, CENTERED, ONE_ROBOT_AXIS, _no_center_robot
 from swarmperm.verify import _match_index
 
 # --- reference: the Point-based kernels ----------------------------------
@@ -1402,3 +1412,255 @@ def test_centered_guard_matches_in_c_dot_near_the_center(eps):
                 _assert_guard_matches_in_c_dot(variant + [c + u * (t * eps)], tol)
                 count += 1
     assert count > 20000
+
+
+# --- reference: the no-chirality path before it read only what it decides on --
+
+class RefAnalysis(Analysis):
+    """An Analysis whose robots-on-axis lists and centered-guard bound come
+    from the reference copies below."""
+
+    @functools.cached_property
+    def no_center_robot(self) -> bool:
+        return ref_no_center_robot(self, self.tol.eps)
+
+    @functools.cached_property
+    def axis_robots(self):
+        return tuple(ref_robots_on_axis(self, ax, self.tol) for ax in self.mirror_axes)
+
+
+def ref_robots_on_axis(points, axis: Axis, tol: Tolerance = DEFAULT_TOL) -> tuple[int, ...]:
+    out = []
+    for i, p in enumerate(points):
+        if abs((p - axis.point).cross(axis.direction)) <= tol.eps * max(1.0, axis.direction.norm()):
+            out.append(i)
+    return tuple(out)
+
+
+_BOX_SLACK = 1e-6
+
+
+def ref_no_center_robot(points, eps: float) -> bool:
+    """True when every robot has an axis-extreme robot farther than that
+    bound from it, so none is the center robot."""
+    if not points:  # the circle raises EmptyConfiguration
+        return False
+    pts = [(p.x, p.y) for p in points]
+    west, east = min(pts), max(pts)
+    south, north = min(pts, key=itemgetter(1)), max(pts, key=itemgetter(1))
+    # halves before the sum: the center stays finite for every finite box
+    bx, by = 0.5 * west[0] + 0.5 * east[0], 0.5 * south[1] + 0.5 * north[1]
+    reach = max(math.hypot(x - bx, y - by) for x, y in pts)
+    bound = reach * (1.0 + _BOX_SLACK) + eps + 1e-300
+    extremes = (west, east, south, north)
+    for x, y in pts:
+        if all(math.hypot(x - ex, y - ey) <= bound for ex, ey in extremes):
+            return False
+    return True
+
+
+def ref_orient_axis(points, axis: Axis, tol: Tolerance = DEFAULT_TOL) -> Point:
+    """Canonical orientation for a mirror axis: of the two unit directions,
+    keep the one whose sorted (along-axis, off-axis distance) profile is
+    lexicographically smaller.  A tie would force a second perpendicular
+    axis, which callers exclude."""
+    c = axis.point
+
+    def profile(u: Point) -> list[float]:
+        rows = sorted((u.dot(p - c), abs(u.cross(p - c))) for p in points)
+        return _flatten(rows)
+
+    u = axis.direction
+    cmp = _cmp_seq(profile(u), profile(-u), tol)
+    if cmp == 0:
+        raise NotOrderable("axis orientation is ambiguous")
+    return u if cmp < 0 else -u
+
+
+def ref_order_without_chirality(points, tol: Tolerance = DEFAULT_TOL) -> CyclicOrder:
+    """Cyclic order computable without a shared clockwise notion.
+
+    No axes: derive a handedness from the asymmetry and sweep.  Exactly
+    one axis with no point on it: orient the axis, split by side, sort
+    each side by (along-axis coordinate, distance from axis), concatenate.
+    Anything else is the BLOCKING_AXES obstruction.
+    """
+    a = analyze(points, tol)
+    _check_distinct(points, tol)
+    CENTERED.check(a)
+    axes = a.mirror_axes
+    if not axes:
+        return order_with_chirality(a, agree_chirality(a, tol), tol)
+    BLOCKING_AXES.check(a)
+    u = ref_orient_axis(a, axes[0], tol)
+    c = axes[0].point
+
+    def key(i: int) -> tuple[float, float]:
+        v = points[i] - c
+        return (u.dot(v), abs(u.cross(v)))
+
+    side_a = sorted((i for i in range(len(points)) if u.cross(points[i] - c) > 0.0), key=key)
+    side_b = sorted((i for i in range(len(points)) if u.cross(points[i] - c) <= 0.0), key=key)
+    return CyclicOrder(tuple(side_a + side_b))
+
+
+def ref_move_all_no_chirality_step(a: Analysis, snapshot, bit: int) -> tuple[Point, int]:
+    """One-round total relocation without a shared clockwise notion."""
+    tol = a.tol
+    own = snapshot.own_index
+    p = a[own]
+    CENTERED.check(a)
+    rep = symmetry_report(a, tol)
+    c = a.centroid
+    if rep.is_central_symmetric:
+        return c * 2.0 - p, bit
+    if not rep.mirror_axes:
+        h = agree_chirality(a, tol)
+        order = order_with_chirality(a, h, tol)
+        return a[order.successor(own)], bit
+    ONE_ROBOT_AXIS.check(a)
+    mine = [t for t, on in enumerate(a.axis_robots) if own in on]
+    if mine:
+        ax = rep.mirror_axes[mine[0]]
+        u = ref_orient_axis(a, ax, tol)
+        on = sorted(a.axis_robots[mine[0]], key=lambda i: u.dot(a[i] - ax.point))
+        return a[on[(on.index(own) + 1) % len(on)]], bit
+    dists = sorted((abs(ax.direction.cross(p - ax.point)), t)
+                   for t, ax in enumerate(rep.mirror_axes))
+    if len(dists) == 1 or tol.gt(dists[1][0], dists[0][0]):
+        ax = rep.mirror_axes[dists[0][1]]
+        v = p - ax.point
+        d = ax.direction
+        return ax.point + d * (2.0 * d.dot(v)) - v, bit
+    return c * 2.0 - p, bit
+
+
+# --- the no-chirality path ---------------------------------------------------
+
+def _no_chirality_sets(rng):
+    """The families the no-chirality protocols meet: dihedral (odd and even
+    m, axes occupied by pairs), pinwheel, antipodal, one empty axis, one
+    occupied axis, collinear."""
+    for m in (3, 4, 5, 6):
+        yield dihedral_config(rng, m)
+    for m in (2, 4):
+        yield dihedral_config(rng, m, on_axis_pairs=True)
+    for k in (3, 4, 5):
+        yield pinwheel_config(rng, k)
+    for pairs in (2, 4):
+        yield rand_central_symmetric(rng, pairs)
+    for pairs in (2, 3, 5):
+        yield unique_empty_axis_config(rng, pairs)
+    for pairs, on in ((2, 1), (2, 2), (3, 3)):
+        yield occupied_axis_config(rng, pairs, on)
+    for n in (3, 4, 5):
+        yield collinear_config(rng, n)
+
+
+def _mirrored(pts):
+    return [Point(-p.x, p.y) for p in pts]
+
+
+def _step_bits(step, a, snap):
+    dest, bit = step(a, snap, 0)
+    return _bits(dest.x, dest.y), bit
+
+
+def _assert_no_chirality_identical(pts, tol, rng) -> set:
+    """The axis helpers, the no-chirality order and the bound on pts, and
+    the MoveAll step on a snapshot of every robot.  Returns the outcome
+    kinds of the steps."""
+    a = Analysis(pts, tol)
+    axes = _outcome(lambda: a.mirror_axes)
+    axes = axes[1] if axes[0] == "ok" else ()
+    c = centroid(pts)
+    others = [Axis(c, Point(1.0, 0.0)), Axis(pts[0], Point(0.6, 0.8) * 2.5),
+              Axis(pts[-1], Point(-0.28, 0.96) * 0.3)]
+    for ax in (*axes, *others):
+        assert robots_on_axis(pts, ax, tol) == ref_robots_on_axis(pts, ax, tol)
+        assert _outcome(lambda: _point_bits([orient_axis(pts, ax, tol)])) == _outcome(
+            lambda: _point_bits([ref_orient_axis(pts, ax, tol)]))
+    assert _outcome(lambda: order_without_chirality(list(pts), tol).seq) == _outcome(
+        lambda: ref_order_without_chirality(list(pts), tol).seq)
+    assert _no_center_robot(pts, tol.eps) == ref_no_center_robot(pts, tol.eps)
+    frames = _frames(rng, len(pts))
+    kinds = set()
+    for i in range(len(pts)):
+        snap = to_local_snapshot(pts, frames, i)
+        got = _outcome(lambda: _step_bits(move_all_no_chirality_step,
+                                          Analysis(snap.local_points, tol), snap))
+        want = _outcome(lambda: _step_bits(ref_move_all_no_chirality_step,
+                                           RefAnalysis(snap.local_points, tol), snap))
+        assert got == want
+        assert (_no_center_robot(snap.local_points, tol.eps)
+                == ref_no_center_robot(snap.local_points, tol.eps))
+        kinds.add(got[0] if got[0] == "ok" else got[1].__name__)
+    return kinds
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3, 1.0])
+def test_no_chirality_path_matches_reference(eps):
+    tol = Tolerance(eps)
+    rng = random.Random(83)
+    kinds = set()
+    count = 0
+    for pts in _no_chirality_sets(rng):
+        for variant in (pts, _swapped(pts), _mirrored(pts)):
+            kinds |= _assert_no_chirality_identical(variant, tol, rng)
+            count += 1
+    assert count == 3 * 20
+    assert "ok" in kinds
+
+
+def test_move_all_step_matches_reference_on_its_errors():
+    """A coincident pair in the local frame, and an ambiguous radius chain
+    about the centroid, raise from both steps with the same message."""
+    tol = Tolerance(1e-3)
+    duplicate = [Point(0.0, 0.0), Point(1.0, 0.0), Point(0.3, 1.7), Point(0.3, 1.7004)]
+    # antipodal pairs at radii 1, 1 + 0.6 eps and 1 + 1.2 eps: one chain
+    # longer than eps about the centroid at the origin
+    chain = []
+    for r, th in ((1.0, 0.3), (1.0006, 1.4), (1.0012, 2.2)):
+        p = Point(r * math.cos(th), r * math.sin(th))
+        chain += [p, -p]
+    for pts, error in ((duplicate, DuplicatePoints), (chain, AmbiguousLayering)):
+        for variant in (pts, _swapped(pts), _mirrored(pts)):
+            for own in range(len(variant)):
+                snap = Snapshot(tuple(variant), own)
+                got = _outcome(lambda: move_all_no_chirality_step(
+                    Analysis(variant, tol), snap, 0))
+                want = _outcome(lambda: ref_move_all_no_chirality_step(
+                    RefAnalysis(variant, tol), snap, 0))
+                assert got == want
+                assert got[1] is error
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.5, 1.0])
+def test_robots_on_axis_matches_reference_at_the_eps_edge(eps):
+    """Quarter-grid points and axes with exact arithmetic, so that some
+    robots sit exactly eps (times the direction's norm) off the axis."""
+    tol = Tolerance(eps)
+    grid = [Point(0.25 * i, 0.25 * j) for i in range(-6, 7) for j in range(-6, 7)]
+    dirs = [Point(1.0, 0.0), Point(0.0, 1.0), Point(0.0, -2.0), Point(1.5, 0.0)]
+    on_edge = 0
+    for origin in (Point(0.0, 0.0), Point(0.25, -0.5)):
+        for d in dirs:
+            ax = Axis(origin, d)
+            got = robots_on_axis(grid, ax, tol)
+            assert got == ref_robots_on_axis(grid, ax, tol)
+            bound = eps * max(1.0, d.norm())
+            on_edge += sum(abs((grid[i] - origin).cross(d)) == bound for i in got)
+    assert on_edge > 0
+
+
+def test_no_chirality_order_matches_reference_on_tied_along_axis_coordinates():
+    """One mirror axis, the x-axis, with two robots on each side at the
+    same x: the off-axis distance decides their order on both sides."""
+    pts = [Point(0.5, 1.0), Point(0.5, 2.0), Point(0.5, -1.0), Point(0.5, -2.0),
+           Point(-1.0, 1.5), Point(-1.0, -1.5)]
+    for tol in (Tolerance(1e-9), Tolerance(1e-3)):
+        for variant in (pts, pts[::-1]):
+            assert len(mirror_axes(variant, tol)) == 1
+            assert (order_without_chirality(variant, tol).seq
+                    == ref_order_without_chirality(variant, tol).seq)
+            _assert_no_chirality_identical(variant, tol, random.Random(84))

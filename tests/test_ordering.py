@@ -4,6 +4,7 @@ import random
 import pytest
 from corpus import (
     chirality_preserving_frames,
+    next_point,
     rand_c_dot,
     rand_non_c_dot,
     unique_empty_axis_config,
@@ -23,7 +24,6 @@ from swarmperm import (
     VoteTie,
     agree_chirality,
     inner_polygon,
-    next_point,
     order_from_leader,
     order_with_chirality,
     order_without_chirality,
