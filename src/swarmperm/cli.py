@@ -29,7 +29,7 @@ from .engine import (
     serialize_trace,
 )
 from .errors import SwarmError
-from .geometry import DEFAULT_TOL, Point, Tolerance
+from .geometry import DEFAULT_TOL, NON_FINITE, Point, Tolerance
 from .ordering import order_from_leader
 from .protocols import (
     PROTOCOL_IDS,
@@ -178,8 +178,11 @@ def cmd_classify(args) -> int:
     except SwarmError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except ValueError as exc:  # an intermediate left the finite floats
-        raise ScenarioError(f"coordinates too large to analyse: {exc}") from exc
+    except (OverflowError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(NON_FINITE):
+            raise
+        raise ScenarioError(f"an intermediate of the analysis left the finite floats "
+                            f"({type(exc).__name__}: {exc})") from exc
     print(f"n={len(scn.points)}")
     print(f"symmetricity rho={rep.rho}")
     print(f"rotational_order={rep.rotational_order}")

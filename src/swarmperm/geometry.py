@@ -25,6 +25,9 @@ CCW = "ccw"
 CW = "cw"
 HANDEDNESSES = (CW, CCW)
 
+# the start of the ValueError raised when a coordinate leaves the finite floats
+NON_FINITE = "point coordinates must be finite"
+
 
 @dataclass(frozen=True)
 class Point:
@@ -33,7 +36,7 @@ class Point:
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
+            raise ValueError(f"{NON_FINITE}, got ({self.x}, {self.y})")
 
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
@@ -270,22 +273,13 @@ def first_coincident_pair(points: Sequence[Point], tol: Tolerance) -> tuple[int,
     return best
 
 
-def _mean(values: list[float]) -> float:
-    """math.fsum(values) / len(values).  Only when that sum overflows, the
-    values are first scaled by a power of two below 1 / len(values), which
-    is exact, so the mean of finite values stays finite."""
-    n = len(values)
-    try:
-        return math.fsum(values) / n
-    except OverflowError:
-        k = n.bit_length()
-        return math.ldexp(math.fsum(math.ldexp(v, -k) for v in values) / n, k)
-
-
 def centroid(points: Sequence[Point]) -> Point:
     if len(points) == 0:
         raise EmptyConfiguration("centroid of an empty point set")
-    return Point(_mean([p.x for p in points]), _mean([p.y for p in points]))
+    sx = math.fsum(p.x for p in points)
+    sy = math.fsum(p.y for p in points)
+    n = len(points)
+    return Point(sx / n, sy / n)
 
 
 # --- smallest enclosing circle ------------------------------------------
@@ -331,7 +325,7 @@ def _circum_center(ax0: float, ay0: float, bx0: float, by0: float,
         qx, qy = math.ldexp(qx, k), math.ldexp(qy, k)
     x, y = ox + qx, oy + qy
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"point coordinates must be finite, got ({x}, {y})")
+        raise ValueError(f"{NON_FINITE}, got ({x}, {y})")
     return x, y
 
 
@@ -433,14 +427,14 @@ def concentric_decomposition(points: Sequence[Point], center: Point,
     for i in sorted(range(len(points)), key=keys.__getitem__):
         d = keys[i][0]
         if group and d - group_ds[-1] > tol.eps:
-            layers.append(Layer(_mean(group_ds), tuple(group)))
+            layers.append(Layer(math.fsum(group_ds) / len(group_ds), tuple(group)))
             group, group_ds = [], []
         group.append(i)
         group_ds.append(d)
         if group_ds[-1] - group_ds[0] > tol.eps:
             raise AmbiguousLayering(
                 f"radius chain spans {group_ds[-1] - group_ds[0]:.3e} > eps about {center}")
-    layers.append(Layer(_mean(group_ds), tuple(group)))
+    layers.append(Layer(math.fsum(group_ds) / len(group_ds), tuple(group)))
     return tuple(layers)
 
 

@@ -18,7 +18,6 @@ from typing import Callable, Sequence
 from .errors import (
     AmbiguousLayering,
     DecodeFailure,
-    DuplicatePoints,
     EmptyConfiguration,
     InvalidCaller,
     InvalidFrame,
@@ -50,7 +49,8 @@ from .ordering import (
     orient_axis,
     voting_elect,
 )
-from .symmetry import BLOCKING_AXES, CENTERED, ONE_ROBOT_AXIS, Analysis, analyze
+from .symmetry import (BLOCKING_AXES, CENTERED, ONE_ROBOT_AXIS, Analysis, analyze,
+                       require_distinct)
 
 THIRD_TURN = 2.0 * math.pi / 3.0
 
@@ -426,16 +426,15 @@ def move_all_no_chirality_step(a: Analysis, snapshot, bit: int) -> tuple[Point, 
     """One-round total relocation without a shared clockwise notion.
 
     After the centered guard the decision reads, in order: the duplicate
-    check of `symmetricity_rho`; central symmetry, an even rotational
-    order, which reflects every robot through the centroid; and only then
-    the mirror axes and the robots on them, or the agreed sweep order
-    when there are none."""
+    check it shares with `symmetricity_rho`; central symmetry, an even
+    rotational order, which reflects every robot through the centroid; and
+    only then the mirror axes and the robots on them, or the agreed sweep
+    order when there are none."""
     tol = a.tol
     own = snapshot.own_index
     p = a[own]
     CENTERED.check(a)
-    if first_coincident_pair(a, tol) is not None:
-        raise DuplicatePoints("symmetricity is undefined for coincident points")
+    require_distinct(a, tol)
     c = a.centroid
     if a.rotational_order % 2 == 0:
         return c * 2.0 - p, bit

@@ -276,12 +276,18 @@ def robots_on_axis(points: Sequence[Point], axis: Axis, tol: Tolerance = DEFAULT
                  if abs((p.x - cx) * dy - (p.y - cy) * dx) <= bound)
 
 
+def require_distinct(points: Sequence[Point], tol: Tolerance) -> None:
+    """Raise DuplicatePoints when two points coincide: symmetricity is
+    undefined there."""
+    if first_coincident_pair(points, tol) is not None:
+        raise DuplicatePoints("symmetricity is undefined for coincident points")
+
+
 def symmetricity_rho(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> int:
     """Rotational order about the centroid, forced to 1 when a point
     occupies the centroid."""
     a = analyze(points, tol)
-    if first_coincident_pair(a, tol) is not None:
-        raise DuplicatePoints("symmetricity is undefined for coincident points")
+    require_distinct(a, tol)
     c = a.centroid
     if any(tol.same_point(p, c) for p in a):
         return 1

@@ -195,17 +195,25 @@ def test_huge_coordinates_classify_and_simulate(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("pts", [
-    [[0, 0], [1e308, 0], [-1e308, 0]],  # fsum of the radii overflowed
-    [[1e308, 0], [1.5e308, 0], [1e308, 1e308]],  # and of the xs; the circle's midpoint
+    [[0, 0], [1e308, 0], [-1e308, 0]],  # fsum of the radii overflows
+    [[1e308, 0], [1.5e308, 0], [1e308, 1e308]],  # fsum of the xs overflows
+    [[1.7e308, -9e307], [-1e308, 9e307], [9e307, -9e307], [-1e308, 0]],  # a non-finite Point
 ])
-def test_classify_near_the_float_limit_has_no_traceback(tmp_path, capsys, pts):
+def test_classify_near_the_float_limit_exits_malformed(tmp_path, capsys, pts):
     path = _write(tmp_path, "s.json", {"points": pts})
-    code = main(["classify", "--scenario", path])
+    assert main(["classify", "--scenario", path]) == EXIT_MALFORMED
     err = capsys.readouterr().err
-    assert code in (EXIT_OK, EXIT_MALFORMED)
-    assert "Traceback" not in err
-    if code == EXIT_MALFORMED:
-        assert re.fullmatch(r"error: [^\n]+\n", err)
+    assert re.fullmatch(r"error: an intermediate of the analysis left the finite floats "
+                        r"\((OverflowError|ValueError): [^\n]+\)\n", err)
+
+
+def test_classify_lets_other_value_errors_through(tmp_path, monkeypatch):
+    def broken(a, tol):
+        raise ValueError("not about floats")
+    monkeypatch.setattr("swarmperm.cli.classify", broken)
+    path = _write(tmp_path, "s.json", {"points": [[0, 0], [1, 0], [0, 2]]})
+    with pytest.raises(ValueError, match="not about floats"):
+        main(["classify", "--scenario", path])
 
 
 # --- simulate -------------------------------------------------------------

@@ -199,17 +199,3 @@ def test_concentric_ambiguous_chain():
 def test_centroid():
     pts = [Point(0, 0), Point(2, 0), Point(0, 2), Point(2, 2)]
     assert centroid(pts).dist(Point(1, 1)) < 1e-15
-
-
-def test_means_stay_finite_near_the_float_limit():
-    big = [Point(1e308, 0.0), Point(1.5e308, 0.0), Point(1e308, 1e308), Point(1.7e308, -1e308)]
-    c = centroid(big)
-    assert c.x == pytest.approx(1.3e308) and c.y == 0.0
-    layers = concentric_decomposition([Point(0.0, 0.0), Point(1e308, 0.0), Point(-1e308, 0.0)],
-                                      Point(0.0, 0.0))
-    assert [layer.radius for layer in layers] == [0.0, 1e308]
-    # below the limit the mean is the correctly rounded sum over n, as before
-    rng = random.Random(5)
-    pts = rand_points(rng, 9)
-    c = centroid(pts)
-    assert (c.x, c.y) == (math.fsum(p.x for p in pts) / 9, math.fsum(p.y for p in pts) / 9)

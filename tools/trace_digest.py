@@ -1,22 +1,20 @@
 """One sha256 over the full-size benchmark instances, for checking that a
 change leaves every trace, verdict and visit matrix byte-identical.
 
-    python3 tools/trace_digest.py                  # seeds 9101-9103
-    python3 tools/trace_digest.py --seeds 5 6 --verbose
+    python3 tools/trace_digest.py
 
-For each seed and each simulation workload (generic_sweep, symmetric_large,
-centered_cadence) it builds the first cycle of 25 instances exactly as
-`bench/run.py` does, runs each, and hashes its label, `serialize_trace`, the
-verdict, the visit matrix and the failure kind (or the exception that
-escaped).  With the default seeds that is 225 instances.  Run it in the
-checkout under test and in its parent: equal digests mean equal outputs.
-It imports swarmperm from this checkout's `src/` and reads the workloads
-from `bench/` without changing them.
+For each of the seeds 9101-9103 and each simulation workload
+(generic_sweep, symmetric_large, centered_cadence) it builds the first
+cycle of 25 instances exactly as `bench/run.py` does, runs each, and
+hashes its label, `serialize_trace`, the verdict, the visit matrix and the
+failure kind (or the exception that escaped): 225 instances.  Run it in
+the checkout under test and in its parent: equal digests mean equal
+outputs.  It imports swarmperm from this checkout's `src/` and reads the
+workloads from `bench/` without changing them.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -30,7 +28,7 @@ from run import cycle_rng  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SIMULATIONS = ("generic_sweep", "symmetric_large", "centered_cadence")
-DEFAULT_SEEDS = (9101, 9102, 9103)
+SEEDS = (9101, 9102, 9103)
 
 
 def instance_bytes(inst) -> bytes:
@@ -44,22 +42,14 @@ def instance_bytes(inst) -> bytes:
     return "\n".join(parts).encode()
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seeds", type=int, nargs="+", default=list(DEFAULT_SEEDS))
-    ap.add_argument("--verbose", action="store_true",
-                    help="also print one digest per instance")
-    args = ap.parse_args(argv)
+def main() -> int:
     total = hashlib.sha256()
     count = 0
-    for seed in args.seeds:
+    for seed in SEEDS:
         for name in SIMULATIONS:
             for inst in WORKLOADS[name](cycle_rng(name, seed, 0)):
-                data = instance_bytes(inst)
-                total.update(hashlib.sha256(data).digest())
+                total.update(hashlib.sha256(instance_bytes(inst)).digest())
                 count += 1
-                if args.verbose:
-                    print(f"{seed} {name} {inst.label}: {hashlib.sha256(data).hexdigest()}")
     print(f"{count} instances sha256={total.hexdigest()}")
     return 0
 
