@@ -25,7 +25,7 @@ from .errors import (
     NotCentral,
     SwarmError,
 )
-from .geometry import (DEFAULT_TOL, Point, Tolerance, first_coincident_pair,
+from .geometry import (DEFAULT_TOL, NON_FINITE, Point, Tolerance, first_coincident_pair,
                        inverse_transform_points, transform)
 from .protocols import Protocol
 from .symmetry import center_robot_index, mirror_axes
@@ -115,6 +115,10 @@ def fsync_round(points: Sequence[Point], frames: Sequence[Frame], protocol: Prot
             dest, bit = protocol.compute(snap, bits[i])
         except SwarmError as exc:
             raise type(exc)(f"{exc} (robot {i})") from exc
+        except (OverflowError, ValueError) as exc:
+            if isinstance(exc, ValueError) and not str(exc).startswith(NON_FINITE):
+                raise
+            raise InvalidFrame(f"robot {i}'s compute left the finite floats: {exc}") from exc
         dests_local.append(dest)
         new_bits.append(int(bit))
     try:

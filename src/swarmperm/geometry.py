@@ -387,13 +387,17 @@ def _circle_one_point(xs: list[float], ys: list[float], count: int,
 
 
 def smallest_enclosing_circle(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> Circle:
-    """Smallest circle containing every input point.
-
-    Deterministic for a given point multiset regardless of input order.
-    """
+    """Smallest circle containing every input point, the same for a given
+    point multiset in any input order."""
     if len(points) == 0:
         raise EmptyConfiguration("smallest enclosing circle of an empty point set")
-    xys = sorted([(p.x, p.y) for p in points])
+    cx, cy, cr = enclosing_circle_xy([(p.x, p.y) for p in points])
+    return Circle(Point(cx, cy), cr)
+
+
+def enclosing_circle_xy(xys: list[tuple[float, float]]) -> tuple[float, float, float]:
+    """smallest_enclosing_circle of non-empty (x, y) pairs, as (x, y, r), with no Point."""
+    xys = sorted(xys)
     xs = [x for x, _ in xys]
     ys = [y for _, y in xys]
     cx, cy, cr = xs[0], ys[0], 0.0
@@ -402,7 +406,7 @@ def smallest_enclosing_circle(points: Sequence[Point], tol: Tolerance = DEFAULT_
         if math.hypot(cx - xs[i], cy - ys[i]) > reach:
             cx, cy, cr = _circle_one_point(xs, ys, i, xs[i], ys[i])
             reach = _reach(cr)
-    return Circle(Point(cx, cy), cr)
+    return cx, cy, cr
 
 
 # --- layering -----------------------------------------------------------

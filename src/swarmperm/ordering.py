@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cmp_to_key
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import (
@@ -99,47 +100,34 @@ def _check_distinct(points: Sequence[Point], tol: Tolerance) -> None:
 def _ray_groups(points: Sequence[Point], idxs: Sequence[int], c: Point,
                 handedness: str, tol: Tolerance) -> list[list[int]]:
     """Indices grouped by ray from c, groups in sweep order for the given
-    handedness, each group sorted by increasing distance from c.  Runs on
-    raw floats with the operation order of the Point arithmetic, so the
-    angles, distances and ray tests are those of `points[i] - c`,
+    handedness, each sorted by increasing distance from c, except that a
+    merge of the last ray into the first leaves the others in sweep order.
+    Runs on raw floats with the operation order of `points[i] - c`,
     `Point.dist` and `Tolerance.ray_aligned`."""
     cx, cy, eps = c.x, c.y, tol.eps
-    vec: dict[int, tuple[float, float]] = {}
-    dist: dict[int, float] = {}
-    heading: dict[int, float] = {}
+    rows = []
     for i in idxs:
         p = points[i]
         vx, vy = p.x - cx, p.y - cy
         th = norm_angle(math.atan2(vy, vx))
-        vec[i] = (vx, vy)
-        dist[i] = math.hypot(vx, vy)
-        heading[i] = th if handedness == CCW else norm_angle(-th)
-
-    def aligned(u: tuple[float, float], v: tuple[float, float]) -> bool:
-        nu, nv = math.hypot(*u), math.hypot(*v)
-        if nu <= eps or nv <= eps:
-            return False
-        return (u[0] * v[0] + u[1] * v[1] > 0.0
-                and abs(u[0] * v[1] - u[1] * v[0]) <= eps * nu * nv)
-
-    ordered = sorted(idxs, key=lambda i: (heading[i], dist[i]))
-    groups: list[list[int]] = []
-    reps: list[tuple[float, float]] = []
-    for i in ordered:
-        v = vec[i]
-        if groups and aligned(reps[-1], v):
-            groups[-1].append(i)
+        rows.append((th if handedness == CCW else norm_angle(-th), math.hypot(vx, vy), i, vx, vy))
+    rows.sort(key=itemgetter(0, 1))
+    groups: list[list[tuple]] = []
+    for row in rows:
+        _, d, _, vx, vy = row
+        if (groups and rd > eps and d > eps and rx * vx + ry * vy > 0.0
+                and abs(rx * vy - ry * vx) <= eps * rd * d):
+            groups[-1].append(row)
         else:
-            groups.append([i])
-            reps.append(v)
-    if len(groups) > 1 and aligned(reps[0], reps[-1]):
-        merged = groups.pop() + groups.pop(0)
-        merged.sort(key=dist.__getitem__)
-        groups.insert(0, merged)
-    else:
-        for g in groups:
-            g.sort(key=dist.__getitem__)
-    return groups
+            groups.append([row])
+            rd, rx, ry = d, vx, vy  # the new group's first row, read from the next row on
+    if len(groups) > 1:
+        _, ud, _, ux, uy = groups[0][0]
+        if (ud > eps and rd > eps and ux * rx + uy * ry > 0.0
+                and abs(ux * ry - uy * rx) <= eps * ud * rd):
+            groups.insert(0, sorted(groups.pop() + groups.pop(0), key=itemgetter(1)))
+            return [[row[2] for row in g] for g in groups]
+    return [[row[2] for row in sorted(g, key=itemgetter(1))] for g in groups]
 
 
 def _group_gaps(points: Sequence[Point], groups: Sequence[Sequence[int]], c: Point,
@@ -382,15 +370,6 @@ def inner_polygon(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> tupl
     raise DegenerateReference("all points coincide with the center")
 
 
-def get_vote(points: Sequence[Point], polygon: Sequence[int], x_dir: Point,
-             tol: Tolerance = DEFAULT_TOL) -> int:
-    """The polygon vertex first met sweeping clockwise from the frame's
-    x-direction anchored at the center.  Exact alignment wins outright;
-    sub-eps angular ties fall back to the canonical point sort."""
-    a = analyze(points, tol)
-    return _votes(a, polygon, (x_dir,))[0]
-
-
 def vote_tally(points: Sequence[Point], x_dirs: Sequence[Point],
                tol: Tolerance = DEFAULT_TOL) -> VoteTally:
     a = analyze(points, tol)
@@ -402,8 +381,8 @@ def vote_tally(points: Sequence[Point], x_dirs: Sequence[Point],
 
 
 def _votes(a: Analysis, polygon: Sequence[int], x_dirs: Sequence[Point]) -> list[int]:
-    """get_vote for each direction, with the center and each vertex's
-    vector from it, and its norm, taken once."""
+    """For each frame direction, the polygon vertex first met sweeping clockwise
+    from it about the center: exact alignment wins, sub-eps ties go to (x, y)."""
     eps = a.tol.eps
     vecs = list(zip(offsets((a[v] for v in polygon), a.sec.center), polygon))
     out = []

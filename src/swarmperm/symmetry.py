@@ -26,6 +26,7 @@ from .geometry import (
     ccw_angle,
     centroid,
     concentric_decomposition,
+    enclosing_circle_xy,
     first_coincident_pair,
     inverse_transform_points,
     smallest_enclosing_circle,
@@ -81,12 +82,12 @@ class Analysis(tuple):
     standalone query calls.  There are two exceptions.  `in_c_dot` counts
     the rotations of the robots other than the center robot through the
     private helper behind `rotational_order` and stops at the second.
-    `no_center_robot` bounds the enclosing radius by the bounding box on
-    raw floats and never builds the circle.  Only `CENTERED` reads it: the
-    refusing protocols use the circle for nothing else, while the centered
-    steps go on to use it, and on their snapshots a robot sits at or near
-    the center, so the bound never decides there.  A protocol builds one
-    per snapshot and drops it when the step returns."""
+    `no_center_robot` bounds the enclosing radius from the bounding box and
+    circles of four or five extreme robots, never the full circle.  Only
+    `CENTERED` reads it: the refusing protocols use the circle for nothing
+    else, while the centered steps go on to use it, and on their snapshots
+    a robot sits at or near the center, so the bound never decides there.
+    A protocol builds one per snapshot and drops it when the step returns."""
 
     def __new__(cls, points: Iterable[Point], tol: Tolerance = DEFAULT_TOL):
         self = super().__new__(cls, points)
@@ -323,17 +324,19 @@ def center_robot_index(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) ->
 
 # The circle of `smallest_enclosing_circle` holds every robot within
 # r(1 + 1e-14) + 1e-300 of its center, and its radius r exceeds by at most
-# a factor 1 + 1e-12 the distance R from any point, here the bounding-box
-# center, to the farthest robot (tests/test_geometry.py holds both facts).
-# So a robot within eps of the center is within R(1 + _BOX_SLACK) + eps +
-# 1e-300 of every robot, the slack covering those factors and the rounding
-# of R and of the test.
+# a factor 1 + 1e-12 the distance R from any point b to the farthest robot
+# (tests/test_geometry.py holds both facts).  So a robot within eps of the
+# center is within R(1 + _BOX_SLACK) + eps + 1e-300 of every robot, the
+# slack covering those factors and the rounding of R and of the test.  b is
+# first the bounding-box center, witnessed by the axis-extreme robots; then
+# the center of their circle, and of that circle's points plus the robot
+# farthest from it, witnessed by every robot.
 _BOX_SLACK = 1e-6
 
 
 def _no_center_robot(points: Sequence[Point], eps: float) -> bool:
-    """True when every robot has an axis-extreme robot farther than that
-    bound from it, so none is the center robot."""
+    """True when every robot has a robot farther than that bound from it,
+    so none is the center robot."""
     if not points:  # the circle raises EmptyConfiguration
         return False
     pts = [(p.x, p.y) for p in points]
@@ -341,14 +344,24 @@ def _no_center_robot(points: Sequence[Point], eps: float) -> bool:
     south, north = min(pts, key=itemgetter(1)), max(pts, key=itemgetter(1))
     # halves before the sum: the center stays finite for every finite box
     bx, by = 0.5 * west[0] + 0.5 * east[0], 0.5 * south[1] + 0.5 * north[1]
-    reach = max(math.hypot(x - bx, y - by) for x, y in pts)
-    bound = reach * (1.0 + _BOX_SLACK) + eps + 1e-300
+    bound = max([math.hypot(x - bx, y - by) for x, y in pts]) * (1.0 + _BOX_SLACK) + eps + 1e-300
     (wx, wy), (ex, ey), (sx, sy), (nx, ny) = west, east, south, north
-    for x, y in pts:
-        if (math.hypot(x - wx, y - wy) <= bound and math.hypot(x - ex, y - ey) <= bound
-                and math.hypot(x - sx, y - sy) <= bound and math.hypot(x - nx, y - ny) <= bound):
+    left = [(x, y) for x, y in pts
+            if math.hypot(x - wx, y - wy) <= bound and math.hypot(x - ex, y - ey) <= bound
+            and math.hypot(x - sx, y - sy) <= bound and math.hypot(x - nx, y - ny) <= bound]
+    core = [west, east, south, north]
+    while left and len(core) < 6:  # two rounds at most
+        try:
+            bx, by, _ = enclosing_circle_xy(core)
+        except ValueError:  # a circumcenter left the finite floats: undecided
             return False
-    return True
+        dists = [math.hypot(x - bx, y - by) for x, y in pts]
+        reach = max(dists)
+        bound = reach * (1.0 + _BOX_SLACK) + eps + 1e-300
+        left = [(x, y) for x, y in left
+                if not any(math.hypot(x - qx, y - qy) > bound for qx, qy in pts)]
+        core.append(pts[dists.index(reach)])
+    return not left
 
 
 def classify(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> ConfigClass:

@@ -14,6 +14,7 @@ from typing import Sequence
 
 from swarmperm import (
     CCW,
+    CW,
     DEFAULT_TOL,
     Frame,
     NotOrderable,
@@ -23,6 +24,7 @@ from swarmperm import (
     classify,
     mirror_axes,
     robots_on_axis,
+    smallest_enclosing_circle,
     symmetry_report,
 )
 from swarmperm.geometry import sweep_angle
@@ -287,6 +289,21 @@ def next_point(points: Sequence[Point], r_idx: int, handedness: str = CCW,
     if same_ray:  # wrap around the full sweep back onto the own ray
         return min(same_ray, key=lambda j: points[j].dist(c))
     raise NotOrderable("no other point to sweep to")
+
+
+def get_vote(points: Sequence[Point], polygon: Sequence[int], x_dir: Point,
+             tol: Tolerance = DEFAULT_TOL) -> int:
+    """The polygon vertex first met sweeping clockwise from the frame's
+    x-direction anchored at the enclosing circle's center, by a naive scan
+    over Point arithmetic: the one-direction oracle of the vote scan.  Exact
+    alignment wins outright; sub-eps angular ties fall back to the (x, y)
+    point sort."""
+    center = smallest_enclosing_circle(points, tol).center
+    scored = [(sweep_angle(x_dir, points[v] - center, CW, tol), v) for v in polygon]
+    best = min(a for a, _ in scored)
+    cluster = [(a, v) for a, v in scored if a <= best + tol.eps]
+    zero = [v for a, v in cluster if a == 0.0]
+    return min(zero or [v for _, v in cluster], key=lambda v: (points[v].x, points[v].y))
 
 
 def _multiset_match(points: Sequence[Point], images: Sequence[Point],

@@ -205,8 +205,8 @@ def _snapshots(pts, kind):
 
 def test_refusing_steps_build_no_circle_where_the_bound_decides():
     """The three protocols that refuse the centered class, on snapshots
-    where the bounding-box bound rules out a center robot, which certifies
-    them generic: their steps then never build the enclosing circle."""
+    where the bound rules out a center robot, which certifies them
+    generic: their steps then never build the enclosing circle."""
     rng = random.Random(63)
     generic = [rand_non_c_dot(rng, n) for n in (3, 5, 8, 12, 20)]
     cases = {
@@ -229,6 +229,36 @@ def test_refusing_steps_build_no_circle_where_the_bound_decides():
                 proto.step(a, snap, 0)
                 assert "sec" not in vars(a), protocol_id
         assert certified >= 0.75 * total, protocol_id
+
+
+def test_second_bound_center_skips_the_circle_the_box_leaves(monkeypatch):
+    """Robot 0 sits at the bounding-box center, within the box bound of
+    every robot, in every robot's snapshot under identical frames (integer
+    coordinates, so exactly).  The circle of the axis-extreme robots
+    decides instead, and no VisitAllChirality compute builds the enclosing
+    circle; with that circle failing, each compute builds it once."""
+    import swarmperm.geometry as geometry
+    import swarmperm.symmetry as symmetry
+
+    log: list = []
+    _count_calls(monkeypatch, "smallest_enclosing_circle", geometry, log)
+    pts = [Point(0.0, 0.0), Point(-4.0, -2.0), Point(1.0, 2.0), Point(4.0, -1.0)]
+    snaps = _snapshots(pts, "identical")
+    proto = make_protocol("VisitAllChirality")
+    for snap in snaps:
+        xs = [p.x for p in snap.local_points]
+        ys = [p.y for p in snap.local_points]
+        assert snap.local_points[0] == Point((min(xs) + max(xs)) / 2, (min(ys) + max(ys)) / 2)
+        proto.compute(snap, 0)
+    assert log == []
+
+    def raising(xys):
+        raise ValueError(f"{geometry.NON_FINITE}, got (nan, nan)")
+
+    monkeypatch.setattr(symmetry, "enclosing_circle_xy", raising)
+    for snap in snaps:
+        proto.compute(snap, 0)
+    assert len(log) == len(snaps)
 
 
 def test_centered_steps_still_build_the_circle():

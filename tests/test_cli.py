@@ -218,6 +218,15 @@ def test_classify_lets_other_value_errors_through(tmp_path, monkeypatch):
 
 # --- simulate -------------------------------------------------------------
 
+def test_simulate_near_the_float_limit_stops_without_traceback(tmp_path, capsys):
+    path = _write(tmp_path, "s.json", {"points": [[1e308, 0], [1.5e308, 0], [1e308, 1e308]],
+                                       "protocol": "OneBitVisitAll", "rounds": 3})
+    assert main(["simulate", "--scenario", path]) == EXIT_PROTOCOL_ERROR
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"run stopped at round 1: InvalidFrame: robot 2's compute left the "
+                        r"finite floats: point coordinates must be finite, got [^\n]+\n", err)
+
+
 def test_simulate_writes_trace(tmp_path, capsys):
     scn = _write(tmp_path, "s.json", SQUARE_SCN)
     out_path = tmp_path / "t.jsonl"

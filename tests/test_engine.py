@@ -237,6 +237,31 @@ def test_frame_that_cannot_hold_the_floats_is_invalid():
         "InvalidFrame: a destination does not map back to the global frame")
 
 
+def test_compute_that_leaves_the_finite_floats_is_invalid():
+    # one robot's local enclosing circle overflows: the run records it
+    pts = [Point(1e308, 0.0), Point(1.5e308, 0.0), Point(1e308, 1e308)]
+    trace = run(pts, _ident(3), make_protocol("OneBitVisitAll"), 3)
+    err = trace.records[-1].error
+    assert trace.failed and len(trace.records) == 2
+    assert err.startswith("InvalidFrame: robot 2's compute left the finite floats: "
+                          "point coordinates must be finite")
+
+    def overflow(analysis, snapshot, bit):
+        raise OverflowError("intermediate overflow in fsum")
+
+    with pytest.raises(InvalidFrame, match=r"^robot 0's compute left the finite floats: "
+                                           r"intermediate overflow in fsum$"):
+        fsync_round(SQUARE, _ident(4), Protocol("Overflow", overflow), [0] * 4)
+
+
+def test_compute_value_errors_about_other_things_escape():
+    def broken(analysis, snapshot, bit):
+        raise ValueError("not about floats")
+
+    with pytest.raises(ValueError, match="not about floats"):
+        run(SQUARE, _ident(4), Protocol("Broken", broken), 1)
+
+
 # --- adversary frame factories -------------------------------------------
 
 def test_adversary_kinds_cover_registry():

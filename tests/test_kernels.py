@@ -88,10 +88,12 @@ from swarmperm import (
 from swarmperm.engine import _MIN_ROTATION_GAP
 from swarmperm.geometry import _circle_two_points as circle_two_points
 from swarmperm.geometry import (
+    NON_FINITE,
     ORIGIN,
     PointIndex,
     angle_of,
     ccw_angle,
+    enclosing_circle_xy,
     first_coincident_pair,
     inverse_transform_points,
     norm_angle,
@@ -99,7 +101,7 @@ from swarmperm.geometry import (
     sweep_angle_xy,
     transform_points,
 )
-from swarmperm.ordering import _check_distinct, _ray_groups, get_vote, least_rotations
+from swarmperm.ordering import _check_distinct, _ray_groups, _votes, least_rotations
 from swarmperm.protocols import _hop_rank, move_all_no_chirality_step
 from swarmperm.symmetry import BLOCKING_AXES, CENTERED, ONE_ROBOT_AXIS, _no_center_robot
 from swarmperm.verify import _match_index
@@ -1237,7 +1239,8 @@ def _assert_centered_path_identical(pts, tol, x_dirs):
     if polygon[0] != "ok":
         return
     for d in x_dirs:
-        assert get_vote(pts, polygon[1], d, tol) == ref_get_vote(pts, polygon[1], d, tol)
+        assert (_votes(Analysis(pts, tol), polygon[1], (d,))
+                == [ref_get_vote(pts, polygon[1], d, tol)])
     for p in pts:
         assert _hop_rank(pts, polygon[1], c, p, tol) == ref_hop_rank(pts, polygon[1], c, p, tol)
 
@@ -1582,7 +1585,8 @@ def _assert_no_chirality_identical(pts, tol, rng) -> set:
             lambda: _point_bits([ref_orient_axis(pts, ax, tol)]))
     assert _outcome(lambda: order_without_chirality(list(pts), tol).seq) == _outcome(
         lambda: ref_order_without_chirality(list(pts), tol).seq)
-    assert _no_center_robot(pts, tol.eps) == ref_no_center_robot(pts, tol.eps)
+    # the second bound center decides more: a decided reference stays decided
+    assert _no_center_robot(pts, tol.eps) or not ref_no_center_robot(pts, tol.eps)
     frames = _frames(rng, len(pts))
     kinds = set()
     for i in range(len(pts)):
@@ -1593,7 +1597,7 @@ def _assert_no_chirality_identical(pts, tol, rng) -> set:
                                            RefAnalysis(snap.local_points, tol), snap))
         assert got == want
         assert (_no_center_robot(snap.local_points, tol.eps)
-                == ref_no_center_robot(snap.local_points, tol.eps))
+                or not ref_no_center_robot(snap.local_points, tol.eps))
         kinds.add(got[0] if got[0] == "ok" else got[1].__name__)
     return kinds
 
@@ -1664,3 +1668,196 @@ def test_no_chirality_order_matches_reference_on_tied_along_axis_coordinates():
             assert (order_without_chirality(variant, tol).seq
                     == ref_order_without_chirality(variant, tol).seq)
             _assert_no_chirality_identical(variant, tol, random.Random(84))
+
+
+# --- reference: the ray grouping before one row per point --------------------
+
+def ref_dict_ray_groups(points, idxs, c: Point, handedness: str, tol: Tolerance):
+    """Indices grouped by ray from c, groups in sweep order for the given
+    handedness, each group sorted by increasing distance from c.  Runs on
+    raw floats with the operation order of the Point arithmetic, so the
+    angles, distances and ray tests are those of `points[i] - c`,
+    `Point.dist` and `Tolerance.ray_aligned`."""
+    cx, cy, eps = c.x, c.y, tol.eps
+    vec: dict[int, tuple[float, float]] = {}
+    dist: dict[int, float] = {}
+    heading: dict[int, float] = {}
+    for i in idxs:
+        p = points[i]
+        vx, vy = p.x - cx, p.y - cy
+        th = norm_angle(math.atan2(vy, vx))
+        vec[i] = (vx, vy)
+        dist[i] = math.hypot(vx, vy)
+        heading[i] = th if handedness == CCW else norm_angle(-th)
+
+    def aligned(u: tuple[float, float], v: tuple[float, float]) -> bool:
+        nu, nv = math.hypot(*u), math.hypot(*v)
+        if nu <= eps or nv <= eps:
+            return False
+        return (u[0] * v[0] + u[1] * v[1] > 0.0
+                and abs(u[0] * v[1] - u[1] * v[0]) <= eps * nu * nv)
+
+    ordered = sorted(idxs, key=lambda i: (heading[i], dist[i]))
+    groups: list[list[int]] = []
+    reps: list[tuple[float, float]] = []
+    for i in ordered:
+        v = vec[i]
+        if groups and aligned(reps[-1], v):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+            reps.append(v)
+    if len(groups) > 1 and aligned(reps[0], reps[-1]):
+        merged = groups.pop() + groups.pop(0)
+        merged.sort(key=dist.__getitem__)
+        groups.insert(0, merged)
+    else:
+        for g in groups:
+            g.sort(key=dist.__getitem__)
+    return groups
+
+
+def _assert_ray_groups_identical(pts, tol, rng):
+    """_ray_groups against the dict reference on pts as given and x/y-swapped,
+    about the centroid, the origin and the first point, on all indices in
+    order, shuffled and halved, both handednesses."""
+    for variant in (pts, _swapped(pts)):
+        shuffled = list(range(len(variant)))
+        rng.shuffle(shuffled)
+        half = shuffled[: max(1, len(shuffled) // 2)]
+        for c in (centroid(variant), Point(0.0, 0.0), variant[0]):
+            for idxs in (list(range(len(variant))), shuffled, half):
+                for hand in (CCW, CW):
+                    assert (_ray_groups(variant, idxs, c, hand, tol)
+                            == ref_dict_ray_groups(variant, idxs, c, hand, tol))
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3, 1.0])
+def test_ray_groups_match_dict_reference_on_corpus(eps):
+    tol = Tolerance(eps)
+    rng = random.Random(85)
+    sets = list(_corpus_sets()) + [_spokes(rng, k, eps) for k in (1, 2, 3, 5, 8)]
+    for pts in sets:
+        _assert_ray_groups_identical(pts, tol, rng)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=14),
+                 _half_lattice.map(lambda xys: [(x / 2.0, y / 2.0) for x, y in xys])),
+       st.sampled_from([1e-9, 1e-3, 1.0]), st.randoms(use_true_random=False))
+def test_ray_groups_match_dict_reference_on_generated_sets(xys, eps, rng):
+    """Random and half-integer lattice sets: the lattice puts several points
+    on one ray, exactly, and some within eps of the center."""
+    _assert_ray_groups_identical([Point(x, y) for x, y in xys], Tolerance(eps), rng)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3, 1.0])
+def test_ray_groups_match_dict_reference_on_rays_and_short_vectors(eps):
+    """Collinear points on one ray; a ray just below the +x axis that wraps
+    round onto the first group, beside a ray whose nearer point has the
+    larger heading; vectors no longer than eps, which are never aligned (at
+    eps 1 that includes the unit ones)."""
+    tol = Tolerance(eps)
+    rng = random.Random(86)
+    below = Point(math.cos(-0.5 * eps), math.sin(-0.5 * eps))
+    collinear = [Point(r, 0.0) for r in (3.0, 1.0, 2.0)] + [Point(0.0, r) for r in (2.0, 1.0)]
+    past_y = Point(-math.sin(0.5 * eps), math.cos(0.5 * eps))
+    wrap = [Point(2.0, 0.0), below * 3.0, Point(0.0, 2.0), below * 1.5, Point(-1.0, -1.0),
+            past_y * 1.5]
+    short = [Point(0.5 * eps, 0.0), Point(0.0, -eps), Point(eps, 0.0), Point(1.0, 0.0),
+             Point(2.0, 0.0), Point(-3.0, 0.5)]
+    for pts in (collinear, wrap, short):
+        _assert_ray_groups_identical(pts, tol, rng)
+    # the sweep's last ray joins its first, sorted by distance; the merge
+    # leaves the other groups in sweep order, as the dict reference does
+    groups = _ray_groups(wrap, range(len(wrap)), Point(0.0, 0.0), CCW, tol)
+    assert groups == [[3, 0, 1], [2, 5], [4]]
+    # a vector no longer than eps stays alone on its ray
+    groups = _ray_groups(short, range(len(short)), Point(0.0, 0.0), CCW, tol)
+    assert [0] in groups and [2] in groups
+
+
+# --- the centered guard's second bound center ---------------------------------
+
+# A robot at the bounding-box center is within the box bound of every robot,
+# so the box cannot decide this set; the circle of its axis-extreme robots can.
+_BOX_UNDECIDED = [Point(0.0, 0.0), Point(-4.0, -2.0), Point(1.0, 2.0), Point(4.0, -1.0)]
+# Neither the box nor the circle of the axis extremes (-5, 2), (2, 0) and
+# (0, 5) decides this set; the circle that adds (1, 5), the robot farthest
+# from that circle's center, does.
+_FIVE_CORE = [Point(-1.0, 2.0), Point(2.0, 0.0), Point(0.0, 5.0), Point(1.0, 5.0),
+              Point(-5.0, 2.0)]
+
+_NEAR_FLOAT_LIMIT = [
+    [Point(1e308, 0.0), Point(1.5e308, 0.0), Point(1e308, 1e308)],
+    [Point(0.0, 0.0), Point(1e308, 0.0), Point(-1e308, 0.0)],
+    [Point(1.7e308, -9e307), Point(-1e308, 9e307), Point(9e307, -9e307), Point(-1e308, 0.0)],
+    # the box leaves robots, and the midpoint of the extremes' first
+    # diameter overflows, so their circle's center is infinite
+    [Point(1.5e308, 0.0), Point(1.7e308, 0.0), Point(1.6e308, 3e307), Point(1.6e308, 1.5e307)],
+]
+
+
+def _assert_bound_sound(pts, eps) -> bool:
+    """The bound returns without raising, decides whenever the box-only
+    reference does, and never decides where a center robot stands.  True
+    when it decided."""
+    decided = _no_center_robot(pts, eps)
+    assert decided or not ref_no_center_robot(pts, eps)
+    if decided:  # where the circle itself leaves the finite floats, no center
+        center = _outcome(lambda: center_robot_index(pts, Tolerance(eps)))
+        assert center[0] == "raised" or center[1] is None
+    return decided
+
+
+def test_guard_bound_decides_what_the_box_leaves():
+    for pts in (_BOX_UNDECIDED, _FIVE_CORE):
+        assert not ref_no_center_robot(pts, 1e-9)
+        assert _no_center_robot(pts, 1e-9)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1.0])
+def test_guard_bound_never_raises_near_the_float_limit(eps):
+    undecided = 0
+    for pts in _NEAR_FLOAT_LIMIT:
+        for variant in (pts, _swapped(pts), [-p for p in pts]):
+            undecided += not _assert_bound_sound(variant, eps)
+    assert undecided >= 3
+    last = _NEAR_FLOAT_LIMIT[-1]
+    assert not ref_no_center_robot(last, eps) and not _no_center_robot(last, eps)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.tuples(st.floats(-1.79e308, 1.79e308), st.floats(-1.79e308, 1.79e308)),
+                min_size=1, max_size=8),
+       st.sampled_from([1e-9, 1.0, 1e300]))
+def test_guard_bound_never_raises_on_generated_sets_near_the_float_limit(xys, eps):
+    _assert_bound_sound([Point(x, y) for x, y in xys], eps)
+
+
+def test_guard_bound_keeps_a_robot_exactly_at_the_bound():
+    """eps chosen so that the bound about the extremes' circle center is
+    exactly the distance from the box-center robot to its farthest robot:
+    that robot is no witness, so the robot stays; with the bound one float
+    lower it is."""
+    pts = [(p.x, p.y) for p in _BOX_UNDECIDED]
+    bx, by, _ = enclosing_circle_xy(
+        [min(pts), max(pts), min(pts, key=itemgetter(1)), max(pts, key=itemgetter(1))])
+    scaled = max(math.hypot(x - bx, y - by) for x, y in pts) * (1.0 + 1e-6)
+    far = max(math.hypot(x, y) for x, y in pts)  # from the robot at the origin
+    eps = far - scaled
+    assert (scaled + eps) + 1e-300 == far
+    assert not _no_center_robot(_BOX_UNDECIDED, eps)
+    assert _no_center_robot(_BOX_UNDECIDED, eps - math.ulp(far))
+
+
+def test_guard_bound_stays_undecided_when_the_extremes_circle_raises(monkeypatch):
+    import swarmperm.symmetry as symmetry
+
+    def raising(xys):
+        raise ValueError(f"{NON_FINITE}, got (nan, nan)")
+
+    monkeypatch.setattr(symmetry, "enclosing_circle_xy", raising)
+    assert not _no_center_robot(_BOX_UNDECIDED, 1e-9)
+    # the box alone still decides where it did
+    assert _no_center_robot([Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 3.0)], 1e-9)

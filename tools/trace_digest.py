@@ -1,5 +1,5 @@
-"""One sha256 over the full-size benchmark instances, for checking that a
-change leaves every trace, verdict and visit matrix byte-identical.
+"""sha256 digests of the full-size benchmark instances, for checking that
+a change leaves every trace, verdict and visit matrix byte-identical.
 
     python3 tools/trace_digest.py
 
@@ -7,10 +7,12 @@ For each of the seeds 9101-9103 and each simulation workload
 (generic_sweep, symmetric_large, centered_cadence) it builds the first
 cycle of 25 instances exactly as `bench/run.py` does, runs each, and
 hashes its label, `serialize_trace`, the verdict, the visit matrix and the
-failure kind (or the exception that escaped): 225 instances.  Run it in
-the checkout under test and in its parent: equal digests mean equal
-outputs.  It imports swarmperm from this checkout's `src/` and reads the
-workloads from `bench/` without changing them.
+failure kind (or the exception that escaped): 225 instances.  It prints
+one sha256 per workload, then the one over all of them.  Run it in the
+checkout under test and in its parent: equal digests mean equal outputs,
+and a workload whose digest differs holds the instance that changed.  It
+imports swarmperm from this checkout's `src/` and reads the workloads
+from `bench/` without changing them.
 """
 
 from __future__ import annotations
@@ -44,12 +46,17 @@ def instance_bytes(inst) -> bytes:
 
 def main() -> int:
     total = hashlib.sha256()
+    per_workload = {name: hashlib.sha256() for name in SIMULATIONS}
     count = 0
     for seed in SEEDS:
         for name in SIMULATIONS:
             for inst in WORKLOADS[name](cycle_rng(name, seed, 0)):
-                total.update(hashlib.sha256(instance_bytes(inst)).digest())
+                digest = hashlib.sha256(instance_bytes(inst)).digest()
+                total.update(digest)
+                per_workload[name].update(digest)
                 count += 1
+    for name, h in per_workload.items():
+        print(f"{name} sha256={h.hexdigest()}")
     print(f"{count} instances sha256={total.hexdigest()}")
     return 0
 
