@@ -31,9 +31,7 @@ from .geometry import (
     Tolerance,
     centroid,
     concentric_decomposition,
-    inverse_transform,
     smallest_enclosing_circle,
-    transform,
 )
 from .symmetry import (
     Analysis,
@@ -46,9 +44,7 @@ from .symmetry import (
     mirror_axes,
     robots_on_axis,
     rotational_order,
-    symmetricity_rho,
     symmetry_report,
-    view_classes,
 )
 from .ordering import (
     CyclicOrder,

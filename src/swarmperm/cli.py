@@ -27,9 +27,10 @@ from .engine import (
     parse_trace,
     run,
     serialize_trace,
+    to_local_snapshot,
 )
-from .errors import SwarmError
-from .geometry import DEFAULT_TOL, NON_FINITE, Point, Tolerance
+from .errors import NonFinite, SwarmError
+from .geometry import DEFAULT_TOL, Point, PointIndex, Tolerance
 from .ordering import order_from_leader
 from .protocols import (
     PROTOCOL_IDS,
@@ -175,14 +176,13 @@ def cmd_classify(args) -> int:
         rep = symmetry_report(a, tol)
         cls = classify(a, tol)
         refusals = {pid: refusal(pid, a) for pid in PROTOCOL_IDS}
+    except (OverflowError, NonFinite) as exc:
+        kind = "OverflowError" if isinstance(exc, OverflowError) else "ValueError"
+        raise ScenarioError(f"an intermediate of the analysis left the finite floats "
+                            f"({kind}: {exc})") from exc
     except SwarmError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except (OverflowError, ValueError) as exc:
-        if isinstance(exc, ValueError) and not str(exc).startswith(NON_FINITE):
-            raise
-        raise ScenarioError(f"an intermediate of the analysis left the finite floats "
-                            f"({type(exc).__name__}: {exc})") from exc
     print(f"n={len(scn.points)}")
     print(f"symmetricity rho={rep.rho}")
     print(f"rotational_order={rep.rotational_order}")
@@ -325,7 +325,15 @@ def _demo_thm2(force: bool) -> int:
     pts = [Point(0, 0), Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1)]
     frames = [Frame(0.0)] + [Frame(math.atan2(p.y, p.x)) for p in pts[1:]]
     print("demo thm2: occupied center of a square, each corner's frame rotated")
-    print("so that all four corners have byte-identical local views")
+    print("so that the four corners see one local view, up to relabelling")
+    views = [to_local_snapshot(pts, frames, i).local_points for i in range(len(pts))]
+    index = PointIndex(views[1], DEFAULT_TOL)
+    center, *corners = [index.matches((p.x, p.y) for p in view) for view in views]
+    print(f"every corner's view relabels corner 1's within eps: {'yes' if all(corners) else 'no'}")
+    print(f"the center's view relabels it: {'yes' if center else 'no'}")
+    if center or not all(corners):
+        print("observed: the views break the symmetry argument")
+        return EXIT_SPEC_FAIL
     if not force:
         return _refused(pts, frames, "VisitAllChirality")
     print("guard disabled: every robot walks to the occupied center it sees")

@@ -22,11 +22,12 @@ from .errors import (
     EmptyConfiguration,
     InvalidFrame,
     MirrorSymmetric,
+    NonFinite,
     NotCentral,
     SwarmError,
 )
-from .geometry import (DEFAULT_TOL, NON_FINITE, Point, Tolerance, first_coincident_pair,
-                       inverse_transform_points, transform)
+from .geometry import (DEFAULT_TOL, Point, Tolerance, first_coincident_pair,
+                       inverse_transform_points, transform_points)
 from .protocols import Protocol
 from .symmetry import center_robot_index, mirror_axes
 
@@ -95,7 +96,7 @@ def to_local_snapshot(points: Sequence[Point], frames: Sequence[Frame], i: int,
             x_dirs = (Point(math.cos(g.rotation), math.sin(g.rotation)) for g in frames)
             dirs = tuple(d.unit() for d in inverse_transform_points(x_dirs, f.rotation,
                                                                     f.mirror, f.scale))
-    except ValueError as exc:  # a coordinate left the finite floats
+    except NonFinite as exc:
         raise InvalidFrame(f"robot {i}'s frame (scale {f.scale:g}) cannot hold the "
                            f"configuration: {exc}") from exc
     return Snapshot(local, i, dirs)
@@ -113,18 +114,16 @@ def fsync_round(points: Sequence[Point], frames: Sequence[Frame], protocol: Prot
         snap = to_local_snapshot(points, frames, i, protocol.needs_visible_frames)
         try:
             dest, bit = protocol.compute(snap, bits[i])
+        except (OverflowError, NonFinite) as exc:
+            raise InvalidFrame(f"robot {i}'s compute left the finite floats: {exc}") from exc
         except SwarmError as exc:
             raise type(exc)(f"{exc} (robot {i})") from exc
-        except (OverflowError, ValueError) as exc:
-            if isinstance(exc, ValueError) and not str(exc).startswith(NON_FINITE):
-                raise
-            raise InvalidFrame(f"robot {i}'s compute left the finite floats: {exc}") from exc
         dests_local.append(dest)
         new_bits.append(int(bit))
     try:
-        new_points = tuple(transform(d, f.rotation, f.mirror, f.scale, p)
+        new_points = tuple(transform_points((d,), f.rotation, f.mirror, f.scale, p)[0]
                            for d, f, p in zip(dests_local, frames, points))
-    except ValueError as exc:  # a destination left the finite floats
+    except NonFinite as exc:
         raise InvalidFrame(f"a destination does not map back to the global frame: "
                            f"{exc}") from exc
     if (hit := first_coincident_pair(new_points, tol)) is not None:

@@ -26,6 +26,10 @@ class AmbiguousLayering(SwarmError):
     pass
 
 
+class NonFinite(SwarmError, ValueError):
+    """A coordinate left the finite floats."""
+
+
 # symmetry
 class DuplicatePoints(SwarmError):
     pass

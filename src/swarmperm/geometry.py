@@ -1,9 +1,12 @@
 """Planar primitives: points, tolerance policy, circles, the sweep angle,
 concentric decomposition, and local-frame transforms.
 
-All operations are pure. A single absolute epsilon (Tolerance) governs
-every geometric comparison in the library; it is threaded explicitly so
-callers can tighten or relax it per run.
+All operations are pure.  One epsilon (Tolerance) governs every geometric
+comparison in the library, and it is threaded explicitly so callers can
+tighten or relax it per run.  It is an absolute distance, and it is also
+the angular slack, in radians, of the ray-alignment tests, the sweep-angle
+clusters and gap comparisons and the mirror-axis dedup, so scaling it with
+the coordinates does not make a run scale-free.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from .errors import (
     AmbiguousLayering,
     EmptyConfiguration,
     InvalidFrame,
+    NonFinite,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -24,9 +28,6 @@ TWO_PI = 2.0 * math.pi
 CCW = "ccw"
 CW = "cw"
 HANDEDNESSES = (CW, CCW)
-
-# the start of the ValueError raised when a coordinate leaves the finite floats
-NON_FINITE = "point coordinates must be finite"
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class Point:
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"{NON_FINITE}, got ({self.x}, {self.y})")
+            raise NonFinite(f"point coordinates must be finite, got ({self.x}, {self.y})")
 
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
@@ -68,10 +69,6 @@ class Point:
         c, s = math.cos(angle), math.sin(angle)
         return Point(c * self.x - s * self.y, s * self.x + c * self.y)
 
-    def mirrored(self) -> "Point":
-        """Reflection across the x-axis."""
-        return Point(self.x, -self.y)
-
     def unit(self) -> "Point":
         n = self.norm()
         if n == 0.0:
@@ -84,11 +81,13 @@ ORIGIN = Point(0.0, 0.0)
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute epsilon for distances; angular tests are scale-free.
+    """One epsilon: an absolute distance, and the angular slack in radians.
 
-    Angle comparisons near zero are done through cross/dot products of the
-    direction vectors so that the effective angular slack is about eps
-    radians regardless of coordinate magnitude.
+    Distances and radii compare within eps.  Ray alignment tests
+    |u x v| <= eps |u| |v|, a slack of about eps radians at any vector
+    length; angles, such as sweep gaps and axis directions, also compare
+    within eps.  So eps is not scale-free: scaling it with the coordinates
+    scales the angular slack too.
     """
 
     eps: float = 1e-9
@@ -158,20 +157,15 @@ def ccw_angle(u: Point, v: Point) -> float:
     return norm_angle(math.atan2(u.cross(v), u.dot(v)))
 
 
-def sweep_angle(u: Point, v: Point, handedness: str, tol: Tolerance) -> float:
-    """Angle swept rotating ray u onto ray v in the given handedness, in
-    [0, 2*pi): exactly 0 for rays aligned within eps, otherwise the ccw
-    angle, or 2*pi minus it for CW.  A vector no longer than eps (a unit
-    axis once eps >= 1) is never aligned, so CW also maps a 2*pi that only
-    rounding produced, as for an exactly aligned such vector, to 0."""
-    return sweep_angle_xy(u.x, u.y, u.norm(), v.x, v.y, v.norm(), handedness, tol.eps)
-
-
 def sweep_angle_xy(ux: float, uy: float, nu: float, vx: float, vy: float, nv: float,
                    handedness: str, eps: float) -> float:
-    """sweep_angle on raw floats: vectors (ux, uy) and (vx, vy) with their
-    norms nu and nv.  The arithmetic is that of `Tolerance.ray_aligned` and
-    `ccw_angle`, so a caller that takes each norm once gets the same bits."""
+    """Angle swept rotating ray (ux, uy) onto ray (vx, vy), of norms nu and
+    nv, in the given handedness, in [0, 2*pi): exactly 0 for rays aligned
+    within eps, otherwise the ccw angle, or 2*pi minus it for CW.  A vector
+    no longer than eps (a unit axis once eps >= 1) is never aligned, so CW
+    also maps a 2*pi that only rounding produced, as for an exactly aligned
+    such vector, to 0.  The arithmetic is that of `Tolerance.ray_aligned`
+    and `ccw_angle`."""
     dot = ux * vx + uy * vy
     cross = ux * vy - uy * vx
     if nu > eps and nv > eps and dot > 0.0 and abs(cross) <= eps * nu * nv:
@@ -325,7 +319,7 @@ def _circum_center(ax0: float, ay0: float, bx0: float, by0: float,
         qx, qy = math.ldexp(qx, k), math.ldexp(qy, k)
     x, y = ox + qx, oy + qy
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise ValueError(f"{NON_FINITE}, got ({x}, {y})")
+        raise NonFinite(f"point coordinates must be finite, got ({x}, {y})")
     return x, y
 
 
@@ -386,7 +380,7 @@ def _circle_one_point(xs: list[float], ys: list[float], count: int,
     return cx, cy, cr
 
 
-def smallest_enclosing_circle(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> Circle:
+def smallest_enclosing_circle(points: Sequence[Point]) -> Circle:
     """Smallest circle containing every input point, the same for a given
     point multiset in any input order."""
     if len(points) == 0:
@@ -452,8 +446,8 @@ def _frame_trig(rotation: float, scale: float) -> tuple[float, float]:
 
 def transform_points(points: Iterable[Point], rotation: float = 0.0, mirror: bool = False,
                      scale: float = 1.0, translation: Point = ORIGIN) -> list[Point]:
-    """transform of every point, with one frame check and one cos and sin.
-    The arithmetic is the per-point Point arithmetic, on raw floats."""
+    """Every point mirrored (about the x-axis), then rotated, scaled and
+    translated, with one frame check and one cos and sin."""
     c, s = _frame_trig(rotation, scale)
     tx, ty = translation.x, translation.y
     out = []
@@ -466,9 +460,8 @@ def transform_points(points: Iterable[Point], rotation: float = 0.0, mirror: boo
 def inverse_transform_points(points: Iterable[Point], rotation: float = 0.0,
                              mirror: bool = False, scale: float = 1.0,
                              translation: Point = ORIGIN) -> list[Point]:
-    """inverse_transform of every point, with one frame check and one cos
-    and sin.  The arithmetic is the per-point Point arithmetic, on raw
-    floats."""
+    """The inverse of transform_points with identical parameters, with one
+    frame check and one cos and sin."""
     c, s = _frame_trig(-rotation, scale)
     tx, ty = translation.x, translation.y
     out = []
@@ -477,15 +470,3 @@ def inverse_transform_points(points: Iterable[Point], rotation: float = 0.0,
         rx, ry = c * x - s * y, s * x + c * y
         out.append(Point(rx, -ry if mirror else ry))
     return out
-
-
-def transform(p: Point, rotation: float = 0.0, mirror: bool = False,
-              scale: float = 1.0, translation: Point = ORIGIN) -> Point:
-    """Apply mirror (about x-axis), then rotation, then scale, then translation."""
-    return transform_points((p,), rotation, mirror, scale, translation)[0]
-
-
-def inverse_transform(p: Point, rotation: float = 0.0, mirror: bool = False,
-                      scale: float = 1.0, translation: Point = ORIGIN) -> Point:
-    """Inverse of transform with identical parameters."""
-    return inverse_transform_points((p,), rotation, mirror, scale, translation)[0]

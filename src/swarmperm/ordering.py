@@ -17,7 +17,6 @@ from typing import Sequence
 
 from .errors import (
     DegenerateReference,
-    DuplicatePoints,
     InvalidLeader,
     MirrorSymmetric,
     NotOrderable,
@@ -32,12 +31,11 @@ from .geometry import (
     Tolerance,
     angle_of,
     ccw_angle,
-    first_coincident_pair,
     norm_angle,
     offsets,
     sweep_angle_xy,
 )
-from .symmetry import BLOCKING_AXES, CENTERED, Analysis, Axis, analyze
+from .symmetry import BLOCKING_AXES, CENTERED, Analysis, Axis, analyze, require_distinct
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,11 +88,6 @@ def _cmp_seq(a: Sequence[float], b: Sequence[float], tol: Tolerance) -> int:
 def _check_handedness(handedness: str) -> None:
     if handedness not in HANDEDNESSES:
         raise ValueError(f"handedness must be one of {HANDEDNESSES}, got {handedness!r}")
-
-
-def _check_distinct(points: Sequence[Point], tol: Tolerance) -> None:
-    if (hit := first_coincident_pair(points, tol)) is not None:
-        raise DuplicatePoints(f"points {hit[0]} and {hit[1]} coincide within eps")
 
 
 def _ray_groups(points: Sequence[Point], idxs: Sequence[int], c: Point,
@@ -200,7 +193,7 @@ def order_with_chirality(points: Sequence[Point], handedness: str = CCW,
     """
     a = analyze(points, tol)
     _check_handedness(handedness)
-    _check_distinct(points, tol)
+    require_distinct(points, tol)
     CENTERED.check(a)
     c = a.centroid
     cx, cy, eps = c.x, c.y, tol.eps
@@ -236,7 +229,8 @@ def _rotation_orbits(points: Sequence[Point], idxs: Sequence[int], c: Point, k: 
     for i in idxs:
         image = c + (points[i] - c).rotated(step)
         j = min(idxs, key=lambda t: points[t].dist(image))
-        if points[j].dist(image) > tol.eps:
+        # no robot within eps, or a robot taken twice, on which the orbit walk never ends
+        if points[j].dist(image) > tol.eps or j in imap.values():
             raise NotOrderable("rotational order inconsistent with point matching")
         imap[i] = j
     orbits: list[list[int]] = []
@@ -331,7 +325,7 @@ def order_without_chirality(points: Sequence[Point], tol: Tolerance = DEFAULT_TO
     `u.cross(p - c)` and `u.dot(p - c)`.
     """
     a = analyze(points, tol)
-    _check_distinct(points, tol)
+    require_distinct(points, tol)
     CENTERED.check(a)
     axes = a.mirror_axes
     if not axes:

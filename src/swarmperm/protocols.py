@@ -37,7 +37,6 @@ from .geometry import (
     first_coincident_pair,
     offsets,
     smallest_enclosing_circle,
-    sweep_angle,
     sweep_angle_xy,
 )
 from .ordering import (
@@ -150,10 +149,12 @@ def compute_movement_central(points: Sequence[Point],
         seg = points[e2] - points[e1]
         s_len = seg.norm()
         normal = seg.unit().rotated(math.pi / 2.0)
+        ends = dict(zip((e1, e2), offsets((points[e1], points[e2]), c)))
         for sign in (1.0, -1.0):
             apex = c + normal * (sign * s_len / 2.0)
+            [u] = offsets([apex], c)
             # all three points sit at distance s/2 from c, so c is the arc center
-            first = min((e1, e2), key=lambda i: sweep_angle(apex - c, points[i] - c, CW, tol))
+            first = min((e1, e2), key=lambda i: sweep_angle_xy(*u, *ends[i], CW, tol.eps))
             if first == pivot:
                 return apex, pivot
         raise InvalidHop("no perpendicular side makes the pivot first clockwise")
@@ -201,7 +202,9 @@ def compute_movement_not_central(points: Sequence[Point], own: int,
         return points[rx] + u * ((2.0 + e) * outer.radius)
     if on_outer and len(outer.indices) == 3:
         others = [i for i in outer.indices if i != own]
-        ahead = min(others, key=lambda i: sweep_angle(points[own] - c, points[i] - c, CCW, tol))
+        [u] = offsets([points[own]], c)
+        vecs = dict(zip(others, offsets((points[i] for i in others), c)))
+        ahead = min(others, key=lambda i: sweep_angle_xy(*u, *vecs[i], CCW, tol.eps))
         return c + (points[ahead] - c).rotated(-e * THIRD_TURN)
     rho = points[own].dist(c)
     below = [0.0] + [layer.radius for layer in nondeg if tol.lt(layer.radius, rho)]
@@ -260,8 +263,9 @@ def _attempts_three(points: Sequence[Point], tol: Tolerance) -> list[LeaderMark]
         rec[apex] = foot
         ra = Analysis(rec, tol)
         if first_coincident_pair(rec, tol) is None and ra.in_c_dot:
-            first = min((a, b), key=lambda i: sweep_angle(points[apex] - foot,
-                                                          points[i] - foot, CW, tol))
+            [u] = offsets([points[apex]], foot)
+            ends = dict(zip((a, b), offsets((points[a], points[b]), foot)))
+            first = min((a, b), key=lambda i: sweep_angle_xy(*u, *ends[i], CW, tol.eps))
             out.append(LeaderMark(apex, first, ra, "C1"))
     for moved, fixed in ((a, b), (b, a)):
         d_m = points[moved].dist(foot)
@@ -294,7 +298,7 @@ def _attempts_many(points: Analysis, tol: Tolerance) -> list[LeaderMark]:
     if len(boundary) == 2 and n >= 4:
         i1, i2 = boundary
         rest = [points[i] for i in range(n) if i not in boundary]
-        c2 = smallest_enclosing_circle(rest, tol).center
+        c2 = smallest_enclosing_circle(rest).center
         d1, d2 = points[i1].dist(c2), points[i2].dist(c2)
         if not tol.eq(d1, d2):
             lead, anchor = (i1, i2) if d1 > d2 else (i2, i1)
@@ -319,9 +323,11 @@ def _attempts_many(points: Analysis, tol: Tolerance) -> list[LeaderMark]:
     # outermost triple knocked out of its equal spacing
     outer = nondeg[-1]
     if len(outer.indices) == 3:
+        vecs = dict(zip(outer.indices, offsets((points[i] for i in outer.indices), c)))
+        # the sweep from the +x axis, a unit vector of norm exactly 1
         ring = sorted(outer.indices,
-                      key=lambda i: sweep_angle(Point(1.0, 0.0), points[i] - c, CCW, tol))
-        gaps = [sweep_angle(points[ring[t]] - c, points[ring[(t + 1) % 3]] - c, CCW, tol)
+                      key=lambda i: sweep_angle_xy(1.0, 0.0, 1.0, *vecs[i], CCW, tol.eps))
+        gaps = [sweep_angle_xy(*vecs[ring[t]], *vecs[ring[(t + 1) % 3]], CCW, tol.eps)
                 for t in range(3)]
         if not all(tol.eq(g, THIRD_TURN) for g in gaps):
             t_min = min(range(3), key=lambda t: gaps[t])
@@ -426,7 +432,7 @@ def move_all_no_chirality_step(a: Analysis, snapshot, bit: int) -> tuple[Point, 
     """One-round total relocation without a shared clockwise notion.
 
     After the centered guard the decision reads, in order: the duplicate
-    check it shares with `symmetricity_rho`; central symmetry, an even
+    check it shares with `symmetry_report`; central symmetry, an even
     rotational order, which reflects every robot through the centroid; and
     only then the mirror axes and the robots on them, or the agreed sweep
     order when there are none."""

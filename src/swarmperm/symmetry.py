@@ -1,6 +1,6 @@
 """Symmetry analysis of point configurations: rotational order about the
-centroid, mirror axes, symmetricity, view classes, the feasibility
-classification, and the paper's obstructions that the protocols refuse.
+centroid, mirror axes, symmetricity, the feasibility classification, and
+the paper's obstructions that the protocols refuse.
 
 `Analysis` caches these results for one point set.  Every public function
 here that takes points also accepts an Analysis and reuses what it holds.
@@ -14,7 +14,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .errors import DuplicatePoints, NotOrderable
+from .errors import DuplicatePoints, NonFinite, NotOrderable
 from .geometry import (
     DEFAULT_TOL,
     Circle,
@@ -28,7 +28,6 @@ from .geometry import (
     concentric_decomposition,
     enclosing_circle_xy,
     first_coincident_pair,
-    inverse_transform_points,
     smallest_enclosing_circle,
 )
 
@@ -97,7 +96,7 @@ class Analysis(tuple):
     @cached_property
     def sec(self) -> Circle:
         """The smallest enclosing circle."""
-        return smallest_enclosing_circle(self, self.tol)
+        return smallest_enclosing_circle(self)
 
     @cached_property
     def center_index(self) -> int | None:
@@ -278,36 +277,27 @@ def robots_on_axis(points: Sequence[Point], axis: Axis, tol: Tolerance = DEFAULT
 
 
 def require_distinct(points: Sequence[Point], tol: Tolerance) -> None:
-    """Raise DuplicatePoints when two points coincide: symmetricity is
-    undefined there."""
-    if first_coincident_pair(points, tol) is not None:
-        raise DuplicatePoints("symmetricity is undefined for coincident points")
-
-
-def symmetricity_rho(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> int:
-    """Rotational order about the centroid, forced to 1 when a point
-    occupies the centroid."""
-    a = analyze(points, tol)
-    require_distinct(a, tol)
-    c = a.centroid
-    if any(tol.same_point(p, c) for p in a):
-        return 1
-    return a.rotational_order
+    """Raise DuplicatePoints naming the first pair of points within eps:
+    symmetry and cyclic orders are undefined there."""
+    if (hit := first_coincident_pair(points, tol)) is not None:
+        raise DuplicatePoints(f"points {hit[0]} and {hit[1]} coincide within eps")
 
 
 def symmetry_report(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> SymmetryReport:
     """The SymmetryReport of the points, for `swarmperm classify` and the
     tests; it builds the mirror axes and the robots on each even where a
-    step would not read them."""
+    step would not read them.  The symmetricity rho is the rotational
+    order about the centroid, forced to 1 when a point occupies it."""
     a = analyze(points, tol)
-    rho = symmetricity_rho(a, tol)
+    require_distinct(a, tol)
+    central = any(tol.same_point(p, a.centroid) for p in a)
     order = a.rotational_order
     return SymmetryReport(
-        rho=rho,
+        rho=1 if central else order,
         rotational_order=order,
         mirror_axes=a.mirror_axes,
         robot_counts_on_axes=tuple(len(on) for on in a.axis_robots),
-        has_central_robot=any(tol.same_point(p, a.centroid) for p in a),
+        has_central_robot=central,
         is_central_symmetric=(order % 2 == 0),
     )
 
@@ -353,7 +343,7 @@ def _no_center_robot(points: Sequence[Point], eps: float) -> bool:
     while left and len(core) < 6:  # two rounds at most
         try:
             bx, by, _ = enclosing_circle_xy(core)
-        except ValueError:  # a circumcenter left the finite floats: undecided
+        except NonFinite:  # a circumcenter left the finite floats: undecided
             return False
         dists = [math.hypot(x - bx, y - by) for x, y in pts]
         reach = max(dists)
@@ -398,55 +388,3 @@ ONE_ROBOT_AXIS = Obstruction(lambda a: any(len(on) == 1 for on in a.axis_robots)
                              "a mirror axis carries exactly one robot (demo thm5)")
 BLOCKING_AXES = Obstruction(lambda a: len(a.mirror_axes) > 1 or any(a.axis_robots),
                             "two or more mirror axes, or an occupied one (demo thm9)")
-
-
-# --- view classes --------------------------------------------------------
-
-def _congruent_about_origin(va: Sequence[Point], vb: Sequence[Point],
-                            tol: Tolerance, allow_mirror: bool) -> bool:
-    """Congruence of two local views by a rotation about the origin,
-    optionally composed with a reflection."""
-    if len(va) != len(vb):
-        return False
-    ra = sorted(p.norm() for p in va)
-    rb = sorted(p.norm() for p in vb)
-    if any(abs(a - b) > tol.eps for a, b in zip(ra, rb)):
-        return False
-    variants = [va]
-    if allow_mirror:
-        variants.append([p.mirrored() for p in va])
-    anchor = max(variants[0], key=lambda p: p.norm())
-    if anchor.norm() <= tol.eps:
-        return True  # all points at the origin on both sides
-    index = PointIndex(vb, tol)
-    for cand in variants:
-        a = max(cand, key=lambda p: p.norm())
-        for b in vb:
-            if abs(b.norm() - a.norm()) > tol.eps:
-                continue
-            if index.matches(_rotated(cand, 0.0, 0.0, ccw_angle(a, b))):
-                return True
-    return False
-
-
-def view_classes(points: Sequence[Point], frames: Sequence, tol: Tolerance = DEFAULT_TOL,
-                 chirality: bool = True) -> list[list[int]]:
-    """Partition robots by congruence of their local views.
-
-    With chirality, views are compared up to rotation about the observer;
-    without it, also up to reflection.  `frames` supplies per-robot
-    rotation/mirror/scale attributes.
-    """
-    views = [inverse_transform_points(points, z.rotation, z.mirror, z.scale, p)
-             for p, z in zip(points, frames)]
-    classes: list[list[int]] = []
-    for i in range(len(points)):
-        placed = False
-        for cls in classes:
-            if _congruent_about_origin(views[cls[0]], views[i], tol, allow_mirror=not chirality):
-                cls.append(i)
-                placed = True
-                break
-        if not placed:
-            classes.append([i])
-    return classes

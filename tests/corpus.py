@@ -27,9 +27,14 @@ from swarmperm import (
     smallest_enclosing_circle,
     symmetry_report,
 )
-from swarmperm.geometry import sweep_angle
+from swarmperm.geometry import sweep_angle_xy
 
 TWO_PI = 2.0 * math.pi
+
+
+def sweep(u: Point, v: Point, handedness: str, tol: Tolerance) -> float:
+    """sweep_angle_xy from ray u to ray v, each norm taken by Point.norm."""
+    return sweep_angle_xy(u.x, u.y, u.norm(), v.x, v.y, v.norm(), handedness, tol.eps)
 
 
 # --- random configurations ------------------------------------------------
@@ -280,7 +285,7 @@ def next_point(points: Sequence[Point], r_idx: int, handedness: str = CCW,
         if tol.ray_aligned(vr, vj):
             same_ray.append(j)
         else:
-            others.append((sweep_angle(vr, vj, handedness, tol), dj, j))
+            others.append((sweep(vr, vj, handedness, tol), dj, j))
     farther = [j for j in same_ray if tol.gt(points[j].dist(c), dr)]
     if farther:
         return min(farther, key=lambda j: points[j].dist(c))
@@ -298,8 +303,8 @@ def get_vote(points: Sequence[Point], polygon: Sequence[int], x_dir: Point,
     over Point arithmetic: the one-direction oracle of the vote scan.  Exact
     alignment wins outright; sub-eps angular ties fall back to the (x, y)
     point sort."""
-    center = smallest_enclosing_circle(points, tol).center
-    scored = [(sweep_angle(x_dir, points[v] - center, CW, tol), v) for v in polygon]
+    center = smallest_enclosing_circle(points).center
+    scored = [(sweep(x_dir, points[v] - center, CW, tol), v) for v in polygon]
     best = min(a for a, _ in scored)
     cluster = [(a, v) for a, v in scored if a <= best + tol.eps]
     zero = [v for a, v in cluster if a == 0.0]

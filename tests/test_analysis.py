@@ -42,6 +42,7 @@ from swarmperm import (
     smallest_enclosing_circle,
     to_local_snapshot,
 )
+from swarmperm.errors import NonFinite
 
 
 def _outcome(fn):
@@ -66,13 +67,13 @@ def _standalone(pts, tol):
         return rotational_order([p for i, p in enumerate(pts) if i != rc], tol)
 
     return {
-        "sec": lambda: smallest_enclosing_circle(raw(), tol),
+        "sec": lambda: smallest_enclosing_circle(raw()),
         "center_index": lambda: center_robot_index(raw(), tol),
         "k_without_center": k_without_center,
         "in_c_dot": lambda: k_without_center() > 1,
         "centroid": lambda: centroid(raw()),
         "layers": lambda: concentric_decomposition(
-            raw(), smallest_enclosing_circle(raw(), tol).center, tol),
+            raw(), smallest_enclosing_circle(raw()).center, tol),
         "inner_polygon": lambda: inner_polygon(raw(), tol),
         "rotational_order": lambda: rotational_order(raw(), tol),
         "mirror_axes": lambda: mirror_axes(raw(), tol),
@@ -253,7 +254,7 @@ def test_second_bound_center_skips_the_circle_the_box_leaves(monkeypatch):
     assert log == []
 
     def raising(xys):
-        raise ValueError(f"{geometry.NON_FINITE}, got (nan, nan)")
+        raise NonFinite("point coordinates must be finite, got (nan, nan)")
 
     monkeypatch.setattr(symmetry, "enclosing_circle_xy", raising)
     for snap in snaps:

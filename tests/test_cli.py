@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from swarmperm.cli import (
     load_scenario,
     main,
 )
+from swarmperm.engine import to_local_snapshot
 
 
 def _write(tmp_path, name, obj):
@@ -227,6 +231,18 @@ def test_simulate_near_the_float_limit_stops_without_traceback(tmp_path, capsys)
                         r"finite floats: point coordinates must be finite, got [^\n]+\n", err)
 
 
+def test_frames_that_leave_the_finite_floats_exit_malformed(tmp_path, capsys):
+    # rotated_quarter looks for the center robot, and the enclosing circle's
+    # circumcenter of these points leaves the finite floats: NonFinite is a
+    # SwarmError, so the scenario is refused instead of escaping as a traceback
+    pts = [[1.7e308, -9e307], [-1e308, 9e307], [9e307, -9e307], [-1e308, 0]]
+    path = _write(tmp_path, "s.json", {"points": pts, "frames": {"kind": "rotated_quarter"},
+                                       "protocol": "VotingVisitAll"})
+    assert main(["simulate", "--scenario", path]) == EXIT_MALFORMED
+    assert re.fullmatch(r"error: NonFinite: point coordinates must be finite, got [^\n]+\n",
+                        capsys.readouterr().err)
+
+
 def test_simulate_writes_trace(tmp_path, capsys):
     scn = _write(tmp_path, "s.json", SQUARE_SCN)
     out_path = tmp_path / "t.jsonl"
@@ -258,6 +274,32 @@ def test_simulate_failure_exits_2(tmp_path, capsys):
 def test_simulate_requires_protocol(tmp_path, capsys):
     scn = _write(tmp_path, "s.json", {"points": [[0, 0], [1, 0], [0, 1]]})
     assert main(["simulate", "--scenario", scn]) == EXIT_MALFORMED
+
+
+# A 3-fold pinwheel at radius 2 plus three near-pairs at radius 1, spaced
+# 1.05 to 1.9 eps apart: classify calls both no-chirality protocols feasible,
+# but the rotation maps two robots of a pair onto one, and the orbit walk of
+# agree_chirality once looped on that forever.
+NEAR_PAIRS = [
+    [1.9126095119260709, 0.5847434094454735], [-1.462707403238341, 1.3639967201249972],
+    [-0.4499021086877305, -1.9487401295704703], [0.9999999997247068, 2.6621238233671464e-11],
+    [0.9999999997247068, 1.3978947474257385e-09], [-0.49999999942430545, 0.8660254037057216],
+    [-0.5000000004850977, 0.8660254030932728], [-0.4999999996222186, -0.866025404175019],
+    [-0.49999999839418796, -0.8660254048840229],
+]
+
+
+@pytest.mark.parametrize("protocol", ["MoveAllNoChirality", "VisitAllNoChirality"])
+def test_simulate_near_pairs_refuses_instead_of_hanging(tmp_path, protocol):
+    path = _write(tmp_path, "s.json", {"points": NEAR_PAIRS, "protocol": protocol})
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "swarmperm.cli", "simulate", "--scenario", path,
+                           "--trace", str(tmp_path / "t.jsonl")],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == EXIT_PROTOCOL_ERROR
+    assert proc.stderr == ("run stopped at round 1: NotOrderable: rotational order "
+                           "inconsistent with point matching (robot 0)\n")
 
 
 # --- verify ---------------------------------------------------------------
@@ -360,6 +402,29 @@ def test_demo_predicted_obstruction(name, force, capsys):
     out = capsys.readouterr().out
     assert "as predicted" in out
     assert DEMO_EXPECT[(name, force)] in out
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_demo_thm2_checks_the_views(force, capsys):
+    assert main(["demo", "thm2"] + (["--force"] if force else [])) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "every corner's view relabels corner 1's within eps: yes\n" in out
+    assert "the center's view relabels it: no\n" in out
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_demo_thm2_fails_when_a_corner_view_differs(force, capsys, monkeypatch):
+    def shifted(points, frames, i, visible=False):
+        snap = to_local_snapshot(points, frames, i, visible)
+        if i != 2:
+            return snap
+        return type(snap)(tuple(p * 1.5 for p in snap.local_points), i)
+
+    monkeypatch.setattr("swarmperm.cli.to_local_snapshot", shifted)
+    assert main(["demo", "thm2"] + (["--force"] if force else [])) == EXIT_SPEC_FAIL
+    out = capsys.readouterr().out
+    assert "every corner's view relabels corner 1's within eps: no\n" in out
+    assert "as predicted" not in out
 
 
 @pytest.mark.parametrize("name", ["thm2", "thm3", "thm5", "thm9"])

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from corpus import collinear_config, oracle_sec, rand_points, regular_polygon
+from corpus import collinear_config, oracle_sec, rand_points, regular_polygon, sweep
 
 from swarmperm import (
     AmbiguousLayering,
@@ -11,14 +11,14 @@ from swarmperm import (
     DEFAULT_TOL,
     InvalidFrame,
     Point,
+    SwarmError,
     Tolerance,
     centroid,
     concentric_decomposition,
-    inverse_transform,
     smallest_enclosing_circle,
-    transform,
 )
-from swarmperm.geometry import sweep_angle
+from swarmperm.errors import NonFinite
+from swarmperm.geometry import inverse_transform_points, transform_points
 
 
 def test_point_arithmetic():
@@ -39,8 +39,15 @@ def test_rotated_and_mirrored():
     p = Point(1.0, 0.0)
     q = p.rotated(math.pi / 2)
     assert q.x == pytest.approx(0.0, abs=1e-15) and q.y == pytest.approx(1.0)
-    m = Point(1.0, 2.0).mirrored()
-    assert m == Point(1.0, -2.0)
+    assert transform_points([Point(1.0, 2.0)], mirror=True) == [Point(1.0, -2.0)]
+
+
+def test_non_finite_coordinates_raise_a_typed_error():
+    for x, y in ((math.nan, 0.0), (0.0, math.inf)):
+        with pytest.raises(NonFinite, match=r"^point coordinates must be finite, got "):
+            Point(x, y)
+    # engine and CLI boundaries catch it by type; older callers catch ValueError
+    assert issubclass(NonFinite, SwarmError) and issubclass(NonFinite, ValueError)
 
 
 def test_tolerance_predicates():
@@ -63,25 +70,23 @@ def test_transform_roundtrip():
         mirror = rng.random() < 0.5
         scale = rng.uniform(0.2, 4.0)
         t = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        g = transform(p, rot, mirror, scale, t)
-        back = inverse_transform(g, rot, mirror, scale, t)
+        g = transform_points([p], rot, mirror, scale, t)
+        [back] = inverse_transform_points(g, rot, mirror, scale, t)
         assert back.dist(p) < 1e-12
 
 
 def test_transform_rejects_bad_scale():
     with pytest.raises(InvalidFrame):
-        transform(Point(1, 0), 0.0, False, 0.0, Point(0, 0))
+        transform_points([Point(1, 0)], 0.0, False, 0.0, Point(0, 0))
     with pytest.raises(InvalidFrame):
-        transform(Point(1, 0), 0.0, False, -1.0, Point(0, 0))
+        transform_points([Point(1, 0)], 0.0, False, -1.0, Point(0, 0))
 
 
 def test_mirror_flips_orientation():
     a, b, c = Point(0, 0), Point(1, 0), Point(0, 1)
     def orient(p, q, r):
         return (q - p).cross(r - p)
-    la = inverse_transform(a, 0.3, True, 1.0, Point(0.2, 0.1))
-    lb = inverse_transform(b, 0.3, True, 1.0, Point(0.2, 0.1))
-    lc = inverse_transform(c, 0.3, True, 1.0, Point(0.2, 0.1))
+    la, lb, lc = inverse_transform_points([a, b, c], 0.3, True, 1.0, Point(0.2, 0.1))
     assert orient(a, b, c) > 0
     assert orient(la, lb, lc) < 0
 
@@ -159,17 +164,17 @@ def test_sec_order_invariance():
 
 def test_sweep_angle_conventions():
     u = Point(2, 0)
-    assert sweep_angle(u, Point(1, 1), CCW, DEFAULT_TOL) == pytest.approx(math.pi / 4)
-    assert sweep_angle(u, Point(1, 1), CW, DEFAULT_TOL) == pytest.approx(7 * math.pi / 4)
-    assert sweep_angle(u, Point(0, -3), CW, DEFAULT_TOL) == pytest.approx(math.pi / 2)
+    assert sweep(u, Point(1, 1), CCW, DEFAULT_TOL) == pytest.approx(math.pi / 4)
+    assert sweep(u, Point(1, 1), CW, DEFAULT_TOL) == pytest.approx(7 * math.pi / 4)
+    assert sweep(u, Point(0, -3), CW, DEFAULT_TOL) == pytest.approx(math.pi / 2)
     for h in (CCW, CW):
         # rays within eps of each other, at any length, sweep exactly 0
-        assert sweep_angle(u, Point(5, 5e-10), h, DEFAULT_TOL) == 0.0
-        assert sweep_angle(u, Point(5, -5e-10), h, DEFAULT_TOL) == 0.0
-        assert sweep_angle(u, Point(-1, 0), h, DEFAULT_TOL) == pytest.approx(math.pi)
+        assert sweep(u, Point(5, 5e-10), h, DEFAULT_TOL) == 0.0
+        assert sweep(u, Point(5, -5e-10), h, DEFAULT_TOL) == 0.0
+        assert sweep(u, Point(-1, 0), h, DEFAULT_TOL) == pytest.approx(math.pi)
         # a unit axis is never aligned within eps = 1, but a vector exactly
         # on it still sweeps 0, not a full turn
-        assert sweep_angle(Point(1, 0), Point(3, 0), h, Tolerance(1.0)) == 0.0
+        assert sweep(Point(1, 0), Point(3, 0), h, Tolerance(1.0)) == 0.0
 
 
 def test_concentric_layers():

@@ -62,3 +62,40 @@ def test_no_broad_exception_handlers(path):
     into a silent refusal or swallow an interrupt."""
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _broad_handlers(tree) == []
+
+
+ROOT = SRC.parent.parent
+# every program directory; the tests are not callers
+PROGRAMS = [p for d in ("src", "demos", "bench", "tools") for p in sorted((ROOT / d).rglob("*.py"))
+            if p.name != "__init__.py"]
+
+
+def _exports() -> list[str]:
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+            for a in node.names]
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name read, as a bare name or an attribute, outside the body of
+    the function or class of that name."""
+    out: set[str] = set()
+
+    def walk(node: ast.AST, inside: frozenset) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and node.id not in inside:
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in inside:
+            out.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            walk(child, inside)
+
+    walk(tree, frozenset())
+    return out
+
+
+def test_every_export_has_a_caller():
+    """A public name that only the tests call is not worth its lines."""
+    used = set().union(*(_references(ast.parse(p.read_text())) for p in PROGRAMS))
+    assert [name for name in _exports() if name not in used] == []

@@ -12,6 +12,7 @@ from corpus import (
 )
 
 from swarmperm import (
+    DEFAULT_TOL,
     DuplicatePoints,
     Frame,
     Point,
@@ -20,11 +21,10 @@ from swarmperm import (
     mirror_axes,
     robots_on_axis,
     rotational_order,
-    symmetricity_rho,
     symmetry_report,
     to_local_snapshot,
-    view_classes,
 )
+from swarmperm.geometry import PointIndex
 
 SQUARE = [Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1)]
 SQUARE_CENTER = [Point(0, 0)] + SQUARE
@@ -43,11 +43,11 @@ def _angles_match(a, b, period=math.pi, tol=1e-7):
 def test_square_symmetries():
     assert rotational_order(SQUARE) == 4
     assert len(mirror_axes(SQUARE)) == 4
-    assert symmetricity_rho(SQUARE) == 4
+    assert symmetry_report(SQUARE).rho == 4
 
 
 def test_rho_one_when_centroid_occupied():
-    assert symmetricity_rho(SQUARE_CENTER) == 1
+    assert symmetry_report(SQUARE_CENTER).rho == 1
     assert rotational_order(SQUARE_CENTER) == 4
 
 
@@ -82,8 +82,8 @@ def test_robots_on_axis():
 
 
 def test_duplicate_points_rejected():
-    with pytest.raises(DuplicatePoints):
-        symmetricity_rho([Point(0, 0), Point(0, 0), Point(1, 0)])
+    with pytest.raises(DuplicatePoints, match="^points 0 and 1 coincide within eps$"):
+        symmetry_report([Point(0, 0), Point(0, 0), Point(1, 0)])
 
 
 def test_rotational_order_matches_oracle_random():
@@ -129,21 +129,26 @@ def test_c_dot_generator_agrees_with_classify():
         ci = center_robot_index(pts)
         assert ci is not None
         rest = [p for i, p in enumerate(pts) if i != ci]
-        assert symmetricity_rho(rest) == cls.k_without_center > 1
+        assert symmetry_report(rest).rho == cls.k_without_center > 1
 
 
-def test_view_classes_symmetric_frames():
-    # four corners with outward-rotated frames share one view class,
-    # the distinct center forms its own
+def _relabels(view, other) -> bool:
+    """True when other is a relabelling of view within eps."""
+    return PointIndex(view, DEFAULT_TOL).matches((p.x, p.y) for p in other)
+
+
+def test_symmetric_frames_give_relabelled_views():
+    # four corners with outward-rotated frames see one view up to
+    # relabelling, though not bit for bit; the center sees another
     pts = SQUARE_CENTER
     frames = [Frame(0.0)] + [Frame(math.atan2(p.y, p.x)) for p in pts[1:]]
-    classes = view_classes(pts, frames)
-    sizes = sorted(len(c) for c in classes)
-    assert sizes == [1, 4]
+    views = [to_local_snapshot(pts, frames, i).local_points for i in range(len(pts))]
+    assert [_relabels(views[1], v) for v in views] == [False, True, True, True, True]
+    assert len(set(views[1:])) > 1
 
 
-def test_view_classes_distinct_frames():
+def test_distinct_frames_give_distinct_views():
     pts = [Point(0, 0), Point(2, 0.3), Point(-1, 1.4)]
     frames = [Frame(0.1), Frame(1.1), Frame(2.3)]
-    classes = view_classes(pts, frames)
-    assert sorted(len(c) for c in classes) == [1, 1, 1]
+    views = [to_local_snapshot(pts, frames, i).local_points for i in range(len(pts))]
+    assert not any(_relabels(views[i], views[j]) for i in range(3) for j in range(3) if i != j)
