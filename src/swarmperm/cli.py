@@ -31,13 +31,11 @@ from .engine import (
 )
 from .errors import NonFinite, SwarmError
 from .geometry import DEFAULT_TOL, Point, PointIndex, Tolerance
-from .ordering import order_from_leader
 from .protocols import (
     PROTOCOL_IDS,
     Protocol,
-    compute_movement_central,
     make_protocol,
-    reconstruct,
+    one_bit_step,
     refusal,
 )
 from .symmetry import analyze, classify, symmetry_report
@@ -359,15 +357,9 @@ def _demo_thm3(force: bool) -> int:
     if force:
         print("(--force has no effect: the memoryless attempt is already forced)")
 
+    # the one-bit step with the bit guessed from the snapshot alone
     def bitless(a, snap, bit):
-        if a.in_c_dot:
-            if snap.own_index == a.center_index:
-                dest, _ = compute_movement_central(a, a.tol)
-                return dest, bit
-            return a[snap.own_index], bit
-        mark = reconstruct(a, a.tol)
-        order = order_from_leader(mark.reconstructed, mark.pivot_index, a.tol)
-        return mark.reconstructed[order.successor(snap.own_index)], bit
+        return one_bit_step(a, snap, 0 if a.in_c_dot else 1)[0], bit
 
     print("predicted obstruction: round 3 is not a permutation of round 1")
     trace = run(pts, frames, Protocol(name="two-step-no-memory", step=bitless,

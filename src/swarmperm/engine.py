@@ -283,4 +283,6 @@ def parse_trace(text: str) -> RunTrace:
     sizes = {len(r.positions) for r in records}
     if len(sizes) != 1:
         raise ValueError("trace mixes robot counts")
+    if sizes == {0}:
+        raise ValueError("trace has no robots")
     return RunTrace(tuple(records))

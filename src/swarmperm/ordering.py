@@ -123,42 +123,23 @@ def _ray_groups(points: Sequence[Point], idxs: Sequence[int], c: Point,
     return [[row[2] for row in sorted(g, key=itemgetter(1))] for g in groups]
 
 
-def _group_gaps(points: Sequence[Point], groups: Sequence[Sequence[int]], c: Point,
-                handedness: str) -> list[float]:
-    """Angular gap from each group's ray to the next group's ray, swept in
-    the given handedness."""
+def _signature(points: Sequence[Point], groups: Sequence[Sequence[int]], c: Point,
+               handedness: str) -> list[float]:
+    """Radius and angular gap to the next ray, swept in the given
+    handedness, for each point along the cyclic sweep, laid end to end; the
+    gap is zero between points sharing a ray.  The sequence determines the
+    configuration up to rotation."""
     reps = [points[g[0]] - c for g in groups]
-    gaps = []
-    for t in range(len(reps)):
-        u, v = reps[t], reps[(t + 1) % len(reps)]
-        if len(reps) == 1:
-            gaps.append(2.0 * math.pi)
-            continue
-        a = ccw_angle(u, v) if handedness == CCW else ccw_angle(v, u)
-        gaps.append(a)
-    return gaps
-
-
-def _signature_pairs(points: Sequence[Point], groups: Sequence[Sequence[int]], c: Point,
-                     handedness: str) -> list[tuple[float, float]]:
-    """Per-point (radius, angular gap to the next ray) pairs along the
-    cyclic sweep; gap is zero between points sharing a ray.  The sequence
-    determines the configuration up to rotation."""
-    gaps = _group_gaps(points, groups, c, handedness)
-    sig: list[tuple[float, float]] = []
+    sig: list[float] = []
     for t, g in enumerate(groups):
-        for pos, i in enumerate(g):
-            gap = gaps[t] if pos == len(g) - 1 else 0.0
-            sig.append((points[i].dist(c), gap))
+        for i in g:
+            sig += (points[i].dist(c), 0.0)
+        if len(reps) == 1:
+            sig[-1] = 2.0 * math.pi
+        else:
+            u, v = reps[t], reps[(t + 1) % len(reps)]
+            sig[-1] = ccw_angle(u, v) if handedness == CCW else ccw_angle(v, u)
     return sig
-
-
-def _flatten(pairs: Sequence[tuple[float, float]]) -> list[float]:
-    out: list[float] = []
-    for d, g in pairs:
-        out.append(d)
-        out.append(g)
-    return out
 
 
 def least_rotations(flat: Sequence[float], width: int, tol: Tolerance) -> list[int]:
@@ -203,7 +184,7 @@ def order_with_chirality(points: Sequence[Point], handedness: str = CCW,
     flat = [i for g in groups for i in g]
     if not center_idxs or not rest:
         return CyclicOrder(tuple(flat + center_idxs))
-    starts = least_rotations(_flatten(_signature_pairs(points, groups, c, handedness)), 2, tol)
+    starts = least_rotations(_signature(points, groups, c, handedness), 2, tol)
     if len(starts) > 1:
         raise NotOrderable("signature is rotationally periodic, no canonical start")
     s = starts[0]
@@ -212,53 +193,18 @@ def order_with_chirality(points: Sequence[Point], handedness: str = CCW,
 
 # --- chirality agreement -------------------------------------------------
 
-def _scan_signature(points: Sequence[Point], c: Point, rep: int, handedness: str,
-                    tol: Tolerance, idxs: Sequence[int]) -> list[float]:
-    groups = _ray_groups(points, idxs, c, handedness, tol)
-    at = next(t for t, g in enumerate(groups) if rep in g)
-    groups = list(groups[at:]) + list(groups[:at])
-    return _flatten(_signature_pairs(points, groups, c, handedness))
-
-
-def _rotation_orbits(points: Sequence[Point], idxs: Sequence[int], c: Point, k: int,
-                     tol: Tolerance) -> list[list[int]]:
-    if k <= 1:
-        return [[i] for i in idxs]
-    step = 2.0 * math.pi / k
-    imap: dict[int, int] = {}
-    for i in idxs:
-        image = c + (points[i] - c).rotated(step)
-        j = min(idxs, key=lambda t: points[t].dist(image))
-        # no robot within eps, or a robot taken twice, on which the orbit walk never ends
-        if points[j].dist(image) > tol.eps or j in imap.values():
-            raise NotOrderable("rotational order inconsistent with point matching")
-        imap[i] = j
-    orbits: list[list[int]] = []
-    seen: set[int] = set()
-    for i in idxs:
-        if i in seen:
-            continue
-        orbit = [i]
-        seen.add(i)
-        j = imap[i]
-        while j != i:
-            orbit.append(j)
-            seen.add(j)
-            j = imap[j]
-        orbits.append(orbit)
-    return orbits
-
-
 def agree_chirality(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> str:
     """Pick a handedness from geometry alone.
 
-    Requires a mirror-asymmetric configuration.  The rule: take the
-    symmetry class nearest the centroid (ties by class size, then by its
-    mirror-invariant signature), scan the whole configuration from one of
-    its members both ways, and keep the handedness with the smaller
-    signature.  Every observer lands on the same answer, and a mirrored
-    observer lands on the opposite one, which is exactly what a shared
-    clockwise notion needs.
+    Requires a mirror-asymmetric configuration.  The rule: key every
+    off-centroid robot by its distance from the centroid and the smaller of
+    its ccw and cw scans of the whole configuration, each starting at the
+    robot's ray; the least key, ties going to the first robot, keeps the
+    handedness of its smaller scan.  Every observer lands on the same
+    answer, and a mirrored observer lands on the opposite one, which is
+    exactly what a shared clockwise notion needs.  Each direction is swept
+    once: a robot's scan is that sweep's signature rotated to the start of
+    its ray group, the floats a sweep from the robot would give.
     """
     a = analyze(points, tol)
     if a.mirror_axes:
@@ -267,29 +213,30 @@ def agree_chirality(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> st
     idxs = [i for i, p in enumerate(points) if not tol.same_point(p, c)]
     if not idxs:
         raise MirrorSymmetric("no off-centroid points to orient by")
-    k = a.rotational_order
-    orbits = _rotation_orbits(points, idxs, c, k, tol)
 
-    def orbit_key(orbit: list[int]) -> tuple[float, int, list[float], int]:
-        """Radius and size of the orbit, the smaller of its representative's
-        ccw and cw scans, and the sign of their comparison."""
-        rep = min(orbit)
-        s_ccw = _scan_signature(points, c, rep, CCW, tol, idxs)
-        s_cw = _scan_signature(points, c, rep, CW, tol, idxs)
-        turn = _cmp_seq(s_ccw, s_cw, tol)
-        return (points[rep].dist(c), len(orbit), s_ccw if turn <= 0 else s_cw, turn)
+    def scans(handedness: str) -> dict[int, list[float]]:
+        groups = _ray_groups(points, idxs, c, handedness, tol)
+        sig = _signature(points, groups, c, handedness)
+        out: dict[int, list[float]] = {}
+        s = 0
+        for g in groups:
+            out.update(dict.fromkeys(g, sig[s:] + sig[:s]))
+            s += 2 * len(g)
+        return out
+
+    ccw, cw = scans(CCW), scans(CW)
+
+    def key(i: int) -> tuple[float, list[float], int]:
+        """Radius, the smaller of the robot's ccw and cw scans, and the
+        sign of their comparison."""
+        turn = _cmp_seq(ccw[i], cw[i], tol)
+        return (points[i].dist(c), ccw[i] if turn <= 0 else cw[i], turn)
 
     def cmp_keyed(a, b):
-        ra, na, siga, _ = a
-        rb, nb, sigb, _ = b
-        c = tol.cmp(ra, rb)
-        if c != 0:
-            return c
-        if na != nb:
-            return -1 if na < nb else 1
-        return _cmp_seq(siga, sigb, tol)
+        r = tol.cmp(a[0], b[0])
+        return r if r != 0 else _cmp_seq(a[1], b[1], tol)
 
-    *_, turn = min((orbit_key(o) for o in orbits), key=cmp_to_key(cmp_keyed))
+    *_, turn = min((key(i) for i in idxs), key=cmp_to_key(cmp_keyed))
     if turn == 0:
         raise MirrorSymmetric("both scan directions read identically")
     return CCW if turn < 0 else CW
@@ -305,7 +252,8 @@ def orient_axis(points: Sequence[Point], axis: Axis, tol: Tolerance = DEFAULT_TO
     vecs = [(p.x - cx, p.y - cy) for p in points]
 
     def profile(ux: float, uy: float) -> list[float]:
-        return _flatten(sorted((ux * vx + uy * vy, abs(ux * vy - uy * vx)) for vx, vy in vecs))
+        rows = sorted((ux * vx + uy * vy, abs(ux * vy - uy * vx)) for vx, vy in vecs)
+        return [f for row in rows for f in row]
 
     u = axis.direction
     cmp = _cmp_seq(profile(u.x, u.y), profile(-u.x, -u.y), tol)

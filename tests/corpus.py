@@ -434,3 +434,16 @@ def hand_symmetry_corpus() -> list[tuple[list[Point], int, int]]:
     out.append(([Point(0, 0), Point(2, 0), Point(0, 2)], 1, 1))
     assert len(out) >= 50
     return out
+
+
+# A 3-fold pinwheel at radius 2 plus three near-pairs at radius 1, spaced
+# 1.05 to 1.9 eps apart: the rotation that maps the pinwheel onto itself
+# takes two robots of a pair onto one, so no matching of robots realises the
+# rotational order.  As [x, y] lists, for scenario files.
+NEAR_PAIRS = [
+    [1.9126095119260709, 0.5847434094454735], [-1.462707403238341, 1.3639967201249972],
+    [-0.4499021086877305, -1.9487401295704703], [0.9999999997247068, 2.6621238233671464e-11],
+    [0.9999999997247068, 1.3978947474257385e-09], [-0.49999999942430545, 0.8660254037057216],
+    [-0.5000000004850977, 0.8660254030932728], [-0.4999999996222186, -0.866025404175019],
+    [-0.49999999839418796, -0.8660254048840229],
+]

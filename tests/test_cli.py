@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from corpus import NEAR_PAIRS
 
 from swarmperm.cli import (
     EXIT_MALFORMED,
@@ -276,30 +277,34 @@ def test_simulate_requires_protocol(tmp_path, capsys):
     assert main(["simulate", "--scenario", scn]) == EXIT_MALFORMED
 
 
-# A 3-fold pinwheel at radius 2 plus three near-pairs at radius 1, spaced
-# 1.05 to 1.9 eps apart: classify calls both no-chirality protocols feasible,
-# but the rotation maps two robots of a pair onto one, and the orbit walk of
-# agree_chirality once looped on that forever.
-NEAR_PAIRS = [
-    [1.9126095119260709, 0.5847434094454735], [-1.462707403238341, 1.3639967201249972],
-    [-0.4499021086877305, -1.9487401295704703], [0.9999999997247068, 2.6621238233671464e-11],
-    [0.9999999997247068, 1.3978947474257385e-09], [-0.49999999942430545, 0.8660254037057216],
-    [-0.5000000004850977, 0.8660254030932728], [-0.4999999996222186, -0.866025404175019],
-    [-0.49999999839418796, -0.8660254048840229],
-]
-
-
-@pytest.mark.parametrize("protocol", ["MoveAllNoChirality", "VisitAllNoChirality"])
-def test_simulate_near_pairs_refuses_instead_of_hanging(tmp_path, protocol):
-    path = _write(tmp_path, "s.json", {"points": NEAR_PAIRS, "protocol": protocol})
+def _cli(*argv: str) -> subprocess.CompletedProcess:
+    """swarmperm in a child process, so a step that never ends fails the
+    test on the timeout instead of hanging the suite."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    proc = subprocess.run([sys.executable, "-m", "swarmperm.cli", "simulate", "--scenario", path,
-                           "--trace", str(tmp_path / "t.jsonl")],
+    return subprocess.run([sys.executable, "-m", "swarmperm.cli", *argv],
                           env=env, capture_output=True, text=True, timeout=30)
-    assert proc.returncode == EXIT_PROTOCOL_ERROR
-    assert proc.stderr == ("run stopped at round 1: NotOrderable: rotational order "
-                           "inconsistent with point matching (robot 0)\n")
+
+
+@pytest.mark.parametrize("protocol, spec, rounds", [
+    ("MoveAllNoChirality", "move-all", 4), ("VisitAllNoChirality", "visit-all", 18)])
+def test_simulate_near_pairs_runs_as_classify_predicts(tmp_path, protocol, spec, rounds):
+    """The rotation that maps the near-pairs set onto itself within eps takes
+    two robots of a pair onto one; chirality agreement matches no robots, so
+    the run goes as classify says."""
+    path = _write(tmp_path, "s.json", {"points": NEAR_PAIRS, "protocol": protocol,
+                                       "rounds": rounds})
+    out = _cli("classify", "--scenario", path).stdout
+    assert "  MoveAllNoChirality: feasible\n" in out
+    assert "  VisitAllNoChirality: feasible\n" in out
+    trace = str(tmp_path / "t.jsonl")
+    proc = _cli("simulate", "--scenario", path, "--trace", trace)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    proc = _cli("verify", "--trace", trace, "--spec", spec, "--k", "1")
+    assert proc.returncode == EXIT_OK
+    verdict = json.loads(proc.stdout)
+    assert (verdict["k"], verdict["pass"]) == (1, True)
+    assert len(Path(trace).read_text().splitlines()) == rounds + 1
 
 
 # --- verify ---------------------------------------------------------------
@@ -361,6 +366,16 @@ def test_verify_rejects_rounds_out_of_sequence(tmp_path, capsys, edit, message):
     assert main(["verify", "--trace", trace_path, "--spec", "visit-all"]) == EXIT_MALFORMED
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read trace {trace_path}: {message}")
+
+
+@pytest.mark.parametrize("command", ["verify", "render"])
+def test_trace_with_no_robots_exits_malformed(tmp_path, capsys, command):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"round":0,"positions":[],"bits":[],"moved":[]}\n'
+                    '{"round":1,"positions":[],"bits":[],"moved":[]}\n')
+    extra = ["--spec", "move-all"] if command == "verify" else ["--svg", str(tmp_path / "t.svg")]
+    assert main([command, "--trace", str(path), *extra]) == EXIT_MALFORMED
+    assert capsys.readouterr().err == f"error: cannot read trace {path}: trace has no robots\n"
 
 
 def test_bad_subcommand_exits_via_argparse():

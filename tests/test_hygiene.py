@@ -76,6 +76,19 @@ def _exports() -> list[str]:
             for a in node.names]
 
 
+def _module_names(tree: ast.Module) -> list[str]:
+    """The defs, classes and assigned names at a module's top level, but
+    not the dunders, which Python itself reads."""
+    out: list[str] = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in out if not (name.startswith("__") and name.endswith("__"))]
+
+
 def _references(tree: ast.Module) -> set[str]:
     """Every name read, as a bare name or an attribute, outside the body of
     the function or class of that name."""
@@ -84,7 +97,8 @@ def _references(tree: ast.Module) -> set[str]:
     def walk(node: ast.AST, inside: frozenset) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inside = inside | {node.name}
-        if isinstance(node, ast.Name) and node.id not in inside:
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store) \
+                and node.id not in inside:
             out.add(node.id)
         elif isinstance(node, ast.Attribute) and node.attr not in inside:
             out.add(node.attr)
@@ -96,6 +110,9 @@ def _references(tree: ast.Module) -> set[str]:
 
 
 def test_every_export_has_a_caller():
-    """A public name that only the tests call is not worth its lines."""
+    """A public name, or any name a module defines at its top level, that
+    only the tests read is not worth its lines."""
     used = set().union(*(_references(ast.parse(p.read_text())) for p in PROGRAMS))
     assert [name for name in _exports() if name not in used] == []
+    assert [(p.name, name) for p in SOURCES for name in _module_names(ast.parse(p.read_text()))
+            if name not in used] == []

@@ -7,7 +7,9 @@ leader order, pivot, hop rank, layering, two-point circle and the centered
 test) against the Point code it replaced, the centered guard's
 bounding-box bound against the centered test it short-cuts, and the
 no-chirality path (the MoveAll step without its symmetry report, the axis
-helpers on floats) against the versions it replaced.
+helpers on floats) against the versions it replaced, and chirality
+agreement from one scan per direction, with its folded signature, against
+the rotation-orbit version it replaced.
 
 The reference functions below are verbatim copies of those versions.
 Every comparison is exact: floats are compared through float.hex, so even
@@ -17,10 +19,12 @@ the sign of a zero must agree.
 import functools
 import math
 import random
+from functools import cmp_to_key
 from operator import itemgetter
 
 import pytest
 from corpus import (
+    NEAR_PAIRS,
     collinear_config,
     dihedral_config,
     hand_symmetry_corpus,
@@ -53,6 +57,7 @@ from swarmperm import (
     InvalidFrame,
     InvalidLeader,
     Layer,
+    MirrorSymmetric,
     NotAPermutation,
     NotOrderable,
     Point,
@@ -98,7 +103,7 @@ from swarmperm.geometry import (
     sweep_angle_xy,
     transform_points,
 )
-from swarmperm.ordering import _ray_groups, _votes, least_rotations
+from swarmperm.ordering import _ray_groups, _signature, _votes, least_rotations
 from swarmperm.protocols import _hop_rank, move_all_no_chirality_step
 from swarmperm.symmetry import (
     BLOCKING_AXES,
@@ -1805,3 +1810,172 @@ def test_guard_bound_stays_undecided_when_the_extremes_circle_raises(monkeypatch
     assert not _no_center_robot(_BOX_UNDECIDED, 1e-9)
     # the box alone still decides where it did
     assert _no_center_robot([Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 3.0)], 1e-9)
+
+
+# --- reference: chirality agreement through rotation orbits -------------------
+
+def _group_gaps(points, groups, c: Point, handedness: str) -> list[float]:
+    """Angular gap from each group's ray to the next group's ray, swept in
+    the given handedness."""
+    reps = [points[g[0]] - c for g in groups]
+    gaps = []
+    for t in range(len(reps)):
+        u, v = reps[t], reps[(t + 1) % len(reps)]
+        if len(reps) == 1:
+            gaps.append(2.0 * math.pi)
+            continue
+        a = ccw_angle(u, v) if handedness == CCW else ccw_angle(v, u)
+        gaps.append(a)
+    return gaps
+
+
+def _signature_pairs(points, groups, c: Point, handedness: str) -> list[tuple[float, float]]:
+    """Per-point (radius, angular gap to the next ray) pairs along the
+    cyclic sweep; gap is zero between points sharing a ray.  The sequence
+    determines the configuration up to rotation."""
+    gaps = _group_gaps(points, groups, c, handedness)
+    sig: list[tuple[float, float]] = []
+    for t, g in enumerate(groups):
+        for pos, i in enumerate(g):
+            gap = gaps[t] if pos == len(g) - 1 else 0.0
+            sig.append((points[i].dist(c), gap))
+    return sig
+
+
+def _scan_signature(points, c: Point, rep: int, handedness: str,
+                    tol: Tolerance, idxs) -> list[float]:
+    groups = _ray_groups(points, idxs, c, handedness, tol)
+    at = next(t for t, g in enumerate(groups) if rep in g)
+    groups = list(groups[at:]) + list(groups[:at])
+    return _flatten(_signature_pairs(points, groups, c, handedness))
+
+
+def _rotation_orbits(points, idxs, c: Point, k: int, tol: Tolerance) -> list[list[int]]:
+    if k <= 1:
+        return [[i] for i in idxs]
+    step = 2.0 * math.pi / k
+    imap: dict[int, int] = {}
+    for i in idxs:
+        image = c + (points[i] - c).rotated(step)
+        j = min(idxs, key=lambda t: points[t].dist(image))
+        # no robot within eps, or a robot taken twice, on which the orbit walk never ends
+        if points[j].dist(image) > tol.eps or j in imap.values():
+            raise NotOrderable("rotational order inconsistent with point matching")
+        imap[i] = j
+    orbits: list[list[int]] = []
+    seen: set[int] = set()
+    for i in idxs:
+        if i in seen:
+            continue
+        orbit = [i]
+        seen.add(i)
+        j = imap[i]
+        while j != i:
+            orbit.append(j)
+            seen.add(j)
+            j = imap[j]
+        orbits.append(orbit)
+    return orbits
+
+
+def ref_agree_chirality(points, tol: Tolerance = DEFAULT_TOL) -> str:
+    """Pick a handedness from geometry alone.
+
+    Requires a mirror-asymmetric configuration.  The rule: take the
+    symmetry class nearest the centroid (ties by class size, then by its
+    mirror-invariant signature), scan the whole configuration from one of
+    its members both ways, and keep the handedness with the smaller
+    signature.  Every observer lands on the same answer, and a mirrored
+    observer lands on the opposite one, which is exactly what a shared
+    clockwise notion needs.
+    """
+    a = analyze(points, tol)
+    if a.mirror_axes:
+        raise MirrorSymmetric("a mirror-symmetric configuration has no canonical handedness")
+    c = a.centroid
+    idxs = [i for i, p in enumerate(points) if not tol.same_point(p, c)]
+    if not idxs:
+        raise MirrorSymmetric("no off-centroid points to orient by")
+    k = a.rotational_order
+    orbits = _rotation_orbits(points, idxs, c, k, tol)
+
+    def orbit_key(orbit: list[int]) -> tuple[float, int, list[float], int]:
+        """Radius and size of the orbit, the smaller of its representative's
+        ccw and cw scans, and the sign of their comparison."""
+        rep = min(orbit)
+        s_ccw = _scan_signature(points, c, rep, CCW, tol, idxs)
+        s_cw = _scan_signature(points, c, rep, CW, tol, idxs)
+        turn = _cmp_seq(s_ccw, s_cw, tol)
+        return (points[rep].dist(c), len(orbit), s_ccw if turn <= 0 else s_cw, turn)
+
+    def cmp_keyed(a, b):
+        ra, na, siga, _ = a
+        rb, nb, sigb, _ = b
+        c = tol.cmp(ra, rb)
+        if c != 0:
+            return c
+        if na != nb:
+            return -1 if na < nb else 1
+        return _cmp_seq(siga, sigb, tol)
+
+    *_, turn = min((orbit_key(o) for o in orbits), key=cmp_to_key(cmp_keyed))
+    if turn == 0:
+        raise MirrorSymmetric("both scan directions read identically")
+    return CCW if turn < 0 else CW
+
+
+# --- chirality agreement -------------------------------------------------------
+
+_ORBIT_MISMATCH = "rotational order inconsistent with point matching"
+
+
+def _assert_chirality_identical(pts, tol, rng) -> set:
+    """agree_chirality against the orbit reference on pts and on three robots'
+    views of it, and _signature against the pair signature it folds, about
+    the centroid, in both handednesses.  Returns the outcomes compared."""
+    seen = set()
+    frames = _frames(rng, len(pts))
+    views = [pts] + [to_local_snapshot(pts, frames, i).local_points
+                     for i in rng.sample(range(len(pts)), min(3, len(pts)))]
+    for view in views:
+        want = _outcome(lambda: ref_agree_chirality(list(view), tol))
+        if want[0] == "raised" and want[2] == _ORBIT_MISMATCH:
+            seen.add("orbit mismatch")
+            continue
+        assert _outcome(lambda: agree_chirality(list(view), tol)) == want
+        seen.add(want[1] if want[0] == "ok" else want[1].__name__)
+        c = centroid(view)
+        for hand in (CCW, CW):
+            groups = _ray_groups(view, range(len(view)), c, hand, tol)
+            assert (_bits(*_signature(view, groups, c, hand))
+                    == _bits(*_flatten(_signature_pairs(view, groups, c, hand))))
+    return seen
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3])
+def test_chirality_matches_orbit_reference_on_corpus(eps):
+    tol = Tolerance(eps)
+    rng = random.Random(87)
+    seen = set()
+    for pts in _corpus_sets():
+        for variant in (pts, _mirrored(pts)):
+            seen |= _assert_chirality_identical(variant, tol, rng)
+    assert {CCW, CW, "MirrorSymmetric"} <= seen
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.integers(2, 9), st.integers(2, 4), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-9, 1e-6, 1e-3]))
+def test_chirality_matches_orbit_reference_on_pinwheels(k, orbits, seed, eps):
+    rng = random.Random(seed)
+    _assert_chirality_identical(pinwheel_config(rng, k, orbits), Tolerance(eps), rng)
+
+
+def test_chirality_agrees_where_no_matching_realises_the_rotation():
+    """The near-pairs set: the reference refuses it, the one-scan rule picks a
+    handedness, and a mirrored observer picks the other one."""
+    pts = [Point(x, y) for x, y in NEAR_PAIRS]
+    assert _outcome(lambda: ref_agree_chirality(pts)) == (
+        "raised", NotOrderable, _ORBIT_MISMATCH)
+    hand = agree_chirality(pts)
+    assert {hand, agree_chirality(_mirrored(pts))} == {CCW, CW}
