@@ -246,11 +246,14 @@ def cmd_verify(args) -> int:
 
 def render_svg(trace: RunTrace, width: int = 640) -> str:
     configs = trace.configurations()
-    xs = [p.x for c in configs for p in c]
-    ys = [p.y for c in configs for p in c]
+    # the viewport in units of a power of two near the largest |coordinate|:
+    # that scaling is exact, and the extent cannot overflow at any scale
+    k = math.frexp(max(max(abs(p.x), abs(p.y)) for c in configs for p in c))[1]
+    xs = [math.ldexp(p.x, -k) for c in configs for p in c]
+    ys = [math.ldexp(p.y, -k) for c in configs for p in c]
     minx, maxx = min(xs), max(xs)
     miny, maxy = min(ys), max(ys)
-    span = max(maxx - minx, maxy - miny, 1e-9)
+    span = max(maxx - minx, maxy - miny) or 1.0
     pad = 0.08 * span
     minx, maxx = minx - pad, maxx + pad
     miny, maxy = miny - pad, maxy + pad
@@ -258,10 +261,10 @@ def render_svg(trace: RunTrace, width: int = 640) -> str:
     height = (maxy - miny) * scale
 
     def sx(x: float) -> float:
-        return (x - minx) * scale
+        return (math.ldexp(x, -k) - minx) * scale
 
     def sy(y: float) -> float:
-        return (maxy - y) * scale
+        return (maxy - math.ldexp(y, -k)) * scale
 
     n = len(configs[0])
     colors = []

@@ -1,5 +1,5 @@
 """Planar primitives: points, tolerance policy, circles, the sweep angle,
-concentric decomposition, and local-frame transforms.
+concentric rings, and local-frame transforms.
 
 All operations are pure.  One epsilon (Tolerance) governs every geometric
 comparison in the library, and it is threaded explicitly so callers can
@@ -407,32 +407,30 @@ def enclosing_circle_xy(xys: list[tuple[float, float]]) -> tuple[float, float, f
 
 def concentric_decomposition(points: Sequence[Point], center: Point,
                              tol: Tolerance = DEFAULT_TOL) -> tuple[Layer, ...]:
-    """Group points into circles about center by radius, innermost first;
-    layer 0 may be the degenerate center.
+    """Group points into rings about center by radius, innermost first,
+    leaving out the center's points: a layer of mean radius within eps.
 
     Radii within one layer agree to eps; consecutive layers are separated
     by more than eps.  A chain of radii with pairwise gaps <= eps that
-    stretches over more than eps has no well-defined layering and raises
-    AmbiguousLayering.
+    stretches over more than eps, also from the center, has no
+    well-defined layering and raises AmbiguousLayering.
     """
     if len(points) == 0:
         raise EmptyConfiguration("decomposition of an empty point set")
     cx, cy = center.x, center.y
     keys = [(math.hypot(p.x - cx, p.y - cy), p.x, p.y) for p in points]
+    order = sorted(range(len(points)), key=keys.__getitem__)
+    ds = [keys[i][0] for i in order]
     layers: list[Layer] = []
-    group: list[int] = []
-    group_ds: list[float] = []
-    for i in sorted(range(len(points)), key=keys.__getitem__):
-        d = keys[i][0]
-        if group and d - group_ds[-1] > tol.eps:
-            layers.append(Layer(math.fsum(group_ds) / len(group_ds), tuple(group)))
-            group, group_ds = [], []
-        group.append(i)
-        group_ds.append(d)
-        if group_ds[-1] - group_ds[0] > tol.eps:
-            raise AmbiguousLayering(
-                f"radius chain spans {group_ds[-1] - group_ds[0]:.3e} > eps about {center}")
-    layers.append(Layer(math.fsum(group_ds) / len(group_ds), tuple(group)))
+    start = 0
+    for end, d in enumerate(ds, 1):
+        if d - ds[start] > tol.eps:
+            raise AmbiguousLayering(f"radius chain spans {d - ds[start]:.3e} > eps about {center}")
+        if end == len(ds) or ds[end] - d > tol.eps:
+            radius = math.fsum(ds[start:end]) / (end - start)
+            if radius > tol.eps:
+                layers.append(Layer(radius, tuple(order[start:end])))
+            start = end
     return tuple(layers)
 
 

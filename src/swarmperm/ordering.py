@@ -298,18 +298,16 @@ def order_without_chirality(points: Sequence[Point], tol: Tolerance = DEFAULT_TO
 # --- voting --------------------------------------------------------------
 
 def inner_polygon(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> tuple[int, ...]:
-    """Indices of the innermost non-degenerate circle about the center of
-    the smallest enclosing circle, in ccw angular order."""
+    """Indices of the innermost ring about the center of the smallest
+    enclosing circle, in ccw angular order."""
     a = analyze(points, tol)
     if len(points) < 3:
         raise DegenerateReference("inner polygon needs at least 3 points")
     c = a.sec.center
-    for layer in a.layers:
-        if layer.radius > tol.eps:
-            return tuple(sorted(
-                layer.indices,
-                key=lambda i: norm_angle(angle_of(points[i] - c))))
-    raise DegenerateReference("all points coincide with the center")
+    if not a.layers:
+        raise DegenerateReference("all points coincide with the center")
+    return tuple(sorted(a.layers[0].indices,
+                        key=lambda i: norm_angle(angle_of(points[i] - c))))
 
 
 def vote_tally(points: Sequence[Point], x_dirs: Sequence[Point],

@@ -90,6 +90,17 @@ def decode_hop(e: float, m: int) -> int:
     return best
 
 
+def _swept_order(points: Sequence[Point], idxs: Sequence[int], c: Point,
+                 start: tuple[float, float, float], handedness: str,
+                 tol: Tolerance) -> list[int]:
+    """idxs ordered by the angle swept about c, in the given handedness, from
+    the start ray (a vector from c with its norm; +x is (1.0, 0.0, 1.0)) to
+    each point, ties to (x, y): a point on the start ray comes first."""
+    keys = {v: (sweep_angle_xy(*start, *vec, handedness, tol.eps), points[v].x, points[v].y)
+            for v, vec in zip(idxs, offsets((points[v] for v in idxs), c))}
+    return sorted(idxs, key=keys.__getitem__)
+
+
 def select_pivot(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> int:
     """Pick one vertex of the innermost circle as the pivot.
 
@@ -103,29 +114,26 @@ def select_pivot(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> int:
     """
     a = analyze(points, tol)
     c = a.sec.center
-    eps = tol.eps
     ring = list(reversed(a.inner_polygon))
     m = len(ring)
     us = offsets((points[i] for i in ring), c)
-    gaps = [sweep_angle_xy(*us[t], *us[(t + 1) % m], CW, eps) for t in range(m)]
-    candidates = least_rotations(gaps, 1, tol)
-
-    def frame_key(s: int) -> tuple[float, float, float]:
-        # the sweep from the +x axis, a unit vector of norm exactly 1
-        return (sweep_angle_xy(1.0, 0.0, 1.0, *us[s], CW, eps),
-                points[ring[s]].x, points[ring[s]].y)
-
-    return ring[min(candidates, key=frame_key)]
+    gaps = [sweep_angle_xy(*us[t], *us[(t + 1) % m], CW, tol.eps) for t in range(m)]
+    candidates = [ring[s] for s in least_rotations(gaps, 1, tol)]
+    return _swept_order(points, candidates, c, (1.0, 0.0, 1.0), CW, tol)[0]
 
 
-def _hop_rank(points: Sequence[Point], p1: Sequence[int], c: Point, ray_from: Point,
-              tol: Tolerance) -> list[int]:
-    """Innermost-circle vertices ordered clockwise starting at the ray
-    from c through ray_from (a vertex on the ray itself ranks first)."""
-    [u] = offsets([ray_from], c)
-    keys = {v: (sweep_angle_xy(*u, *vec, CW, tol.eps), points[v].x, points[v].y)
-            for v, vec in zip(p1, offsets((points[v] for v in p1), c))}
-    return sorted(p1, key=keys.__getitem__)
+def _centered_prologue(points: Sequence[Point], tol: Tolerance,
+                       own: int | None = None) -> tuple[int, Point, int]:
+    """The center robot's index and position and the pivot, where both
+    centered movements start; own is the leader, None for the center."""
+    a = analyze(points, tol)
+    if not a.in_c_dot:
+        mover = "central" if own is None else "leader"
+        raise NotCentral(f"{mover} movement requires a centered symmetric configuration")
+    ci = a.center_index
+    if own == ci:
+        raise InvalidCaller("the central robot must use the central movement")
+    return ci, points[ci], select_pivot(a, tol)
 
 
 def compute_movement_central(points: Sequence[Point],
@@ -137,25 +145,18 @@ def compute_movement_central(points: Sequence[Point],
     the side that puts the pivot first along the clockwise arc.  More
     robots: slide toward the pivot by one eighth of the innermost radius.
     """
-    a = analyze(points, tol)
-    if not a.in_c_dot:
-        raise NotCentral("central movement requires a centered symmetric configuration")
-    ci = a.center_index
-    c = points[ci]
+    ci, c, pivot = _centered_prologue(points, tol)
     n = len(points)
-    pivot = select_pivot(a, tol)
     if n == 3:
         e1, e2 = [i for i in range(n) if i != ci]
         seg = points[e2] - points[e1]
         s_len = seg.norm()
         normal = seg.unit().rotated(math.pi / 2.0)
-        ends = dict(zip((e1, e2), offsets((points[e1], points[e2]), c)))
         for sign in (1.0, -1.0):
             apex = c + normal * (sign * s_len / 2.0)
             [u] = offsets([apex], c)
             # all three points sit at distance s/2 from c, so c is the arc center
-            first = min((e1, e2), key=lambda i: sweep_angle_xy(*u, *ends[i], CW, tol.eps))
-            if first == pivot:
+            if _swept_order(points, (e1, e2), c, u, CW, tol)[0] == pivot:
                 return apex, pivot
         raise InvalidHop("no perpendicular side makes the pivot first clockwise")
     dest = c + (points[pivot] - c) * 0.125
@@ -171,15 +172,8 @@ def compute_movement_not_central(points: Sequence[Point], own: int,
     radial retreat fraction, an angular offset, or a boundary-pair
     stretch otherwise, depending on where the leader sits.
     """
-    a = analyze(points, tol)
-    if not a.in_c_dot:
-        raise NotCentral("leader movement requires a centered symmetric configuration")
-    ci = a.center_index
-    if own == ci:
-        raise InvalidCaller("the central robot must use the central movement")
-    c = points[ci]
+    ci, c, pivot = _centered_prologue(points, tol, own)
     n = len(points)
-    pivot = select_pivot(a, tol)
     if n == 3:
         u = (points[own] - c).unit()
         other = next(i for i in range(n) if i not in (own, ci))
@@ -188,13 +182,11 @@ def compute_movement_not_central(points: Sequence[Point], own: int,
         # sliding away from the old midpoint drags the new midpoint toward
         # the own side; toward it points at the opposite endpoint
         return points[own] + u * (delta if pivot == own else -delta)
-    layers = concentric_decomposition(points, c, tol)
-    nondeg = [layer for layer in layers if layer.radius > tol.eps]
-    p1 = list(nondeg[0].indices)
-    ranked = _hop_rank(points, p1, c, points[own], tol)
-    nhop = ranked.index(pivot)
-    e = encode_hop(nhop, len(p1))
-    outer = nondeg[-1]
+    rings = concentric_decomposition(points, c, tol)
+    p1 = rings[0].indices
+    [u] = offsets([points[own]], c)
+    e = encode_hop(_swept_order(points, p1, c, u, CW, tol).index(pivot), len(p1))
+    outer = rings[-1]
     on_outer = own in outer.indices
     if on_outer and len(outer.indices) == 2:
         rx = next(i for i in outer.indices if i != own)
@@ -202,51 +194,59 @@ def compute_movement_not_central(points: Sequence[Point], own: int,
         return points[rx] + u * ((2.0 + e) * outer.radius)
     if on_outer and len(outer.indices) == 3:
         others = [i for i in outer.indices if i != own]
-        [u] = offsets([points[own]], c)
-        vecs = dict(zip(others, offsets((points[i] for i in others), c)))
-        ahead = min(others, key=lambda i: sweep_angle_xy(*u, *vecs[i], CCW, tol.eps))
+        ahead = _swept_order(points, others, c, u, CCW, tol)[0]
         return c + (points[ahead] - c).rotated(-e * THIRD_TURN)
     rho = points[own].dist(c)
-    below = [0.0] + [layer.radius for layer in nondeg if tol.lt(layer.radius, rho)]
+    below = [0.0] + [layer.radius for layer in rings if tol.lt(layer.radius, rho)]
     x = rho - max(below)
     return c + (points[own] - c).unit() * (rho - e * x / 2.0)
 
 
 # --- reconstruction ------------------------------------------------------
 
-def _finish_mark(points: Sequence[Point], rec: list[Point], leader: int, e: float,
-                 c: Point, case: str, tol: Tolerance) -> LeaderMark | None:
-    """Shared tail of the two-mover cases: locate and snap the displaced
-    central robot, validate the restored configuration, and decode the
-    pivot from the leader's encoded fraction."""
-    rest = [i for i in range(len(points)) if i != leader]
-    try:
-        layers = concentric_decomposition([points[i] for i in rest], c, tol)
-    except AmbiguousLayering:
-        return None
-    inner = next((layer for layer in layers if layer.radius > tol.eps), None)
-    if inner is None or len(inner.indices) != 1:
-        return None
-    qc = rest[inner.indices[0]]
-    rec = list(rec)
-    rec[qc] = c
+def _restored(points: Sequence[Point], moves: dict[int, Point],
+              tol: Tolerance) -> Analysis | None:
+    """The analysis of points with each robot of moves put back, when those
+    are distinct and centered symmetric; otherwise None."""
+    rec = [moves.get(i, p) for i, p in enumerate(points)]
     if first_coincident_pair(rec, tol) is not None:
         return None
     ra = Analysis(rec, tol)
-    if not ra.in_c_dot:
+    return ra if ra.in_c_dot else None
+
+
+def _eighth_out(points: Sequence[Point], q: int, ra: Analysis, c: Point,
+                tol: Tolerance) -> bool:
+    """True when robot q stands an eighth of ra's innermost radius from c,
+    where the central robot's slide toward the pivot puts it."""
+    return tol.eq(points[q].dist(c), ra[ra.inner_polygon[0]].dist(c) / 8.0)
+
+
+def _finish_mark(points: Sequence[Point], leader: int, origin: Point, e: float,
+                 c: Point, case: str, tol: Tolerance) -> LeaderMark | None:
+    """Shared tail of the two-mover cases, the leader put back at origin:
+    locate and snap the displaced central robot, validate the restored
+    configuration, and decode the pivot from the leader's encoded fraction."""
+    rest = [i for i in range(len(points)) if i != leader]
+    try:
+        rings = concentric_decomposition([points[i] for i in rest], c, tol)
+    except AmbiguousLayering:
+        return None
+    if not rings or len(rings[0].indices) != 1:
+        return None
+    qc = rest[rings[0].indices[0]]
+    ra = _restored(points, {leader: origin, qc: c}, tol)
+    if ra is None or not _eighth_out(points, qc, ra, c, tol):
         return None
     p1 = ra.inner_polygon
-    r1 = rec[p1[0]].dist(c)
-    if not tol.eq(points[qc].dist(c), r1 / 8.0):
-        return None
-    if not any(tol.ray_aligned(points[qc] - c, rec[v] - c) for v in p1):
+    if not any(tol.ray_aligned(points[qc] - c, ra[v] - c) for v in p1):
         return None
     try:
         nhop = decode_hop(e, len(p1))
     except (DecodeFailure, InvalidHop):
         return None
-    ranked = _hop_rank(rec, p1, c, rec[leader], tol)
-    return LeaderMark(leader, ranked[nhop], ra, case)
+    [u] = offsets([origin], c)
+    return LeaderMark(leader, _swept_order(ra, p1, c, u, CW, tol)[nhop], ra, case)
 
 
 def _attempts_three(points: Sequence[Point], tol: Tolerance) -> list[LeaderMark]:
@@ -259,13 +259,10 @@ def _attempts_three(points: Sequence[Point], tol: Tolerance) -> list[LeaderMark]
     h = points[apex].dist(foot)
     e_len = points[a].dist(points[b])
     if tol.eq(h, e_len / 2.0):
-        rec = list(points)
-        rec[apex] = foot
-        ra = Analysis(rec, tol)
-        if first_coincident_pair(rec, tol) is None and ra.in_c_dot:
+        ra = _restored(points, {apex: foot}, tol)
+        if ra is not None:
             [u] = offsets([points[apex]], foot)
-            ends = dict(zip((a, b), offsets((points[a], points[b]), foot)))
-            first = min((a, b), key=lambda i: sweep_angle_xy(*u, *ends[i], CW, tol.eps))
+            first = _swept_order(points, (a, b), foot, u, CW, tol)[0]
             out.append(LeaderMark(apex, first, ra, "C1"))
     for moved, fixed in ((a, b), (b, a)):
         d_m = points[moved].dist(foot)
@@ -277,11 +274,8 @@ def _attempts_three(points: Sequence[Point], tol: Tolerance) -> list[LeaderMark]
         orig = foot * 2.0 - points[fixed]
         if not tol.ray_aligned(points[moved] - foot, orig - foot):
             continue
-        rec = list(points)
-        rec[apex] = foot
-        rec[moved] = orig
-        ra = Analysis(rec, tol)
-        if not (first_coincident_pair(rec, tol) is None and ra.in_c_dot):
+        ra = _restored(points, {apex: foot, moved: orig}, tol)
+        if ra is None:
             continue
         pivot = moved if d_m > h else fixed
         out.append(LeaderMark(moved, pivot, ra, "L1"))
@@ -307,26 +301,22 @@ def _attempts_many(points: Analysis, tol: Tolerance) -> list[LeaderMark]:
             if d_anchor > tol.eps:
                 e = span / d_anchor - 2.0
                 if tol.ray_aligned(points[lead] - points[anchor], c2 - points[anchor]):
-                    rec = list(points)
-                    rec[lead] = c2 * 2.0 - points[anchor]
-                    mark = _finish_mark(points, rec, lead, e, c2, "L2.3", tol)
+                    origin = c2 * 2.0 - points[anchor]
+                    mark = _finish_mark(points, lead, origin, e, c2, "L2.3", tol)
                     if mark:
                         out.append(mark)
 
     try:
-        layers = points.layers
+        rings = points.layers
     except AmbiguousLayering:
         return out
-    nondeg = [layer for layer in layers if layer.radius > tol.eps]
     c = sec.center
 
     # outermost triple knocked out of its equal spacing
-    outer = nondeg[-1]
+    outer = rings[-1]
     if len(outer.indices) == 3:
         vecs = dict(zip(outer.indices, offsets((points[i] for i in outer.indices), c)))
-        # the sweep from the +x axis, a unit vector of norm exactly 1
-        ring = sorted(outer.indices,
-                      key=lambda i: sweep_angle_xy(1.0, 0.0, 1.0, *vecs[i], CCW, tol.eps))
+        ring = _swept_order(points, outer.indices, c, (1.0, 0.0, 1.0), CCW, tol)
         gaps = [sweep_angle_xy(*vecs[ring[t]], *vecs[ring[(t + 1) % 3]], CCW, tol.eps)
                 for t in range(3)]
         if not all(tol.eq(g, THIRD_TURN) for g in gaps):
@@ -336,13 +326,12 @@ def _attempts_many(points: Analysis, tol: Tolerance) -> list[LeaderMark]:
                 lead = ring[t_min]
                 ahead = ring[(t_min + 1) % 3]
                 e = gaps[t_min] / THIRD_TURN
-                rec = list(points)
-                rec[lead] = c + (points[ahead] - c).rotated(-THIRD_TURN)
-                mark = _finish_mark(points, rec, lead, e, c, "L2.2", tol)
+                origin = c + (points[ahead] - c).rotated(-THIRD_TURN)
+                mark = _finish_mark(points, lead, origin, e, c, "L2.2", tol)
                 if mark:
                     out.append(mark)
 
-    singles = [layer for layer in nondeg if len(layer.indices) == 1]
+    singles = [layer for layer in rings if len(layer.indices) == 1]
 
     # leader parked between two layers
     if len(singles) >= 2:
@@ -351,7 +340,7 @@ def _attempts_many(points: Analysis, tol: Tolerance) -> list[LeaderMark]:
             ql = ql_layer.indices[0]
             rho_l = points[ql].dist(c)
             skip = {ql, qc_layer.indices[0]}
-            clean = [0.0] + [layer.radius for layer in nondeg
+            clean = [0.0] + [layer.radius for layer in rings
                              if not (set(layer.indices) & skip)]
             above = [r for r in clean if tol.gt(r, rho_l)]
             if not above:
@@ -362,25 +351,19 @@ def _attempts_many(points: Analysis, tol: Tolerance) -> list[LeaderMark]:
             if x <= tol.eps:
                 continue
             e = 2.0 * (rho_above - rho_l) / x
-            rec = list(points)
-            rec[ql] = c + (points[ql] - c).unit() * rho_above
-            mark = _finish_mark(points, rec, ql, e, c, "L2.1", tol)
+            origin = c + (points[ql] - c).unit() * rho_above
+            mark = _finish_mark(points, ql, origin, e, c, "L2.1", tol)
             if mark:
                 out.append(mark)
 
     # only the central robot moved
     if singles:
         q = singles[0].indices[0]
-        rec = list(points)
-        rec[q] = c
-        ra = Analysis(rec, tol)
-        if first_coincident_pair(rec, tol) is None and ra.in_c_dot:
-            p1 = ra.inner_polygon
-            r1 = rec[p1[0]].dist(c)
-            if tol.eq(points[q].dist(c), r1 / 8.0):
-                hits = [v for v in p1 if tol.ray_aligned(points[q] - c, rec[v] - c)]
-                if len(hits) == 1:
-                    out.append(LeaderMark(q, hits[0], ra, "C2"))
+        ra = _restored(points, {q: c}, tol)
+        if ra is not None and _eighth_out(points, q, ra, c, tol):
+            hits = [v for v in ra.inner_polygon if tol.ray_aligned(points[q] - c, ra[v] - c)]
+            if len(hits) == 1:
+                out.append(LeaderMark(q, hits[0], ra, "C2"))
     return out
 
 

@@ -139,17 +139,11 @@ class Analysis(tuple):
 
     @cached_property
     def reference_layer(self) -> tuple[int, ...]:
-        """Smallest non-degenerate layer about the centroid (ties to the
-        innermost).  Every symmetry permutes it, so the maps of its first
-        point onto its members are the only candidates."""
+        """Smallest ring about the centroid (ties to the innermost).  Every
+        symmetry permutes it, so the maps of its first point onto its
+        members are the only candidates."""
         layers = concentric_decomposition(self, self.centroid, self.tol)
-        best: tuple[int, ...] | None = None
-        for layer in layers:
-            if layer.radius <= self.tol.eps:
-                continue
-            if best is None or len(layer.indices) < len(best):
-                best = layer.indices
-        return best if best is not None else ()
+        return min((layer.indices for layer in layers), key=len, default=())
 
     @cached_property
     def point_index(self) -> PointIndex:
@@ -158,7 +152,7 @@ class Analysis(tuple):
 
     @cached_property
     def layers(self) -> tuple[Layer, ...]:
-        """Concentric layers about the circle center, innermost first."""
+        """Concentric rings about the circle center, innermost first."""
         return concentric_decomposition(self, self.sec.center, self.tol)
 
     @cached_property

@@ -63,32 +63,13 @@ def _match_index(p: Point, sites: PointIndex) -> int:
 
 
 def _cycle_flags(pi: Sequence[int]) -> tuple[bool, bool]:
-    n = len(pi)
-    fpf = all(pi[i] != i for i in range(n))
-    seen = [False] * n
-    lengths = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = pi[i]
-            length += 1
-        lengths.append(length)
-    single = len(lengths) == 1 and lengths[0] == n
-    if sum(lengths) != n:
-        raise NotAPermutation(f"cycle lengths sum to {sum(lengths)}, not {n}")
-    # independent check: one cycle iff the orbit of 0 covers everything
+    # (fixed-point-free, one n-cycle): one cycle iff the orbit of 0 covers all
     orbit = 1
     i = pi[0]
     while i != 0:
         i = pi[i]
         orbit += 1
-    if single != (orbit == n):
-        raise NotAPermutation("cycle structure disagrees with orbit size")
-    return fpf, single
+    return all(pi[i] != i for i in range(len(pi))), orbit == len(pi)
 
 
 def extract_permutation(c_a: Sequence[Point], c_b: Sequence[Point],

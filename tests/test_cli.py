@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -394,6 +395,41 @@ def test_render_produces_svg(tmp_path, capsys):
     tags = [child.tag.split("}")[-1] for child in root]
     assert tags.count("polyline") == 4  # one trajectory per robot
     assert tags.count("circle") >= 4
+
+
+def _svg_numbers(root):
+    """Every number in the SVG's attributes, by attribute name."""
+    out = {}
+    for el in root.iter():
+        for name, value in el.attrib.items():
+            if name in ("width", "height", "cx", "cy", "r"):
+                out.setdefault(name, []).append(float(value))
+            elif name in ("viewBox", "points"):
+                out.setdefault(name, []).extend(float(v) for v in re.split(r"[ ,]", value))
+    return out
+
+
+def _rendered_numbers(tmp_path, trace_path):
+    svg_path = tmp_path / "out.svg"
+    assert main(["render", "--trace", trace_path, "--svg", str(svg_path)]) == EXIT_OK
+    numbers = _svg_numbers(ET.fromstring(svg_path.read_text()))
+    assert all(math.isfinite(v) for values in numbers.values() for v in values)
+    return numbers
+
+
+def test_render_stays_finite_near_the_float_limit(tmp_path, capsys):
+    # the run stops at round 1, but the extent of its trace overflowed
+    trace_path, code = _simulated(tmp_path, capsys, {
+        "points": [[1e308, 0], [-1e308, 0], [0, 1e308]], "protocol": "VisitAllChirality"})
+    assert code == EXIT_PROTOCOL_ERROR
+    _rendered_numbers(tmp_path, trace_path)
+
+
+def test_render_fills_the_width_with_tiny_coordinates(tmp_path, capsys):
+    record = {"round": 0, "positions": [[1e-12, 0], [-1e-12, 0], [0, 1e-12]],
+              "bits": [0, 0, 0], "moved": [False, False, False]}
+    numbers = _rendered_numbers(tmp_path, _write(tmp_path, "t.jsonl", json.dumps(record)))
+    assert max(numbers["cx"]) - min(numbers["cx"]) > 0.8 * numbers["width"][0]
 
 
 # --- demos ----------------------------------------------------------------

@@ -184,11 +184,11 @@ def test_concentric_layers():
            c + Point(0, 2), c + Point(2, 0), c + Point(0, -2)]
     layers = concentric_decomposition(pts, c)
     radii = [layer.radius for layer in layers]
-    assert radii[0] == pytest.approx(0.0, abs=1e-12)
-    assert radii[1] == pytest.approx(1.0)
-    assert radii[2] == pytest.approx(2.0)
-    assert len(layers[1].indices) == 2
-    assert len(layers[2].indices) == 3
+    assert len(layers) == 2  # the robot at the center forms no ring
+    assert radii[0] == pytest.approx(1.0)
+    assert radii[1] == pytest.approx(2.0)
+    assert len(layers[0].indices) == 2
+    assert len(layers[1].indices) == 3
 
 
 def test_concentric_ambiguous_chain():
@@ -197,6 +197,15 @@ def test_concentric_ambiguous_chain():
     e = DEFAULT_TOL.eps
     pts = [c + Point(1.0, 0), c + Point(0, 1.0 + 0.5 * e), c + Point(-1.0 - e, 0),
            c + Point(0, -3)]
+    with pytest.raises(AmbiguousLayering):
+        concentric_decomposition(pts, c)
+
+
+def test_concentric_chain_from_the_center_is_ambiguous():
+    c = Point(0, 0)
+    # radii 0, 0.6 eps, 1.2 eps: the center's group chains past eps
+    e = DEFAULT_TOL.eps
+    pts = [c, c + Point(0.6 * e, 0), c + Point(0, -1.2 * e), c + Point(0, 3)]
     with pytest.raises(AmbiguousLayering):
         concentric_decomposition(pts, c)
 

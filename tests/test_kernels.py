@@ -9,7 +9,9 @@ bounding-box bound against the centered test it short-cuts, and the
 no-chirality path (the MoveAll step without its symmetry report, the axis
 helpers on floats) against the versions it replaced, and chirality
 agreement from one scan per direction, with its folded signature, against
-the rotation-orbit version it replaced.
+the rotation-orbit version it replaced, and the one-bit codec with its
+swept order, restored-configuration check and ring-only layering against
+the versions that derived each of them at every use.
 
 The reference functions below are verbatim copies of those versions.
 Every comparison is exact: floats are compared through float.hex, so even
@@ -21,6 +23,7 @@ import math
 import random
 from functools import cmp_to_key
 from operator import itemgetter
+from typing import Sequence
 
 import pytest
 from corpus import (
@@ -50,17 +53,23 @@ from swarmperm import (
     Axis,
     Circle,
     CyclicOrder,
+    DecodeFailure,
     DegenerateReference,
     DuplicatePoints,
     EmptyConfiguration,
     Frame,
+    InvalidCaller,
     InvalidFrame,
+    InvalidHop,
     InvalidLeader,
     Layer,
+    LeaderMark,
     MirrorSymmetric,
     NotAPermutation,
+    NotCentral,
     NotOrderable,
     Point,
+    ReconstructFailure,
     RoundRecord,
     RunTrace,
     Snapshot,
@@ -72,13 +81,18 @@ from swarmperm import (
     analyze,
     center_robot_index,
     centroid,
+    compute_movement_central,
+    compute_movement_not_central,
     concentric_decomposition,
+    decode_hop,
+    encode_hop,
     inner_polygon,
     mirror_axes,
     order_from_leader,
     order_with_chirality,
     order_without_chirality,
     orient_axis,
+    reconstruct,
     robots_on_axis,
     rotational_order,
     select_pivot,
@@ -100,11 +114,17 @@ from swarmperm.geometry import (
     first_coincident_pair,
     inverse_transform_points,
     norm_angle,
+    offsets,
     sweep_angle_xy,
     transform_points,
 )
 from swarmperm.ordering import _ray_groups, _signature, _votes, least_rotations
-from swarmperm.protocols import _hop_rank, move_all_no_chirality_step
+from swarmperm.protocols import (
+    _attempts_many,
+    _attempts_three,
+    _swept_order,
+    move_all_no_chirality_step,
+)
 from swarmperm.symmetry import (
     BLOCKING_AXES,
     CENTERED,
@@ -1174,7 +1194,9 @@ def _assert_centered_path_identical(pts, tol, x_dirs):
     c = a.sec.center
     for center in (c, a.centroid):
         assert (_outcome(lambda: _layers_bits(concentric_decomposition(pts, center, tol)))
-                == _outcome(lambda: _layers_bits(ref_concentric_decomposition(pts, center, tol))))
+                == _outcome(lambda: _layers_bits(
+                    layer for layer in ref_concentric_decomposition(pts, center, tol)
+                    if layer.radius > tol.eps)))
     if len(pts) < 3:
         return
     polygon = _outcome(lambda: inner_polygon(pts, tol))
@@ -1191,7 +1213,9 @@ def _assert_centered_path_identical(pts, tol, x_dirs):
         assert (_votes(Analysis(pts, tol), polygon[1], (d,))
                 == [ref_get_vote(pts, polygon[1], d, tol)])
     for p in pts:
-        assert _hop_rank(pts, polygon[1], c, p, tol) == ref_hop_rank(pts, polygon[1], c, p, tol)
+        [u] = offsets([p], c)
+        assert (_swept_order(pts, polygon[1], c, u, CW, tol)
+                == ref_hop_rank(pts, polygon[1], c, p, tol))
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-3, 1.0])
@@ -1979,3 +2003,431 @@ def test_chirality_agrees_where_no_matching_realises_the_rotation():
         "raised", NotOrderable, _ORBIT_MISMATCH)
     hand = agree_chirality(pts)
     assert {hand, agree_chirality(_mirrored(pts))} == {CCW, CW}
+
+
+# --- the one-bit codec ------------------------------------------------------
+# Verbatim copies of the codec before its swept order, restored-configuration
+# check and centered prologue were folded into helpers, and before the
+# layering returned rings only.  They read layers from the reference
+# decomposition above, which keeps the center's layer, and the inner polygon
+# from its reference.
+
+THIRD_TURN = 2.0 * math.pi / 3.0
+
+
+def ref_codec_select_pivot(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> int:
+    """Pick one vertex of the innermost circle as the pivot.
+
+    Among the vertices starting a lexicographically minimal clockwise
+    gap-signature rotation (a frame-free filter), take the one closest in
+    clockwise angle to the caller's +x axis.  The final tie-break is
+    frame-dependent on purpose: symmetric candidates cannot be separated
+    frame-free, and only the caller's own later encoding must agree with
+    this choice.  The rule uses directions only, so it is unaffected by
+    the caller's position.
+    """
+    a = analyze(points, tol)
+    c = a.sec.center
+    eps = tol.eps
+    ring = list(reversed(ref_inner_polygon(a, tol)))
+    m = len(ring)
+    us = offsets((points[i] for i in ring), c)
+    gaps = [sweep_angle_xy(*us[t], *us[(t + 1) % m], CW, eps) for t in range(m)]
+    candidates = least_rotations(gaps, 1, tol)
+
+    def frame_key(s: int) -> tuple[float, float, float]:
+        # the sweep from the +x axis, a unit vector of norm exactly 1
+        return (sweep_angle_xy(1.0, 0.0, 1.0, *us[s], CW, eps),
+                points[ring[s]].x, points[ring[s]].y)
+
+    return ring[min(candidates, key=frame_key)]
+
+
+def _hop_rank(points: Sequence[Point], p1: Sequence[int], c: Point, ray_from: Point,
+              tol: Tolerance) -> list[int]:
+    """Innermost-circle vertices ordered clockwise starting at the ray
+    from c through ray_from (a vertex on the ray itself ranks first)."""
+    [u] = offsets([ray_from], c)
+    keys = {v: (sweep_angle_xy(*u, *vec, CW, tol.eps), points[v].x, points[v].y)
+            for v, vec in zip(p1, offsets((points[v] for v in p1), c))}
+    return sorted(p1, key=keys.__getitem__)
+
+
+def ref_compute_movement_central(points: Sequence[Point],
+                             tol: Tolerance = DEFAULT_TOL) -> tuple[Point, int]:
+    """Destination of the central robot in a centered configuration, plus
+    the pivot index its displacement direction encodes.
+
+    Three robots: rise perpendicular to the line by half its length, on
+    the side that puts the pivot first along the clockwise arc.  More
+    robots: slide toward the pivot by one eighth of the innermost radius.
+    """
+    a = analyze(points, tol)
+    if not a.in_c_dot:
+        raise NotCentral("central movement requires a centered symmetric configuration")
+    ci = a.center_index
+    c = points[ci]
+    n = len(points)
+    pivot = ref_codec_select_pivot(a, tol)
+    if n == 3:
+        e1, e2 = [i for i in range(n) if i != ci]
+        seg = points[e2] - points[e1]
+        s_len = seg.norm()
+        normal = seg.unit().rotated(math.pi / 2.0)
+        ends = dict(zip((e1, e2), offsets((points[e1], points[e2]), c)))
+        for sign in (1.0, -1.0):
+            apex = c + normal * (sign * s_len / 2.0)
+            [u] = offsets([apex], c)
+            # all three points sit at distance s/2 from c, so c is the arc center
+            first = min((e1, e2), key=lambda i: sweep_angle_xy(*u, *ends[i], CW, tol.eps))
+            if first == pivot:
+                return apex, pivot
+        raise InvalidHop("no perpendicular side makes the pivot first clockwise")
+    dest = c + (points[pivot] - c) * 0.125
+    return dest, pivot
+
+
+def ref_compute_movement_not_central(points: Sequence[Point], own: int,
+                                 tol: Tolerance = DEFAULT_TOL) -> Point:
+    """Destination of the non-central leader in a centered configuration.
+
+    The leader encodes the clockwise hop count from a reference vertex to
+    its pivot into its own displacement: a slide direction for n=3, a
+    radial retreat fraction, an angular offset, or a boundary-pair
+    stretch otherwise, depending on where the leader sits.
+    """
+    a = analyze(points, tol)
+    if not a.in_c_dot:
+        raise NotCentral("leader movement requires a centered symmetric configuration")
+    ci = a.center_index
+    if own == ci:
+        raise InvalidCaller("the central robot must use the central movement")
+    c = points[ci]
+    n = len(points)
+    pivot = ref_codec_select_pivot(a, tol)
+    if n == 3:
+        u = (points[own] - c).unit()
+        other = next(i for i in range(n) if i not in (own, ci))
+        s_len = points[own].dist(points[other])
+        delta = s_len / 16.0
+        # sliding away from the old midpoint drags the new midpoint toward
+        # the own side; toward it points at the opposite endpoint
+        return points[own] + u * (delta if pivot == own else -delta)
+    layers = ref_concentric_decomposition(points, c, tol)
+    nondeg = [layer for layer in layers if layer.radius > tol.eps]
+    p1 = list(nondeg[0].indices)
+    ranked = _hop_rank(points, p1, c, points[own], tol)
+    nhop = ranked.index(pivot)
+    e = encode_hop(nhop, len(p1))
+    outer = nondeg[-1]
+    on_outer = own in outer.indices
+    if on_outer and len(outer.indices) == 2:
+        rx = next(i for i in outer.indices if i != own)
+        u = (points[own] - points[rx]).unit()
+        return points[rx] + u * ((2.0 + e) * outer.radius)
+    if on_outer and len(outer.indices) == 3:
+        others = [i for i in outer.indices if i != own]
+        [u] = offsets([points[own]], c)
+        vecs = dict(zip(others, offsets((points[i] for i in others), c)))
+        ahead = min(others, key=lambda i: sweep_angle_xy(*u, *vecs[i], CCW, tol.eps))
+        return c + (points[ahead] - c).rotated(-e * THIRD_TURN)
+    rho = points[own].dist(c)
+    below = [0.0] + [layer.radius for layer in nondeg if tol.lt(layer.radius, rho)]
+    x = rho - max(below)
+    return c + (points[own] - c).unit() * (rho - e * x / 2.0)
+
+
+def ref_finish_mark(points: Sequence[Point], rec: list[Point], leader: int, e: float,
+                 c: Point, case: str, tol: Tolerance) -> LeaderMark | None:
+    """Shared tail of the two-mover cases: locate and snap the displaced
+    central robot, validate the restored configuration, and decode the
+    pivot from the leader's encoded fraction."""
+    rest = [i for i in range(len(points)) if i != leader]
+    try:
+        layers = ref_concentric_decomposition([points[i] for i in rest], c, tol)
+    except AmbiguousLayering:
+        return None
+    inner = next((layer for layer in layers if layer.radius > tol.eps), None)
+    if inner is None or len(inner.indices) != 1:
+        return None
+    qc = rest[inner.indices[0]]
+    rec = list(rec)
+    rec[qc] = c
+    if first_coincident_pair(rec, tol) is not None:
+        return None
+    ra = Analysis(rec, tol)
+    if not ra.in_c_dot:
+        return None
+    p1 = ref_inner_polygon(ra, tol)
+    r1 = rec[p1[0]].dist(c)
+    if not tol.eq(points[qc].dist(c), r1 / 8.0):
+        return None
+    if not any(tol.ray_aligned(points[qc] - c, rec[v] - c) for v in p1):
+        return None
+    try:
+        nhop = decode_hop(e, len(p1))
+    except (DecodeFailure, InvalidHop):
+        return None
+    ranked = _hop_rank(rec, p1, c, rec[leader], tol)
+    return LeaderMark(leader, ranked[nhop], ra, case)
+
+
+def ref_attempts_three(points: Sequence[Point], tol: Tolerance) -> list[LeaderMark]:
+    out: list[LeaderMark] = []
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    a, b = max(pairs, key=lambda ij: points[ij[0]].dist(points[ij[1]]))
+    apex = next(i for i in range(3) if i not in (a, b))
+    base_dir = (points[b] - points[a]).unit()
+    foot = points[a] + base_dir * base_dir.dot(points[apex] - points[a])
+    h = points[apex].dist(foot)
+    e_len = points[a].dist(points[b])
+    if tol.eq(h, e_len / 2.0):
+        rec = list(points)
+        rec[apex] = foot
+        ra = Analysis(rec, tol)
+        if first_coincident_pair(rec, tol) is None and ra.in_c_dot:
+            [u] = offsets([points[apex]], foot)
+            ends = dict(zip((a, b), offsets((points[a], points[b]), foot)))
+            first = min((a, b), key=lambda i: sweep_angle_xy(*u, *ends[i], CW, tol.eps))
+            out.append(LeaderMark(apex, first, ra, "C1"))
+    for moved, fixed in ((a, b), (b, a)):
+        d_m = points[moved].dist(foot)
+        d_f = points[fixed].dist(foot)
+        if not tol.eq(d_f, h) or tol.eq(d_m, h):
+            continue
+        if not tol.eq(abs(d_m - h), h / 8.0):
+            continue
+        orig = foot * 2.0 - points[fixed]
+        if not tol.ray_aligned(points[moved] - foot, orig - foot):
+            continue
+        rec = list(points)
+        rec[apex] = foot
+        rec[moved] = orig
+        ra = Analysis(rec, tol)
+        if not (first_coincident_pair(rec, tol) is None and ra.in_c_dot):
+            continue
+        pivot = moved if d_m > h else fixed
+        out.append(LeaderMark(moved, pivot, ra, "L1"))
+    return out
+
+
+def ref_attempts_many(points: Analysis, tol: Tolerance) -> list[LeaderMark]:
+    out: list[LeaderMark] = []
+    n = len(points)
+    sec = points.sec
+    boundary = [i for i in range(n) if tol.eq(points[i].dist(sec.center), sec.radius)]
+
+    # stretched boundary pair
+    if len(boundary) == 2 and n >= 4:
+        i1, i2 = boundary
+        rest = [points[i] for i in range(n) if i not in boundary]
+        c2 = smallest_enclosing_circle(rest).center
+        d1, d2 = points[i1].dist(c2), points[i2].dist(c2)
+        if not tol.eq(d1, d2):
+            lead, anchor = (i1, i2) if d1 > d2 else (i2, i1)
+            span = points[lead].dist(points[anchor])
+            d_anchor = points[anchor].dist(c2)
+            if d_anchor > tol.eps:
+                e = span / d_anchor - 2.0
+                if tol.ray_aligned(points[lead] - points[anchor], c2 - points[anchor]):
+                    rec = list(points)
+                    rec[lead] = c2 * 2.0 - points[anchor]
+                    mark = ref_finish_mark(points, rec, lead, e, c2, "L2.3", tol)
+                    if mark:
+                        out.append(mark)
+
+    try:
+        layers = ref_concentric_decomposition(points, sec.center, tol)
+    except AmbiguousLayering:
+        return out
+    nondeg = [layer for layer in layers if layer.radius > tol.eps]
+    c = sec.center
+
+    # outermost triple knocked out of its equal spacing
+    outer = nondeg[-1]
+    if len(outer.indices) == 3:
+        vecs = dict(zip(outer.indices, offsets((points[i] for i in outer.indices), c)))
+        # the sweep from the +x axis, a unit vector of norm exactly 1
+        ring = sorted(outer.indices,
+                      key=lambda i: sweep_angle_xy(1.0, 0.0, 1.0, *vecs[i], CCW, tol.eps))
+        gaps = [sweep_angle_xy(*vecs[ring[t]], *vecs[ring[(t + 1) % 3]], CCW, tol.eps)
+                for t in range(3)]
+        if not all(tol.eq(g, THIRD_TURN) for g in gaps):
+            t_min = min(range(3), key=lambda t: gaps[t])
+            others = sorted(gaps[:t_min] + gaps[t_min + 1:])
+            if tol.eq(others[0], THIRD_TURN):
+                lead = ring[t_min]
+                ahead = ring[(t_min + 1) % 3]
+                e = gaps[t_min] / THIRD_TURN
+                rec = list(points)
+                rec[lead] = c + (points[ahead] - c).rotated(-THIRD_TURN)
+                mark = ref_finish_mark(points, rec, lead, e, c, "L2.2", tol)
+                if mark:
+                    out.append(mark)
+
+    singles = [layer for layer in nondeg if len(layer.indices) == 1]
+
+    # leader parked between two layers
+    if len(singles) >= 2:
+        qc_layer = singles[0]
+        for ql_layer in singles[1:]:
+            ql = ql_layer.indices[0]
+            rho_l = points[ql].dist(c)
+            skip = {ql, qc_layer.indices[0]}
+            clean = [0.0] + [layer.radius for layer in nondeg
+                             if not (set(layer.indices) & skip)]
+            above = [r for r in clean if tol.gt(r, rho_l)]
+            if not above:
+                continue
+            rho_above = min(above)
+            rho_below = max(r for r in clean if tol.lt(r, rho_l))
+            x = rho_above - rho_below
+            if x <= tol.eps:
+                continue
+            e = 2.0 * (rho_above - rho_l) / x
+            rec = list(points)
+            rec[ql] = c + (points[ql] - c).unit() * rho_above
+            mark = ref_finish_mark(points, rec, ql, e, c, "L2.1", tol)
+            if mark:
+                out.append(mark)
+
+    # only the central robot moved
+    if singles:
+        q = singles[0].indices[0]
+        rec = list(points)
+        rec[q] = c
+        ra = Analysis(rec, tol)
+        if first_coincident_pair(rec, tol) is None and ra.in_c_dot:
+            p1 = ref_inner_polygon(ra, tol)
+            r1 = rec[p1[0]].dist(c)
+            if tol.eq(points[q].dist(c), r1 / 8.0):
+                hits = [v for v in p1 if tol.ray_aligned(points[q] - c, rec[v] - c)]
+                if len(hits) == 1:
+                    out.append(LeaderMark(q, hits[0], ra, "C2"))
+    return out
+
+
+def ref_reconstruct(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> LeaderMark:
+    """Invert an intermediate configuration back to its centered original.
+
+    Tries every movement case, keeps the interpretations that validate
+    (restored configuration centered-symmetric, displacements exactly on
+    protocol constants, hop fraction inside a decode guard band), and
+    demands exactly one survivor.
+    """
+    a = analyze(points, tol)
+    n = len(points)
+    if n < 3:
+        raise ReconstructFailure("need at least 3 points")
+    if a.in_c_dot:
+        raise ReconstructFailure("configuration is already centered; nothing to invert")
+    marks = ref_attempts_three(points, tol) if n == 3 else ref_attempts_many(a, tol)
+    unique: list[LeaderMark] = []
+    for mk in marks:
+        dup = any(mk.leader_index == u.leader_index
+                  and mk.pivot_index == u.pivot_index
+                  and all(tol.same_point(p, q) for p, q in zip(mk.reconstructed, u.reconstructed))
+                  for u in unique)
+        if not dup:
+            unique.append(mk)
+    if len(unique) != 1:
+        raise ReconstructFailure(
+            f"{len(unique)} consistent interpretations of the intermediate configuration")
+    return unique[0]
+
+
+def _mark_bits(mark: LeaderMark):
+    return (mark.leader_index, mark.pivot_index, mark.case, _point_bits(mark.reconstructed))
+
+
+def _codec_sets(rng):
+    """The centered corpus sets of 3 to 12 robots: rand_c_dot for every n and
+    rotational order it allows, and the centered path's sets of that size."""
+    for n in range(3, 13):
+        for k in (d for d in range(2, n) if (n - 1) % d == 0):
+            yield rand_c_dot(rng, n, k)
+    yield from (pts for pts in _centered_sets(rng) if len(pts) <= 12)
+
+
+def _nudged(rng, pts, size):
+    return [p + Point(size, 0.0).rotated(rng.uniform(0.0, 2.0 * math.pi)) for p in pts]
+
+
+def _assert_reconstruct_identical(pts, tol) -> set:
+    """reconstruct and the case attempts under it; the cases of the marks."""
+    a, ref_a = Analysis(pts, tol), Analysis(pts, tol)
+    if len(pts) == 3:
+        got = _outcome(lambda: [_mark_bits(m) for m in _attempts_three(pts, tol)])
+        want = _outcome(lambda: [_mark_bits(m) for m in ref_attempts_three(pts, tol)])
+    else:
+        got = _outcome(lambda: [_mark_bits(m) for m in _attempts_many(a, tol)])
+        want = _outcome(lambda: [_mark_bits(m) for m in ref_attempts_many(ref_a, tol)])
+    assert got == want
+    assert (_outcome(lambda: _mark_bits(reconstruct(pts, tol)))
+            == _outcome(lambda: _mark_bits(ref_reconstruct(pts, tol))))
+    return {m[2] for m in got[1]} if got[0] == "ok" else set()
+
+
+def _hex_points(value):
+    """value with every Point, also inside a tuple, as float.hex bits."""
+    if isinstance(value, Point):
+        return _bits(value.x, value.y)
+    if isinstance(value, tuple):
+        return tuple(_hex_points(v) for v in value)
+    return value
+
+
+def _assert_codec_identical(pts, tol, rng) -> set:
+    """The pivot, the hop rank from every robot, the central movement and
+    every robot's leader movement, then reconstruct on the one-mover and
+    every two-mover intermediate, and on every leader that moved alone, as
+    they are and with every robot nudged by 1e-12 to 1e-3.  Returns the
+    cases of the marks found."""
+    assert (_outcome(lambda: select_pivot(pts, tol))
+            == _outcome(lambda: ref_codec_select_pivot(pts, tol)))
+    central = _outcome(lambda: compute_movement_central(pts, tol))
+    assert (_hex_points(central)
+            == _hex_points(_outcome(lambda: ref_compute_movement_central(pts, tol))))
+    leaders = {}
+    for i in range(len(pts)):
+        got = _outcome(lambda: compute_movement_not_central(pts, i, tol))
+        want = _outcome(lambda: ref_compute_movement_not_central(pts, i, tol))
+        assert _hex_points(got) == _hex_points(want)
+        if got[0] == "ok":
+            leaders[i] = got[1]
+    ci = Analysis(pts, tol).center_index
+    if ci is not None:
+        c = pts[ci]
+        layers = ref_concentric_decomposition(pts, c, tol)
+        p1 = next((layer.indices for layer in layers if layer.radius > tol.eps), ())
+        for p in pts:
+            [u] = offsets([p], c)
+            assert _swept_order(pts, p1, c, u, CW, tol) == _hop_rank(pts, p1, c, p, tol)
+    if central[0] != "ok":
+        return set()
+    one = list(pts)
+    one[ci] = central[1][0]
+    intermediates = [one]
+    for i, dest in leaders.items():
+        for base in (one, pts):
+            two = list(base)
+            two[i] = dest
+            intermediates.append(two)
+    cases = set()
+    for mid in intermediates:
+        cases |= _assert_reconstruct_identical(mid, tol)
+        for size in (1e-12, 1e-9, 1e-6, 1e-3):
+            cases |= _assert_reconstruct_identical(_nudged(rng, mid, size), tol)
+    return cases
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3])
+def test_codec_matches_reference_on_centered_corpus(eps):
+    tol = Tolerance(eps)
+    rng = random.Random(83)
+    sets = list(_codec_sets(random.Random(82)))
+    cases = set()
+    for pts in sets:
+        cases |= _assert_codec_identical(pts, tol, rng)
+    assert len(sets) > 20
+    assert cases == {"C1", "C2", "L1", "L2.1", "L2.2", "L2.3"}

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -17,6 +19,7 @@ from swarmperm import (
     run,
     visit_matrix,
 )
+from swarmperm.verify import _cycle_flags
 
 SQUARE = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
 
@@ -58,6 +61,45 @@ def test_extract_matches_random_permutations():
         got = apply_permutation(sp.pi, pts)
         for p, q in zip(got, after):
             assert p.dist(q) < 1e-12
+
+
+def ref_cycle_flags(pi):
+    """_cycle_flags as it was, with its cycle-length loop and two checks."""
+    n = len(pi)
+    fpf = all(pi[i] != i for i in range(n))
+    seen = [False] * n
+    lengths = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = pi[i]
+            length += 1
+        lengths.append(length)
+    single = len(lengths) == 1 and lengths[0] == n
+    if sum(lengths) != n:
+        raise NotAPermutation(f"cycle lengths sum to {sum(lengths)}, not {n}")
+    # independent check: one cycle iff the orbit of 0 covers everything
+    orbit = 1
+    i = pi[0]
+    while i != 0:
+        i = pi[i]
+        orbit += 1
+    if single != (orbit == n):
+        raise NotAPermutation("cycle structure disagrees with orbit size")
+    return fpf, single
+
+
+def test_cycle_flags_match_reference_on_every_small_permutation():
+    count = 0
+    for n in range(1, 8):
+        for pi in itertools.permutations(range(n)):
+            assert _cycle_flags(pi) == ref_cycle_flags(pi)
+            count += 1
+    assert count == sum(math.factorial(n) for n in range(1, 8))
 
 
 def test_extract_rejects_non_permutations():

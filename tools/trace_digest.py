@@ -8,7 +8,9 @@ For each of the seeds 9101-9103 and each simulation workload
 cycle of 25 instances exactly as `bench/run.py` does, runs each, and
 hashes its label, `serialize_trace`, the verdict, the visit matrix and the
 failure kind (or the exception that escaped): 225 instances.  It prints
-one sha256 per workload, then the one over all of them.  Run it in the
+one sha256 per workload, then the one over all of them, and last one over
+the 75 trace_audit instances of the same seeds, which hold the verifier's
+verdicts and visit matrices and stay out of that total.  Run it in the
 checkout under test and in its parent: equal digests mean equal outputs,
 and a workload whose digest differs holds the instance that changed.  It
 imports swarmperm from this checkout's `src/` and reads the workloads
@@ -30,6 +32,7 @@ from run import cycle_rng  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SIMULATIONS = ("generic_sweep", "symmetric_large", "centered_cadence")
+AUDIT = "trace_audit"
 SEEDS = (9101, 9102, 9103)
 
 
@@ -46,18 +49,20 @@ def instance_bytes(inst) -> bytes:
 
 def main() -> int:
     total = hashlib.sha256()
-    per_workload = {name: hashlib.sha256() for name in SIMULATIONS}
+    per_workload = {name: hashlib.sha256() for name in (*SIMULATIONS, AUDIT)}
     count = 0
     for seed in SEEDS:
-        for name in SIMULATIONS:
+        for name in (*SIMULATIONS, AUDIT):
             for inst in WORKLOADS[name](cycle_rng(name, seed, 0)):
                 digest = hashlib.sha256(instance_bytes(inst)).digest()
-                total.update(digest)
                 per_workload[name].update(digest)
-                count += 1
-    for name, h in per_workload.items():
-        print(f"{name} sha256={h.hexdigest()}")
+                if name != AUDIT:
+                    total.update(digest)
+                    count += 1
+    for name in SIMULATIONS:
+        print(f"{name} sha256={per_workload[name].hexdigest()}")
     print(f"{count} instances sha256={total.hexdigest()}")
+    print(f"{AUDIT} sha256={per_workload[AUDIT].hexdigest()}")
     return 0
 
 
