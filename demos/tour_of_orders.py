@@ -2,9 +2,9 @@
 
 Every robot sees the world through its own frame: rotated, scaled,
 translated to put itself at the origin.  As long as no frame is
-mirrored, the sweep order around the smallest enclosing circle comes
-out the same for everyone.  This script builds one ragged configuration
-and lets eight disagreeing observers derive the order independently.
+mirrored, the sweep order about the centroid comes out the same for
+everyone.  This script builds one ragged configuration and lets eight
+disagreeing observers derive the order independently.
 """
 
 import math

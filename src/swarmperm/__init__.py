@@ -36,8 +36,6 @@ from .geometry import (
 from .symmetry import (
     Analysis,
     Axis,
-    ConfigClass,
-    SymmetryReport,
     analyze,
     center_robot_index,
     classify,

@@ -38,7 +38,7 @@ from .protocols import (
     one_bit_step,
     refusal,
 )
-from .symmetry import analyze, classify, symmetry_report
+from .symmetry import analyze, symmetry_report
 from .verify import MOVE_ALL, VISIT_ALL, check_k_step_spec
 
 EXIT_OK = 0
@@ -82,14 +82,6 @@ def _unknown_keys(obj: dict, known: tuple[str, ...], where: str) -> None:
         raise ScenarioError(f"{where}: unknown keys {sorted(extra)}")
 
 
-def _field(obj: dict, name: str, default=None, required: bool = False):
-    if name not in obj:
-        if required:
-            raise ScenarioError(f"missing required field {name!r}")
-        return default
-    return obj[name]
-
-
 def load_scenario(path: str) -> Scenario:
     try:
         text = Path(path).read_text()
@@ -103,7 +95,9 @@ def load_scenario(path: str) -> Scenario:
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: top level must be a JSON object")
     _unknown_keys(obj, SCENARIO_KEYS, path)
-    raw_points = _field(obj, "points", required=True)
+    if "points" not in obj:
+        raise ScenarioError("missing required field 'points'")
+    raw_points = obj["points"]
     if not isinstance(raw_points, list) or len(raw_points) < 2:
         raise ScenarioError("field 'points': need a list of at least 2 [x, y] pairs")
     points = []
@@ -112,17 +106,17 @@ def load_scenario(path: str) -> Scenario:
                 or any(_finite(v) is None for v in xy)):
             raise ScenarioError(f"field 'points[{i}]': expected [x, y] finite numbers")
         points.append(Point(_finite(xy[0]), _finite(xy[1])))
-    protocol = _field(obj, "protocol")
+    protocol = obj.get("protocol")
     if protocol is not None and protocol not in PROTOCOL_IDS:
         raise ScenarioError(
             f"field 'protocol': unknown id {protocol!r}, choose from {PROTOCOL_IDS}")
-    rounds = _field(obj, "rounds", 1)
+    rounds = obj.get("rounds", 1)
     if isinstance(rounds, bool) or not isinstance(rounds, int) or rounds < 1:
         raise ScenarioError("field 'rounds': need an integer >= 1")
-    tolerance = _finite(_field(obj, "tolerance", 1e-9))
+    tolerance = _finite(obj.get("tolerance", 1e-9))
     if tolerance is None or tolerance <= 0:
         raise ScenarioError("field 'tolerance': need a positive finite number")
-    frames_spec = _field(obj, "frames", {"kind": "identical", "seed": 0})
+    frames_spec = obj.get("frames", {"kind": "identical", "seed": 0})
     if isinstance(frames_spec, dict):
         _unknown_keys(frames_spec, ADVERSARY_KEYS, "field 'frames'")
         if frames_spec.get("kind") not in ADVERSARY_KINDS:
@@ -170,10 +164,25 @@ def cmd_classify(args) -> int:
     scn = load_scenario(args.scenario)
     tol = Tolerance(scn.tolerance)
     try:
-        a = analyze(scn.points, tol)
-        rep = symmetry_report(a, tol)
-        cls = classify(a, tol)
-        refusals = {pid: refusal(pid, a) for pid in PROTOCOL_IDS}
+        a = symmetry_report(scn.points, tol)
+        lines = [
+            f"n={len(scn.points)}",
+            f"symmetricity rho={a.rho}",
+            f"rotational_order={a.rotational_order}",
+            f"mirror_axes={len(a.mirror_axes)}",
+            f"robots_on_each_axis={list(a.robot_counts_on_axes)}",
+            f"central_robot={'yes' if a.has_central_robot else 'no'}",
+            f"centrally_symmetric={'yes' if a.is_central_symmetric else 'no'}",
+            f"centered_symmetric_class={'yes' if a.in_c_dot else 'no'}"
+            + (f" (residual order k={a.k_without_center})" if a.in_c_dot else ""),
+            f"axis_with_single_robot={'yes' if a.axis_with_single_robot else 'no'}",
+            f"unique_empty_axis={'yes' if a.unique_axis_no_robots else 'no'}",
+            "feasibility:",
+        ]
+        for pid in PROTOCOL_IDS:
+            err = refusal(pid, a)
+            lines.append(f"  {pid}: " + ("feasible" if err is None
+                                         else f"infeasible - {type(err).__name__}: {err}"))
     except (OverflowError, NonFinite) as exc:
         kind = "OverflowError" if isinstance(exc, OverflowError) else "ValueError"
         raise ScenarioError(f"an intermediate of the analysis left the finite floats "
@@ -181,21 +190,7 @@ def cmd_classify(args) -> int:
     except SwarmError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    print(f"n={len(scn.points)}")
-    print(f"symmetricity rho={rep.rho}")
-    print(f"rotational_order={rep.rotational_order}")
-    print(f"mirror_axes={len(rep.mirror_axes)}")
-    print(f"robots_on_each_axis={list(rep.robot_counts_on_axes)}")
-    print(f"central_robot={'yes' if rep.has_central_robot else 'no'}")
-    print(f"centrally_symmetric={'yes' if rep.is_central_symmetric else 'no'}")
-    print(f"centered_symmetric_class={'yes' if cls.in_c_dot else 'no'}"
-          + (f" (residual order k={cls.k_without_center})" if cls.in_c_dot else ""))
-    print(f"axis_with_single_robot={'yes' if cls.axis_with_single_robot else 'no'}")
-    print(f"unique_empty_axis={'yes' if cls.unique_axis_no_robots else 'no'}")
-    print("feasibility:")
-    for pid, err in refusals.items():
-        print(f"  {pid}: " + ("feasible" if err is None
-                              else f"infeasible - {type(err).__name__}: {err}"))
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -93,10 +93,9 @@ def _check_handedness(handedness: str) -> None:
 def _ray_groups(points: Sequence[Point], idxs: Sequence[int], c: Point,
                 handedness: str, tol: Tolerance) -> list[list[int]]:
     """Indices grouped by ray from c, groups in sweep order for the given
-    handedness, each sorted by increasing distance from c, except that a
-    merge of the last ray into the first leaves the others in sweep order.
-    Runs on raw floats with the operation order of `points[i] - c`,
-    `Point.dist` and `Tolerance.ray_aligned`."""
+    handedness, each sorted by increasing distance from c.  Runs on raw
+    floats with the operation order of `points[i] - c`, `Point.dist` and
+    `Tolerance.ray_aligned`."""
     cx, cy, eps = c.x, c.y, tol.eps
     rows = []
     for i in idxs:
@@ -118,8 +117,7 @@ def _ray_groups(points: Sequence[Point], idxs: Sequence[int], c: Point,
         _, ud, _, ux, uy = groups[0][0]
         if (ud > eps and rd > eps and ux * rx + uy * ry > 0.0
                 and abs(ux * ry - uy * rx) <= eps * ud * rd):
-            groups.insert(0, sorted(groups.pop() + groups.pop(0), key=itemgetter(1)))
-            return [[row[2] for row in g] for g in groups]
+            groups.insert(0, groups.pop() + groups.pop(0))
     return [[row[2] for row in sorted(g, key=itemgetter(1))] for g in groups]
 
 

@@ -207,12 +207,16 @@ def compute_movement_not_central(points: Sequence[Point], own: int,
 def _restored(points: Sequence[Point], moves: dict[int, Point],
               tol: Tolerance) -> Analysis | None:
     """The analysis of points with each robot of moves put back, when those
-    are distinct and centered symmetric; otherwise None."""
+    are distinct and centered symmetric; otherwise None, also when the
+    layering behind that test is ambiguous."""
     rec = [moves.get(i, p) for i, p in enumerate(points)]
     if first_coincident_pair(rec, tol) is not None:
         return None
     ra = Analysis(rec, tol)
-    return ra if ra.in_c_dot else None
+    try:
+        return ra if ra.in_c_dot else None
+    except AmbiguousLayering:
+        return None
 
 
 def _eighth_out(points: Sequence[Point], q: int, ra: Analysis, c: Point,

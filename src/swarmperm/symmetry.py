@@ -52,29 +52,6 @@ class Axis:
         return a
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
-    """Every symmetry fact of a configuration at once, for `swarmperm
-    classify` and the tests.  Protocol steps read the `Analysis` instead,
-    and only the facts their branch decides on."""
-
-    rho: int
-    rotational_order: int
-    mirror_axes: tuple[Axis, ...]
-    robot_counts_on_axes: tuple[int, ...]
-    has_central_robot: bool
-    is_central_symmetric: bool
-
-
-@dataclass(frozen=True)
-class ConfigClass:
-    in_c_dot: bool
-    k_without_center: int
-    axis_with_single_robot: bool
-    unique_axis_no_robots: bool
-    axis_count: int
-
-
 class Analysis(tuple):
     """A tuple of points that computes what the protocols ask of it, each
     part at most once, on first use, by calling the public function that a
@@ -86,7 +63,12 @@ class Analysis(tuple):
     `CENTERED` reads it: the refusing protocols use the circle for nothing
     else, while the centered steps go on to use it, and on their snapshots
     a robot sits at or near the center, so the bound never decides there.
-    A protocol builds one per snapshot and drops it when the step returns."""
+    A protocol builds one per snapshot and drops it when the step returns.
+
+    It is also the one report of a configuration: `classify` and
+    `symmetry_report` return it, and the facts that `swarmperm classify`
+    prints, from `rho` to `unique_axis_no_robots`, are attributes computed
+    on first read like the rest."""
 
     def __new__(cls, points: Iterable[Point], tol: Tolerance = DEFAULT_TOL):
         self = super().__new__(cls, points)
@@ -172,6 +154,37 @@ class Analysis(tuple):
     def axis_robots(self) -> tuple[tuple[int, ...], ...]:
         """The robots on each mirror axis, one tuple per axis."""
         return tuple(robots_on_axis(self, ax, self.tol) for ax in self.mirror_axes)
+
+    @cached_property
+    def robot_counts_on_axes(self) -> tuple[int, ...]:
+        return tuple(len(on) for on in self.axis_robots)
+
+    @cached_property
+    def axis_count(self) -> int:
+        return len(self.mirror_axes)
+
+    @cached_property
+    def axis_with_single_robot(self) -> bool:
+        return ONE_ROBOT_AXIS.holds(self)
+
+    @cached_property
+    def unique_axis_no_robots(self) -> bool:
+        return len(self.mirror_axes) == 1 and not self.axis_robots[0]
+
+    @cached_property
+    def has_central_robot(self) -> bool:
+        """A robot within eps of the centroid."""
+        return any(self.tol.same_point(p, self.centroid) for p in self)
+
+    @cached_property
+    def is_central_symmetric(self) -> bool:
+        return self.rotational_order % 2 == 0
+
+    @cached_property
+    def rho(self) -> int:
+        """The symmetricity: the rotational order, forced to 1 when a robot
+        occupies the centroid."""
+        return 1 if self.has_central_robot else self.rotational_order
 
 
 def analyze(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> Analysis:
@@ -277,23 +290,12 @@ def require_distinct(points: Sequence[Point], tol: Tolerance) -> None:
         raise DuplicatePoints(f"points {hit[0]} and {hit[1]} coincide within eps")
 
 
-def symmetry_report(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> SymmetryReport:
-    """The SymmetryReport of the points, for `swarmperm classify` and the
-    tests; it builds the mirror axes and the robots on each even where a
-    step would not read them.  The symmetricity rho is the rotational
-    order about the centroid, forced to 1 when a point occupies it."""
+def symmetry_report(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> Analysis:
+    """The analysis of the points, for `swarmperm classify`, once no two of
+    them coincide within eps."""
     a = analyze(points, tol)
     require_distinct(a, tol)
-    central = any(tol.same_point(p, a.centroid) for p in a)
-    order = a.rotational_order
-    return SymmetryReport(
-        rho=1 if central else order,
-        rotational_order=order,
-        mirror_axes=a.mirror_axes,
-        robot_counts_on_axes=tuple(len(on) for on in a.axis_robots),
-        has_central_robot=central,
-        is_central_symmetric=(order % 2 == 0),
-    )
+    return a
 
 
 def center_robot_index(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> int | None:
@@ -348,16 +350,10 @@ def _no_center_robot(points: Sequence[Point], eps: float) -> bool:
     return not left
 
 
-def classify(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> ConfigClass:
-    """Feasibility-relevant classification of a configuration."""
-    a = analyze(points, tol)
-    return ConfigClass(
-        in_c_dot=a.in_c_dot,
-        k_without_center=a.k_without_center,
-        axis_with_single_robot=ONE_ROBOT_AXIS.holds(a),
-        unique_axis_no_robots=len(a.mirror_axes) == 1 and not a.axis_robots[0],
-        axis_count=len(a.mirror_axes),
-    )
+def classify(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> Analysis:
+    """The analysis of the points, whose attributes hold the feasibility
+    classification."""
+    return analyze(points, tol)
 
 
 # --- the paper's obstructions ---------------------------------------------

@@ -5,8 +5,11 @@ adversary kind, a row that `refusal` calls feasible runs clean and passes
 its contract, and an infeasible row stops in round 1 with exactly the
 row's error.  The protocols that assume a shared clockwise sense also run
 with every frame mirrored: a swarm whose shared sense is the other one.
+Small lattice sets hold the exact ties that random families rarely draw,
+so every one of them runs too.
 """
 
+import itertools
 import random
 import re
 import time
@@ -130,3 +133,37 @@ def test_rows_agree_with_runs(family):
     assert feasible + infeasible > 0
     print(f"{family}: {feasible} feasible and {infeasible} infeasible runs agree "
           f"with their rows in {time.perf_counter() - t0:.2f} s")
+
+
+def _lattice_classes(n, side=4):
+    """Every set of n points of the side x side integer grid, up to
+    translation: the sets that touch both the x = 0 and the y = 0 line."""
+    grid = [(x, y) for x in range(side) for y in range(side)]
+    for xys in itertools.combinations(grid, n):
+        if min(x for x, _ in xys) == 0 and min(y for _, y in xys) == 0:
+            yield [Point(x, y) for x, y in xys]
+
+
+@pytest.mark.parametrize("n, kinds, classes", [(3, ALL_KINDS, 204), (4, ("identical",), 956)],
+                         ids=["3-every-kind", "4-identical"])
+def test_rows_agree_with_runs_on_lattice_sets(n, kinds, classes):
+    misses = []
+    runs = 0
+    t0 = time.perf_counter()
+    sets = list(_lattice_classes(n))
+    for s, pts in enumerate(sets):
+        for pid in PROTOCOL_IDS:
+            for kind in (k for k in KINDS[pid] if k in kinds):
+                try:
+                    frame_sets = list(_frame_sets(kind, pts, s, pid))
+                except (MirrorSymmetric, NotCentral):
+                    continue
+                for label, frames in frame_sets:
+                    miss, _ = _outcome(pts, frames, pid)
+                    runs += 1
+                    if miss is not None:
+                        misses.append((pts, pid, label, miss))
+    assert misses == []
+    assert len(sets) == classes
+    print(f"{classes} lattice classes of {n}: {runs} runs agree with their rows "
+          f"in {time.perf_counter() - t0:.2f} s")

@@ -216,7 +216,7 @@ def test_classify_near_the_float_limit_exits_malformed(tmp_path, capsys, pts):
 def test_classify_lets_other_value_errors_through(tmp_path, monkeypatch):
     def broken(a, tol):
         raise ValueError("not about floats")
-    monkeypatch.setattr("swarmperm.cli.classify", broken)
+    monkeypatch.setattr("swarmperm.cli.symmetry_report", broken)
     path = _write(tmp_path, "s.json", {"points": [[0, 0], [1, 0], [0, 2]]})
     with pytest.raises(ValueError, match="not about floats"):
         main(["classify", "--scenario", path])

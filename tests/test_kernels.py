@@ -457,6 +457,13 @@ def ref_ray_groups(points, idxs, c: Point, handedness: str, tol: Tolerance):
     return groups
 
 
+def by_distance(groups, points, c: Point):
+    """groups with each one sorted by increasing distance from c.  The ray
+    group references keep the other groups of a wrap-around merge in sweep
+    order, where `_ray_groups` sorts every group."""
+    return [sorted(g, key=lambda i: points[i].dist(c)) for g in groups]
+
+
 # --- comparison ------------------------------------------------------------
 
 def _bits(*xs: float) -> tuple[str, ...]:
@@ -950,7 +957,7 @@ def test_ray_groups_match_reference(eps):
             for subset in (idxs, idxs[: max(1, len(idxs) // 2)]):
                 for hand in (CCW, CW):
                     assert (_ray_groups(pts, subset, c, hand, tol)
-                            == ref_ray_groups(pts, subset, c, hand, tol))
+                            == by_distance(ref_ray_groups(pts, subset, c, hand, tol), pts, c))
 
 
 # --- reference: the Point-based centered path --------------------------------
@@ -1702,7 +1709,8 @@ def _assert_ray_groups_identical(pts, tol, rng):
             for idxs in (list(range(len(variant))), shuffled, half):
                 for hand in (CCW, CW):
                     assert (_ray_groups(variant, idxs, c, hand, tol)
-                            == ref_dict_ray_groups(variant, idxs, c, hand, tol))
+                            == by_distance(ref_dict_ray_groups(variant, idxs, c, hand, tol),
+                                           variant, c))
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-3, 1.0])
@@ -1741,10 +1749,13 @@ def test_ray_groups_match_dict_reference_on_rays_and_short_vectors(eps):
              Point(2.0, 0.0), Point(-3.0, 0.5)]
     for pts in (collinear, wrap, short):
         _assert_ray_groups_identical(pts, tol, rng)
-    # the sweep's last ray joins its first, sorted by distance; the merge
-    # leaves the other groups in sweep order, as the dict reference does
+    # the sweep's last ray joins its first; every group is sorted by distance
     groups = _ray_groups(wrap, range(len(wrap)), Point(0.0, 0.0), CCW, tol)
-    assert groups == [[3, 0, 1], [2, 5], [4]]
+    assert groups == [[3, 0, 1], [5, 2], [4]]
+    # turned so that no ray straddles +x, the set keeps its groups' orders
+    turned = [p.rotated(math.pi / 4.0) for p in wrap]
+    assert (sorted(_ray_groups(turned, range(len(turned)), Point(0.0, 0.0), CCW, tol))
+            == sorted(groups))
     # a vector no longer than eps stays alone on its ray
     groups = _ray_groups(short, range(len(short)), Point(0.0, 0.0), CCW, tol)
     assert [0] in groups and [2] in groups
@@ -2354,7 +2365,11 @@ def _nudged(rng, pts, size):
 
 
 def _assert_reconstruct_identical(pts, tol) -> set:
-    """reconstruct and the case attempts under it; the cases of the marks."""
+    """reconstruct and the case attempts under it; the cases of the marks.
+    One difference is allowed: where the reference stops with
+    AmbiguousLayering, a candidate's layering was ambiguous, which
+    `_restored` counts as a rejection, so no mark survives and reconstruct
+    stops with ReconstructFailure."""
     a, ref_a = Analysis(pts, tol), Analysis(pts, tol)
     if len(pts) == 3:
         got = _outcome(lambda: [_mark_bits(m) for m in _attempts_three(pts, tol)])
@@ -2362,9 +2377,16 @@ def _assert_reconstruct_identical(pts, tol) -> set:
     else:
         got = _outcome(lambda: [_mark_bits(m) for m in _attempts_many(a, tol)])
         want = _outcome(lambda: [_mark_bits(m) for m in ref_attempts_many(ref_a, tol)])
+    rebuilt = _outcome(lambda: _mark_bits(reconstruct(pts, tol)))
+    ref_rebuilt = _outcome(lambda: _mark_bits(ref_reconstruct(pts, tol)))
+    if want[:2] == ("raised", AmbiguousLayering):
+        assert got == ("ok", [])
+        assert ref_rebuilt[:2] == ("raised", AmbiguousLayering)
+        assert rebuilt == ("raised", ReconstructFailure,
+                           "0 consistent interpretations of the intermediate configuration")
+        return set()
     assert got == want
-    assert (_outcome(lambda: _mark_bits(reconstruct(pts, tol)))
-            == _outcome(lambda: _mark_bits(ref_reconstruct(pts, tol))))
+    assert rebuilt == ref_rebuilt
     return {m[2] for m in got[1]} if got[0] == "ok" else set()
 
 
@@ -2419,6 +2441,25 @@ def _assert_codec_identical(pts, tol, rng) -> set:
         for size in (1e-12, 1e-9, 1e-6, 1e-3):
             cases |= _assert_reconstruct_identical(_nudged(rng, mid, size), tol)
     return cases
+
+
+# A one-bit intermediate of five robots, nudged by 1e-9: putting its center
+# robot back gives a candidate whose radius chain about the centroid spans
+# more than eps.
+_AMBIGUOUS_CANDIDATE = [
+    (-1.8337963252894938, -0.6592170403989888), (-1.5644876585785406, -1.280612486925566),
+    (-2.9730294216230253, -0.9924939697263933), (-2.360704584989321, 0.5565566610823839),
+    (-0.8116539545438314, -0.055768176200053)]
+
+
+def test_reconstruct_rejects_a_candidate_with_an_ambiguous_layering():
+    pts = [Point(x, y) for x, y in _AMBIGUOUS_CANDIDATE]
+    tol = Tolerance(1e-9)
+    with pytest.raises(AmbiguousLayering, match="^radius chain spans"):
+        ref_reconstruct(pts, tol)
+    assert _attempts_many(Analysis(pts, tol), tol) == []
+    with pytest.raises(ReconstructFailure, match="^0 consistent interpretations"):
+        reconstruct(pts, tol)
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-3])
