@@ -26,6 +26,7 @@ from .geometry import (
     CW,
     DEFAULT_TOL,
     Circle,
+    Frame,
     Layer,
     Point,
     Tolerance,
@@ -71,7 +72,6 @@ from .protocols import (
 from .engine import (
     ADVERSARY_KINDS,
     IDENTITY_FRAME,
-    Frame,
     RoundRecord,
     RunTrace,
     Snapshot,

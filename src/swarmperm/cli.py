@@ -21,7 +21,6 @@ from typing import Sequence
 
 from .engine import (
     ADVERSARY_KINDS,
-    Frame,
     RunTrace,
     adversary_frames,
     parse_trace,
@@ -30,13 +29,12 @@ from .engine import (
     to_local_snapshot,
 )
 from .errors import NonFinite, SwarmError
-from .geometry import DEFAULT_TOL, Point, PointIndex, Tolerance
+from .geometry import DEFAULT_TOL, Frame, Point, PointIndex, Tolerance
 from .protocols import (
     PROTOCOL_IDS,
     Protocol,
     make_protocol,
     one_bit_step,
-    refusal,
 )
 from .symmetry import analyze, symmetry_report
 from .verify import MOVE_ALL, VISIT_ALL, check_k_step_spec
@@ -180,7 +178,7 @@ def cmd_classify(args) -> int:
             "feasibility:",
         ]
         for pid in PROTOCOL_IDS:
-            err = refusal(pid, a)
+            err = make_protocol(pid).refusal(a)
             lines.append(f"  {pid}: " + ("feasible" if err is None
                                          else f"infeasible - {type(err).__name__}: {err}"))
     except (OverflowError, NonFinite) as exc:
@@ -311,10 +309,11 @@ def _report(trace: RunTrace, predicted: str) -> int:
 
 def _refused(pts: list[Point], frames: list[Frame], protocol_id: str) -> int:
     """Run the protocol one round and check it refuses as its row predicts."""
-    err = refusal(protocol_id, analyze(pts))
+    protocol = make_protocol(protocol_id)
+    err = protocol.refusal(analyze(pts))
     predicted = "no refusal" if err is None else f"{type(err).__name__}: {err}"
     print(f"predicted obstruction ({protocol_id} row): {predicted}")
-    return _report(run(pts, frames, make_protocol(protocol_id), 1), predicted)
+    return _report(run(pts, frames, protocol, 1), predicted)
 
 
 def _demo_thm2(force: bool) -> int:

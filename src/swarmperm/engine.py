@@ -26,27 +26,9 @@ from .errors import (
     NotCentral,
     SwarmError,
 )
-from .geometry import (DEFAULT_TOL, Point, Tolerance, first_coincident_pair,
-                       inverse_transform_points, transform_points)
+from .geometry import DEFAULT_TOL, Frame, Point, Tolerance, first_coincident_pair
 from .protocols import Protocol
 from .symmetry import center_robot_index, mirror_axes
-
-
-@dataclass(frozen=True)
-class Frame:
-    """A robot's private coordinate system: rotation of its +x axis,
-    optional reflection, and unit length, all relative to the global
-    frame.  The origin is always the robot's own position."""
-
-    rotation: float = 0.0
-    mirror: bool = False
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.rotation) and math.isfinite(self.scale)):
-            raise InvalidFrame("frame parameters must be finite")
-        if self.scale <= 0:
-            raise InvalidFrame(f"frame scale must be positive, got {self.scale}")
 
 
 IDENTITY_FRAME = Frame()
@@ -89,13 +71,12 @@ def to_local_snapshot(points: Sequence[Point], frames: Sequence[Frame], i: int,
         raise InvalidFrame(f"{len(frames)} frames for {len(points)} robots")
     f = frames[i]
     try:
-        local = tuple(inverse_transform_points(points, f.rotation, f.mirror, f.scale, points[i]))
+        local = tuple(f.to_local(points, points[i]))
         dirs = None
         if visible:
             # each robot's unit x-direction, turned into this robot's frame
             x_dirs = (Point(math.cos(g.rotation), math.sin(g.rotation)) for g in frames)
-            dirs = tuple(d.unit() for d in inverse_transform_points(x_dirs, f.rotation,
-                                                                    f.mirror, f.scale))
+            dirs = tuple(d.unit() for d in f.to_local(x_dirs))
     except NonFinite as exc:
         raise InvalidFrame(f"robot {i}'s frame (scale {f.scale:g}) cannot hold the "
                            f"configuration: {exc}") from exc
@@ -121,8 +102,7 @@ def fsync_round(points: Sequence[Point], frames: Sequence[Frame], protocol: Prot
         dests_local.append(dest)
         new_bits.append(int(bit))
     try:
-        new_points = tuple(transform_points((d,), f.rotation, f.mirror, f.scale, p)[0]
-                           for d, f, p in zip(dests_local, frames, points))
+        new_points = tuple(f.to_global((d,), p)[0] for d, f, p in zip(dests_local, frames, points))
     except NonFinite as exc:
         raise InvalidFrame(f"a destination does not map back to the global frame: "
                            f"{exc}") from exc

@@ -434,37 +434,44 @@ def concentric_decomposition(points: Sequence[Point], center: Point,
     return tuple(layers)
 
 
-# --- frame transform -----------------------------------------------------
+# --- frames ---------------------------------------------------------------
 
-def _frame_trig(rotation: float, scale: float) -> tuple[float, float]:
-    if not (scale > 0.0 and math.isfinite(scale) and math.isfinite(rotation)):
-        raise InvalidFrame(f"scale must be positive and parameters finite, got scale={scale}")
-    return math.cos(rotation), math.sin(rotation)
+@dataclass(frozen=True)
+class Frame:
+    """A robot's private coordinate system: rotation of its +x axis,
+    optional reflection, and unit length, all relative to the global
+    frame.  Its origin is the robot's own position, which the maps take
+    as `origin`."""
 
+    rotation: float = 0.0
+    mirror: bool = False
+    scale: float = 1.0
 
-def transform_points(points: Iterable[Point], rotation: float = 0.0, mirror: bool = False,
-                     scale: float = 1.0, translation: Point = ORIGIN) -> list[Point]:
-    """Every point mirrored (about the x-axis), then rotated, scaled and
-    translated, with one frame check and one cos and sin."""
-    c, s = _frame_trig(rotation, scale)
-    tx, ty = translation.x, translation.y
-    out = []
-    for p in points:
-        x, y = p.x, (-p.y if mirror else p.y)
-        out.append(Point((c * x - s * y) * scale + tx, (s * x + c * y) * scale + ty))
-    return out
+    def __post_init__(self):
+        if not (self.scale > 0.0 and math.isfinite(self.scale) and math.isfinite(self.rotation)):
+            raise InvalidFrame(f"scale must be positive and parameters finite, "
+                               f"got scale={self.scale}")
 
+    def to_global(self, points: Iterable[Point], origin: Point = ORIGIN) -> list[Point]:
+        """Every local point mirrored (about the x-axis), then rotated, scaled
+        and translated by origin, with one cos and sin."""
+        c, s = math.cos(self.rotation), math.sin(self.rotation)
+        mirror, scale = self.mirror, self.scale
+        tx, ty = origin.x, origin.y
+        out = []
+        for p in points:
+            x, y = p.x, (-p.y if mirror else p.y)
+            out.append(Point((c * x - s * y) * scale + tx, (s * x + c * y) * scale + ty))
+        return out
 
-def inverse_transform_points(points: Iterable[Point], rotation: float = 0.0,
-                             mirror: bool = False, scale: float = 1.0,
-                             translation: Point = ORIGIN) -> list[Point]:
-    """The inverse of transform_points with identical parameters, with one
-    frame check and one cos and sin."""
-    c, s = _frame_trig(-rotation, scale)
-    tx, ty = translation.x, translation.y
-    out = []
-    for p in points:
-        x, y = (p.x - tx) / scale, (p.y - ty) / scale
-        rx, ry = c * x - s * y, s * x + c * y
-        out.append(Point(rx, -ry if mirror else ry))
-    return out
+    def to_local(self, points: Iterable[Point], origin: Point = ORIGIN) -> list[Point]:
+        """The inverse of to_global with the same origin, with one cos and sin."""
+        c, s = math.cos(-self.rotation), math.sin(-self.rotation)
+        mirror, scale = self.mirror, self.scale
+        tx, ty = origin.x, origin.y
+        out = []
+        for p in points:
+            x, y = (p.x - tx) / scale, (p.y - ty) / scale
+            rx, ry = c * x - s * y, s * x + c * y
+            out.append(Point(rx, -ry if mirror else ry))
+        return out

@@ -344,9 +344,8 @@ def voting_elect(points: Sequence[Point], x_dirs: Sequence[Point],
     reading of vote counts that is lexicographically maximal.  Raises
     VoteTie when the count vector is rotationally periodic."""
     tally = vote_tally(points, x_dirs, tol)
-    cw = tuple(reversed(tally.polygon))
-    by_vertex = dict(zip(tally.polygon, tally.votes))
-    counts = [by_vertex[v] for v in cw]
+    cw = tally.polygon[::-1]
+    counts = list(tally.votes[::-1])
     m = len(cw)
     readings = [tuple(counts[(s + j) % m] for j in range(m)) for s in range(m)]
     best = max(readings)

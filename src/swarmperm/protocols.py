@@ -12,7 +12,7 @@ configuration, the leader, and a pivot point that anchors a shared order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .errors import (
@@ -48,8 +48,8 @@ from .ordering import (
     orient_axis,
     voting_elect,
 )
-from .symmetry import (BLOCKING_AXES, CENTERED, ONE_ROBOT_AXIS, Analysis, analyze,
-                       require_distinct)
+from .symmetry import (BLOCKING_AXES, CENTERED, ONE_ROBOT_AXIS, Analysis, Obstruction,
+                       analyze, require_distinct)
 
 THIRD_TURN = 2.0 * math.pi / 3.0
 
@@ -429,7 +429,7 @@ def move_all_no_chirality_step(a: Analysis, snapshot, bit: int) -> tuple[Point, 
     CENTERED.check(a)
     require_distinct(a, tol)
     c = a.centroid
-    if a.rotational_order % 2 == 0:
+    if a.is_central_symmetric:
         return c * 2.0 - p, bit
     axes = a.mirror_axes
     if not axes:
@@ -498,15 +498,18 @@ def one_bit_step(a: Analysis, snapshot, bit: int) -> tuple[Point, int]:
 
 @dataclass(frozen=True)
 class Protocol:
-    """A named Compute rule plus the capabilities it assumes.
+    """A named Compute rule plus the capabilities it assumes, and its row of
+    the paper's characterization: the obstructions it refuses.
 
     `step(analysis, snapshot, bit)` returns (destination in the snapshot's
     frame, new bit).  `tol` is the tolerance of every run of the protocol;
-    the step reads it as `analysis.tol`.
+    the step reads it as `analysis.tol`.  The step's guards raise the
+    refused obstructions; `swarmperm classify` and the demos read `refusal`.
     """
 
     name: str
     step: Callable
+    refuses: tuple[Obstruction, ...] = ()
     needs_visible_frames: bool = False
     min_robots: int = 2
     tol: Tolerance = DEFAULT_TOL
@@ -515,37 +518,27 @@ class Protocol:
         analysis = Analysis(snapshot.local_points, self.tol)
         return self.step(analysis, snapshot, bit)
 
+    def refusal(self, a: Analysis) -> SwarmError | None:
+        """The error a run of the protocol from configuration a stops with, by its row."""
+        if len(a) < self.min_robots:
+            return EmptyConfiguration(f"{self.name} needs at least {self.min_robots} robots")
+        return next((NotOrderable(ob.message) for ob in self.refuses if ob.holds(a)), None)
 
-_PROTOCOLS = {
-    "VisitAllChirality": dict(step=visit_all_chirality_step, min_robots=3),
-    "MoveAllNoChirality": dict(step=move_all_no_chirality_step, min_robots=2),
-    "VisitAllNoChirality": dict(step=visit_all_no_chirality_step, min_robots=3),
-    "VotingVisitAll": dict(step=voting_visit_all_step, min_robots=3,
-                           needs_visible_frames=True),
-    "OneBitVisitAll": dict(step=one_bit_step, min_robots=3),
-}
+
+_PROTOCOLS = {p.name: p for p in (
+    Protocol("VisitAllChirality", visit_all_chirality_step, (CENTERED,), min_robots=3),
+    Protocol("MoveAllNoChirality", move_all_no_chirality_step,
+             (CENTERED, ONE_ROBOT_AXIS), min_robots=2),
+    Protocol("VisitAllNoChirality", visit_all_no_chirality_step,
+             (CENTERED, BLOCKING_AXES), min_robots=3),
+    Protocol("VotingVisitAll", voting_visit_all_step, min_robots=3,
+             needs_visible_frames=True),
+    Protocol("OneBitVisitAll", one_bit_step, min_robots=3),
+)}
 PROTOCOL_IDS = tuple(_PROTOCOLS)
-
-# The paper's characterization: the obstructions each protocol refuses.  The
-# steps' guards raise them; `swarmperm classify` and the demos read `refusal`.
-REFUSES = {
-    "VisitAllChirality": (CENTERED,),
-    "MoveAllNoChirality": (CENTERED, ONE_ROBOT_AXIS),
-    "VisitAllNoChirality": (CENTERED, BLOCKING_AXES),
-    "VotingVisitAll": (),
-    "OneBitVisitAll": (),
-}
-
-
-def refusal(protocol_id: str, a: Analysis) -> SwarmError | None:
-    """The error a run of the protocol from configuration a stops with, by its row."""
-    need = _PROTOCOLS[protocol_id]["min_robots"]
-    if len(a) < need:
-        return EmptyConfiguration(f"{protocol_id} needs at least {need} robots")
-    return next((NotOrderable(ob.message) for ob in REFUSES[protocol_id] if ob.holds(a)), None)
 
 
 def make_protocol(protocol_id: str, tol: Tolerance = DEFAULT_TOL) -> Protocol:
     if protocol_id not in _PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol_id!r}; choose from {PROTOCOL_IDS}")
-    return Protocol(name=protocol_id, tol=tol, **_PROTOCOLS[protocol_id])
+    return replace(_PROTOCOLS[protocol_id], tol=tol)

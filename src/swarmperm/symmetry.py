@@ -239,8 +239,6 @@ def mirror_axes(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> tuple[
         alpha = (theta_base + angle_of(a[i] - c)) / 2.0
         alpha = alpha if alpha >= 0.0 else alpha + math.pi
         alpha = math.fmod(alpha, math.pi)
-        if alpha < 0.0:
-            alpha += math.pi
         if index.matches(_reflected(a, c.x, c.y, alpha)):
             angles.append(alpha)
     angles.sort()

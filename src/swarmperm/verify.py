@@ -138,7 +138,8 @@ def check_k_step_spec(trace, spec: str, k: int,
                                (i * k, f"robot {bad} deviates from the fixed "
                                        f"permutation power at round {i * k}"))
     memoryless = all(not any(rec.bits) for rec in records)
-    shift_js = range(0, last - k + 1) if memoryless else range(0, last - k + 1, k)
+    # the pair (0, k) is the step extracted above
+    shift_js = range(1, last - k + 1) if memoryless else range(k, last - k + 1, k)
     for j in shift_js:
         try:
             extract_permutation(configs[j], configs[j + k], tol)

@@ -1,12 +1,12 @@
 """The characterization table agrees with what the protocols do.
 
 For every corpus family and the near-pairs set, protocol and applicable
-adversary kind, a row that `refusal` calls feasible runs clean and passes
-its contract, and an infeasible row stops in round 1 with exactly the
-row's error.  The protocols that assume a shared clockwise sense also run
-with every frame mirrored: a swarm whose shared sense is the other one.
-Small lattice sets hold the exact ties that random families rarely draw,
-so every one of them runs too.
+adversary kind, a row that `Protocol.refusal` calls feasible runs clean
+and passes its contract, and an infeasible row stops in round 1 with
+exactly the row's error.  The protocols that assume a shared clockwise
+sense also run with every frame mirrored: a swarm whose shared sense is
+the other one.  Small lattice sets hold the exact ties that random
+families rarely draw, so every one of them runs too.
 """
 
 import itertools
@@ -41,7 +41,6 @@ from swarmperm import (
     make_protocol,
     run,
 )
-from swarmperm.protocols import REFUSES, refusal
 
 FAMILIES = {
     "rand_points": lambda rng: rand_points(rng, rng.randint(3, 9)),
@@ -73,7 +72,7 @@ FAMILY_KINDS = {"near_pairs": ("identical", "pairwise_distinct")}
 
 
 def test_every_protocol_has_a_row():
-    assert tuple(REFUSES) == tuple(KINDS) == PROTOCOL_IDS
+    assert tuple(KINDS) == PROTOCOL_IDS
 
 
 def _frame_sets(kind, pts, seed, pid):
@@ -89,11 +88,12 @@ def _outcome(pts, frames, pid):
     """None when the run agrees with the protocol's row, else what differs;
     also whether the row is feasible."""
     a = analyze(pts)
-    err = refusal(pid, a)
+    protocol = make_protocol(pid)
+    err = protocol.refusal(a)
     k = 2 if pid == "OneBitVisitAll" and a.in_c_dot else 1
     spec = MOVE_ALL if pid == "MoveAllNoChirality" else VISIT_ALL
     # two relocation steps: the step permutation, its square, the restart
-    trace = run(pts, frames, make_protocol(pid), 2 * k)
+    trace = run(pts, frames, protocol, 2 * k)
     got = trace.records[-1].error
     if err is None:
         if got is not None:

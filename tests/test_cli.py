@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from corpus import NEAR_PAIRS
 
+from swarmperm import PROTOCOL_IDS, Frame, Point, make_protocol, run, serialize_trace
 from swarmperm.cli import (
     EXIT_MALFORMED,
     EXIT_OK,
@@ -18,6 +19,7 @@ from swarmperm.cli import (
     ScenarioError,
     load_scenario,
     main,
+    scenario_frames,
 )
 from swarmperm.engine import to_local_snapshot
 
@@ -190,6 +192,22 @@ def test_classify_rows_match_simulate_errors(tmp_path, capsys, pts, infeasible):
         assert re.fullmatch(r"run stopped at round 1: (.*) \(robot \d+\)\n", err).group(1) == reason
 
 
+def test_too_few_robots_rows_match_simulate_errors(tmp_path, capsys):
+    """The protocol record's robot count agrees with run's admission check."""
+    pts = [[0, 0], [1, 0]]
+    path = _write(tmp_path, "s.json", {"points": pts})
+    assert main(["classify", "--scenario", path]) == EXIT_OK
+    out = capsys.readouterr().out
+    rows = re.findall(r"^  (\w+): infeasible - (.*)$", out, re.M)
+    assert rows == [(pid, f"EmptyConfiguration: {pid} needs at least 3 robots")
+                    for pid in PROTOCOL_IDS if pid != "MoveAllNoChirality"]
+    assert "  MoveAllNoChirality: feasible\n" in out
+    for pid, reason in rows:
+        scn = _write(tmp_path, "s.json", {"points": pts, "protocol": pid})
+        assert main(["simulate", "--scenario", scn]) == EXIT_MALFORMED
+        assert capsys.readouterr().err == f"error: {reason}\n"
+
+
 def test_huge_coordinates_classify_and_simulate(tmp_path, capsys):
     # the README set at 1e103: the enclosing circle's circumcenter, a
     # product of three coordinates, once overflowed to nan here
@@ -273,6 +291,19 @@ def test_simulate_failure_exits_2(tmp_path, capsys):
     assert out_path.exists()  # the partial trace is still written
 
 
+def test_simulate_explicit_frame_list(tmp_path, capsys):
+    """A scenario's list of frames runs as the same frames built directly."""
+    pts = [Point(0, 0), Point(3, 0), Point(1, 2)]
+    scn = _write(tmp_path, "s.json", {
+        "points": [[p.x, p.y] for p in pts], "protocol": "VisitAllNoChirality", "rounds": 3,
+        "frames": [{}, {"rotation": 1.0, "mirror": True}, {"scale": 2}]})
+    frames = [Frame(), Frame(1.0, True), Frame(scale=2.0)]
+    assert scenario_frames(load_scenario(scn)) == frames
+    assert main(["simulate", "--scenario", scn]) == EXIT_OK
+    expected = run(pts, frames, make_protocol("VisitAllNoChirality"), 3)
+    assert capsys.readouterr().out == serialize_trace(expected)
+
+
 def test_simulate_requires_protocol(tmp_path, capsys):
     scn = _write(tmp_path, "s.json", {"points": [[0, 0], [1, 0], [0, 1]]})
     assert main(["simulate", "--scenario", scn]) == EXIT_MALFORMED
@@ -332,6 +363,15 @@ def test_verify_pass_and_fail(tmp_path, capsys):
                  "--k", "2"]) == EXIT_SPEC_FAIL
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["pass"] is False
+
+
+def test_verify_prints_a_provisional_verdict(tmp_path, capsys):
+    # 4 robots, 2 rounds: too short for the visiting cycle to close
+    trace_path, code = _simulated(tmp_path, capsys, SQUARE_SCN, rounds=2)
+    assert code == EXIT_OK
+    assert main(["verify", "--trace", trace_path, "--spec", "visit-all"]) == EXIT_OK
+    assert capsys.readouterr().out == ('{"spec":"VisitAll","k":1,"pass":true,'
+                                       '"violation":null,"provisional":true}\n')
 
 
 def test_verify_missing_trace(capsys):

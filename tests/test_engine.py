@@ -54,6 +54,10 @@ def test_configuration_validation():
         run((Point(0, 0),), _ident(1), proto, rounds=1)
     with pytest.raises(DuplicatePoints):
         run((Point(0, 0), Point(0, 0), Point(1, 1)), _ident(3), proto, rounds=1)
+    with pytest.raises(ValueError, match=r"^rounds must be >= 1$"):
+        run(SQUARE, _ident(4), proto, rounds=0)
+    with pytest.raises(InvalidFrame, match=r"^3 frames for 4 robots$"):
+        run(SQUARE, _ident(3), proto, rounds=1)
 
 
 def test_snapshot_identity_frame_translates_to_origin():
@@ -358,6 +362,13 @@ def test_parse_trace_rejects_malformed():
         parse_trace('{"round":0,"positions":[[0,0],[1,1]],"bits":[0],"moved":[false,false]}\n')
     with pytest.raises(ValueError, match="line 1: round 1 where round 0 is due"):
         parse_trace('{"round":1,"positions":[[0,0]],"bits":[0],"moved":[false]}\n')
+    # blank lines are skipped, but they count in a bad record's line number
+    line = '{"round":0,"positions":[[0,0],[1,1]],"bits":[0,0],"moved":[false,false]}'
+    assert parse_trace(f"\n{line}\n  \n") == parse_trace(line)
+    for positions in ('[["x",0]]', '[[NaN,0]]'):
+        bad = f'{{"round":0,"positions":{positions},"bits":[0],"moved":[false]}}'
+        with pytest.raises(ValueError, match=r"^trace line 2: bad record \("):
+            parse_trace(f"\n{bad}\n")
 
 
 def test_error_round_preserved_in_jsonl():

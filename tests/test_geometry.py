@@ -9,6 +9,7 @@ from swarmperm import (
     CCW,
     CW,
     DEFAULT_TOL,
+    Frame,
     InvalidFrame,
     Point,
     SwarmError,
@@ -18,7 +19,6 @@ from swarmperm import (
     smallest_enclosing_circle,
 )
 from swarmperm.errors import NonFinite
-from swarmperm.geometry import inverse_transform_points, transform_points
 
 
 def test_point_arithmetic():
@@ -39,7 +39,7 @@ def test_rotated_and_mirrored():
     p = Point(1.0, 0.0)
     q = p.rotated(math.pi / 2)
     assert q.x == pytest.approx(0.0, abs=1e-15) and q.y == pytest.approx(1.0)
-    assert transform_points([Point(1.0, 2.0)], mirror=True) == [Point(1.0, -2.0)]
+    assert Frame(mirror=True).to_global([Point(1.0, 2.0)]) == [Point(1.0, -2.0)]
 
 
 def test_non_finite_coordinates_raise_a_typed_error():
@@ -70,23 +70,23 @@ def test_transform_roundtrip():
         mirror = rng.random() < 0.5
         scale = rng.uniform(0.2, 4.0)
         t = Point(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        g = transform_points([p], rot, mirror, scale, t)
-        [back] = inverse_transform_points(g, rot, mirror, scale, t)
+        f = Frame(rot, mirror, scale)
+        [back] = f.to_local(f.to_global([p], t), t)
         assert back.dist(p) < 1e-12
 
 
 def test_transform_rejects_bad_scale():
-    with pytest.raises(InvalidFrame):
-        transform_points([Point(1, 0)], 0.0, False, 0.0, Point(0, 0))
-    with pytest.raises(InvalidFrame):
-        transform_points([Point(1, 0)], 0.0, False, -1.0, Point(0, 0))
+    for scale in (0.0, -1.0):
+        with pytest.raises(InvalidFrame, match=r"^scale must be positive and parameters "
+                                               r"finite, got scale="):
+            Frame(0.0, False, scale)
 
 
 def test_mirror_flips_orientation():
     a, b, c = Point(0, 0), Point(1, 0), Point(0, 1)
     def orient(p, q, r):
         return (q - p).cross(r - p)
-    la, lb, lc = inverse_transform_points([a, b, c], 0.3, True, 1.0, Point(0.2, 0.1))
+    la, lb, lc = Frame(0.3, True, 1.0).to_local([a, b, c], Point(0.2, 0.1))
     assert orient(a, b, c) > 0
     assert orient(la, lb, lc) < 0
 

@@ -116,3 +116,25 @@ def test_every_export_has_a_caller():
     assert [name for name in _exports() if name not in used] == []
     assert [(p.name, name) for p in SOURCES for name in _module_names(ast.parse(p.read_text()))
             if name not in used] == []
+
+
+def _dict_tables(tree: ast.Module) -> list[tuple[str, frozenset]]:
+    """(name, key set) of each module-level dict literal whose keys are all
+    constants."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+            keys = node.value.keys
+            if keys and all(isinstance(k, ast.Constant) for k in keys):
+                out.append((ast.unparse(node.targets[0]), frozenset(k.value for k in keys)))
+    return out
+
+
+def test_no_parallel_tables():
+    """Two tables keyed by the same ids hold one concept twice, kept aligned
+    only by hand: one record per id should carry both."""
+    by_keys: dict[frozenset, list[str]] = {}
+    for p in SOURCES:
+        for name, keys in _dict_tables(ast.parse(p.read_text())):
+            by_keys.setdefault(keys, []).append(f"{p.name}:{name}")
+    assert [names for names in by_keys.values() if len(names) > 1] == []

@@ -112,11 +112,9 @@ from swarmperm.geometry import (
     ccw_angle,
     enclosing_circle_xy,
     first_coincident_pair,
-    inverse_transform_points,
     norm_angle,
     offsets,
     sweep_angle_xy,
-    transform_points,
 )
 from swarmperm.ordering import _ray_groups, _signature, _votes, least_rotations
 from swarmperm.protocols import (
@@ -915,9 +913,9 @@ def test_transforms_match_reference_on_generated_points(xys, frame, t, scale):
     rotation, mirror, unit = frame
     pts = [Point(x * scale, y * scale) for x, y in xys]
     shift = Point(t[0] * scale, t[1] * scale)
-    for batch, ref in ((transform_points, ref_transform),
-                       (inverse_transform_points, ref_inverse_transform)):
-        assert (_point_bits(batch(pts, rotation, mirror, unit, shift))
+    f = Frame(rotation, mirror, unit)
+    for batch, ref in ((f.to_global, ref_transform), (f.to_local, ref_inverse_transform)):
+        assert (_point_bits(batch(pts, shift))
                 == _point_bits([ref(p, rotation, mirror, unit, shift) for p in pts]))
 
 
@@ -925,11 +923,10 @@ def test_transforms_match_reference_on_generated_points(xys, frame, t, scale):
                                             (0.0, math.nan), (math.nan, 1.0)])
 def test_transforms_refuse_bad_frames_like_reference(rotation, unit):
     p = Point(1.0, 2.0)
-    for batch, ref in ((transform_points, ref_transform),
-                       (inverse_transform_points, ref_inverse_transform)):
-        assert _outcome(lambda: batch([p], rotation, False, unit)) == _outcome(
+    for batch, ref in ((Frame.to_global, ref_transform), (Frame.to_local, ref_inverse_transform)):
+        assert _outcome(lambda: batch(Frame(rotation, False, unit), [p])) == _outcome(
             lambda: [ref(p, rotation, False, unit)])
-        assert _outcome(lambda: batch([p], rotation, False, unit))[1] is InvalidFrame
+        assert _outcome(lambda: batch(Frame(rotation, False, unit), [p]))[1] is InvalidFrame
 
 
 def _spokes(rng, k, eps):

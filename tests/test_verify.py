@@ -169,6 +169,18 @@ def test_short_visit_all_trace_is_provisional():
     trace = _trace("VisitAllChirality", SQUARE, 2)
     v = check_k_step_spec(trace, VISIT_ALL, k=1)
     assert v.passed and v.provisional
+    assert v.to_dict() == {"spec": VISIT_ALL, "k": 1, "pass": True, "violation": None,
+                           "provisional": True}
+    assert v.to_json() == ('{"spec":"VisitAll","k":1,"pass":true,"violation":null,'
+                           '"provisional":true}')
+
+
+def test_round_k_not_a_permutation_of_round_0_fails_at_k():
+    moved = [Point(0.5, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
+    trace = _fake_trace([(0, SQUARE), (1, SQUARE), (2, moved)])
+    v = check_k_step_spec(trace, MOVE_ALL, k=2)
+    assert not v.passed
+    assert v.first_violation == (2, "NotAPermutation: point (0.5, 0) matches 0 points")
 
 
 def test_embedded_error_fails_first():
