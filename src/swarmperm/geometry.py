@@ -241,30 +241,30 @@ class PointIndex:
             used[best] = True
         return True
 
+    def first_coincident_pair(self) -> tuple[int, int] | None:
+        """The first pair (i, j), i < j, of points within eps of each other
+        in row-major order, or None: one sweep of each point's x-window,
+        O(n log n) plus the pairs that share a window."""
+        xs, ys, order, sorted_xs = self.xs, self.ys, self.order, self.sorted_xs
+        eps, w = self.eps, self.window
+        best = None
+        for k, i in enumerate(order):
+            x, y = xs[i], ys[i]
+            edge = x + w
+            for k2 in range(k + 1, len(order)):
+                if sorted_xs[k2] > edge:
+                    break
+                j = order[k2]
+                if math.hypot(x - xs[j], y - ys[j]) <= eps:
+                    pair = (i, j) if i < j else (j, i)
+                    if best is None or pair < best:
+                        best = pair
+        return best
+
 
 def first_coincident_pair(points: Sequence[Point], tol: Tolerance) -> tuple[int, int] | None:
-    """The first pair (i, j), i < j, of points within eps of each other, in
-    row-major order, or None when all points are distinct.
-
-    One sweep of the x-sorted index compares each point with the points
-    after it in its window: O(n log n) plus the pairs that share a window,
-    where the pairwise scan was O(n^2)."""
-    index = PointIndex(points, tol)
-    xs, ys, order, sorted_xs = index.xs, index.ys, index.order, index.sorted_xs
-    eps, w = index.eps, index.window
-    best = None
-    for k, i in enumerate(order):
-        x, y = xs[i], ys[i]
-        edge = x + w
-        for k2 in range(k + 1, len(order)):
-            if sorted_xs[k2] > edge:
-                break
-            j = order[k2]
-            if math.hypot(x - xs[j], y - ys[j]) <= eps:
-                pair = (i, j) if i < j else (j, i)
-                if best is None or pair < best:
-                    best = pair
-    return best
+    """`PointIndex.first_coincident_pair` of a fresh index of the points."""
+    return PointIndex(points, tol).first_coincident_pair()
 
 
 def centroid(points: Sequence[Point]) -> Point:

@@ -172,7 +172,7 @@ def order_with_chirality(points: Sequence[Point], handedness: str = CCW,
     """
     a = analyze(points, tol)
     _check_handedness(handedness)
-    require_distinct(points, tol)
+    require_distinct(a, tol)
     CENTERED.check(a)
     c = a.centroid
     cx, cy, eps = c.x, c.y, tol.eps
@@ -271,7 +271,7 @@ def order_without_chirality(points: Sequence[Point], tol: Tolerance = DEFAULT_TO
     `u.cross(p - c)` and `u.dot(p - c)`.
     """
     a = analyze(points, tol)
-    require_distinct(points, tol)
+    require_distinct(a, tol)
     CENTERED.check(a)
     axes = a.mirror_axes
     if not axes:

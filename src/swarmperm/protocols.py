@@ -419,8 +419,8 @@ def move_all_no_chirality_step(a: Analysis, snapshot, bit: int) -> tuple[Point, 
     """One-round total relocation without a shared clockwise notion.
 
     After the centered guard the decision reads, in order: the duplicate
-    check it shares with `symmetry_report`; central symmetry, an even
-    rotational order, which reflects every robot through the centroid; and
+    check it shares with `symmetry_report`; central symmetry, the half turn
+    about the centroid, which reflects every robot through the centroid; and
     only then the mirror axes and the robots on them, or the agreed sweep
     order when there are none."""
     tol = a.tol

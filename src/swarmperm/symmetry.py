@@ -27,7 +27,6 @@ from .geometry import (
     centroid,
     concentric_decomposition,
     enclosing_circle_xy,
-    first_coincident_pair,
     smallest_enclosing_circle,
 )
 
@@ -52,10 +51,17 @@ class Axis:
         return a
 
 
+class _cached(cached_property):
+    """cached_property without 3.11's first-read lock: an analysis lives in one thread."""
+
+    def __get__(self, a, owner=None):
+        return self if a is None else a.__dict__.setdefault(self.attrname, self.func(a))
+
+
 class Analysis(tuple):
     """A tuple of points that computes what the protocols ask of it, each
     part at most once, on first use, by calling the public function that a
-    standalone query calls.  There are two exceptions.  `in_c_dot` counts
+    standalone query calls.  There are three exceptions.  `in_c_dot` counts
     the rotations of the robots other than the center robot through the
     private helper behind `rotational_order` and stops at the second.
     `no_center_robot` bounds the enclosing radius from the bounding box and
@@ -63,6 +69,7 @@ class Analysis(tuple):
     `CENTERED` reads it: the refusing protocols use the circle for nothing
     else, while the centered steps go on to use it, and on their snapshots
     a robot sits at or near the center, so the bound never decides there.
+    `is_central_symmetric` tests the half turn alone, one image test.
     A protocol builds one per snapshot and drops it when the step returns.
 
     It is also the one report of a configuration: `classify` and
@@ -75,23 +82,23 @@ class Analysis(tuple):
         self.tol = tol
         return self
 
-    @cached_property
+    @_cached
     def sec(self) -> Circle:
         """The smallest enclosing circle."""
         return smallest_enclosing_circle(self)
 
-    @cached_property
+    @_cached
     def center_index(self) -> int | None:
         """The unique robot on the circle center, or None."""
         return center_robot_index(self, self.tol)
 
-    @cached_property
+    @_cached
     def no_center_robot(self) -> bool:
         """True when a bound shows that no robot lies within eps of the
         enclosing circle's center; False decides nothing."""
         return _no_center_robot(self, self.tol.eps)
 
-    @cached_property
+    @_cached
     def without_center(self) -> Analysis | None:
         """The robots other than the center robot; None without a center
         robot or with fewer than three robots."""
@@ -100,14 +107,14 @@ class Analysis(tuple):
             return None
         return Analysis([p for i, p in enumerate(self) if i != rc], self.tol)
 
-    @cached_property
+    @_cached
     def k_without_center(self) -> int:
         """Rotational order of the robots other than the center robot; 0
         without a center robot or with fewer than three robots."""
         rest = self.without_center
         return 0 if rest is None else rotational_order(rest, self.tol)
 
-    @cached_property
+    @_cached
     def in_c_dot(self) -> bool:
         """Centered symmetric: a center robot, and the rest rotationally
         symmetric.  Needs no mirror axes, and stops counting the rest's
@@ -115,11 +122,11 @@ class Analysis(tuple):
         rest = self.without_center
         return rest is not None and _rotation_count(rest, 2) > 1
 
-    @cached_property
+    @_cached
     def centroid(self) -> Point:
         return centroid(self)
 
-    @cached_property
+    @_cached
     def reference_layer(self) -> tuple[int, ...]:
         """Smallest ring about the centroid (ties to the innermost).  Every
         symmetry permutes it, so the maps of its first point onto its
@@ -127,60 +134,62 @@ class Analysis(tuple):
         layers = concentric_decomposition(self, self.centroid, self.tol)
         return min((layer.indices for layer in layers), key=len, default=())
 
-    @cached_property
+    @_cached
     def point_index(self) -> PointIndex:
-        """The eps index of the points, for the symmetry image tests."""
+        """The eps index of the points, for image tests and duplicate checks."""
         return PointIndex(self, self.tol)
 
-    @cached_property
+    @_cached
     def layers(self) -> tuple[Layer, ...]:
         """Concentric rings about the circle center, innermost first."""
         return concentric_decomposition(self, self.sec.center, self.tol)
 
-    @cached_property
+    @_cached
     def inner_polygon(self) -> tuple[int, ...]:
         from . import ordering  # ordering imports this module
         return ordering.inner_polygon(self, self.tol)
 
-    @cached_property
+    @_cached
     def rotational_order(self) -> int:
         return rotational_order(self, self.tol)
 
-    @cached_property
+    @_cached
     def mirror_axes(self) -> tuple[Axis, ...]:
         return mirror_axes(self, self.tol)
 
-    @cached_property
+    @_cached
     def axis_robots(self) -> tuple[tuple[int, ...], ...]:
         """The robots on each mirror axis, one tuple per axis."""
         return tuple(robots_on_axis(self, ax, self.tol) for ax in self.mirror_axes)
 
-    @cached_property
+    @_cached
     def robot_counts_on_axes(self) -> tuple[int, ...]:
         return tuple(len(on) for on in self.axis_robots)
 
-    @cached_property
+    @_cached
     def axis_count(self) -> int:
         return len(self.mirror_axes)
 
-    @cached_property
+    @_cached
     def axis_with_single_robot(self) -> bool:
         return ONE_ROBOT_AXIS.holds(self)
 
-    @cached_property
+    @_cached
     def unique_axis_no_robots(self) -> bool:
         return len(self.mirror_axes) == 1 and not self.axis_robots[0]
 
-    @cached_property
+    @_cached
     def has_central_robot(self) -> bool:
         """A robot within eps of the centroid."""
         return any(self.tol.same_point(p, self.centroid) for p in self)
 
-    @cached_property
+    @_cached
     def is_central_symmetric(self) -> bool:
-        return self.rotational_order % 2 == 0
+        """The half turn about the centroid: one image test of 2c - p."""
+        return len(self) > 1 and self.point_index.matches(
+            (c.x + c.x - p.x, c.y + c.y - p.y) for c in [self.centroid] for p in self)
 
-    @cached_property
+    @_cached
     def rho(self) -> int:
         """The symmetricity: the rotational order, forced to 1 when a robot
         occupies the centroid."""
@@ -284,7 +293,7 @@ def robots_on_axis(points: Sequence[Point], axis: Axis, tol: Tolerance = DEFAULT
 def require_distinct(points: Sequence[Point], tol: Tolerance) -> None:
     """Raise DuplicatePoints naming the first pair of points within eps:
     symmetry and cyclic orders are undefined there."""
-    if (hit := first_coincident_pair(points, tol)) is not None:
+    if (hit := analyze(points, tol).point_index.first_coincident_pair()) is not None:
         raise DuplicatePoints(f"points {hit[0]} and {hit[1]} coincide within eps")
 
 

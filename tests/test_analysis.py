@@ -279,23 +279,53 @@ def test_centered_steps_still_build_the_circle():
 
 # --- what the no-chirality MoveAll step reads ---------------------------------
 
+def _move_all_cases():
+    rng = random.Random(65)
+    return [(rand_central_symmetric(rng, 4), False), (dihedral_config(rng, 4), False),
+            (dihedral_config(rng, 4, on_axis_pairs=True), False),
+            (dihedral_config(rng, 3), True), (dihedral_config(rng, 5), True)]
+
+
 def test_move_all_reads_mirror_axes_only_without_central_symmetry(monkeypatch):
     """A centrally symmetric snapshot is reflected through the centroid
-    without its mirror axes or the robots on them; an odd-m dihedral one
-    reads both."""
+    without its mirror axes, the robots on them, a rotation count or a
+    concentric layering; an odd-m dihedral one reads the axes and the
+    robots on them, and counts no rotation either."""
+    import swarmperm.geometry as geometry
     import swarmperm.symmetry as symmetry
 
+    cases = _move_all_cases()
     log: list = []
-    for name in ("mirror_axes", "robots_on_axis"):
-        _count_calls(monkeypatch, name, symmetry, log)
-    rng = random.Random(65)
+    for name, home in (("mirror_axes", symmetry), ("robots_on_axis", symmetry),
+                       ("_rotation_count", symmetry), ("concentric_decomposition", geometry)):
+        _count_calls(monkeypatch, name, home, log)
     proto = make_protocol("MoveAllNoChirality")
-    cases = [(rand_central_symmetric(rng, 4), False), (dihedral_config(rng, 4), False),
-             (dihedral_config(rng, 4, on_axis_pairs=True), False),
-             (dihedral_config(rng, 3), True), (dihedral_config(rng, 5), True)]
     for pts, reads_axes in cases:
         for snap in _snapshots(pts, "random"):
             start = len(log)
             proto.compute(snap, 0)
             names = {name for name, _ in log[start:]}
-            assert names == ({"mirror_axes", "robots_on_axis"} if reads_axes else set())
+            assert names == ({"mirror_axes", "robots_on_axis", "concentric_decomposition"}
+                             if reads_axes else set())
+
+
+def test_move_all_compute_builds_one_point_index(monkeypatch):
+    """The duplicate check sweeps the point index that the image tests
+    query, so one compute builds one."""
+    import swarmperm.geometry as geometry
+
+    cases = _move_all_cases()
+    built: list = []
+    init = geometry.PointIndex.__init__
+
+    def counted_init(self, points, tol):
+        built.append(tuple(points))
+        init(self, points, tol)
+
+    monkeypatch.setattr(geometry.PointIndex, "__init__", counted_init)
+    proto = make_protocol("MoveAllNoChirality")
+    for pts, _ in cases:
+        for snap in _snapshots(pts, "random"):
+            start = len(built)
+            proto.compute(snap, 0)
+            assert built[start:] == [snap.local_points]

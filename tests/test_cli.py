@@ -168,6 +168,21 @@ def test_classify_rectangle(tmp_path, capsys):
     assert "MoveAllNoChirality: feasible" in out
 
 
+def test_classify_tells_the_half_turn_from_the_rotational_order(tmp_path, capsys):
+    """A 5-fold pinwheel maps onto itself by 144 degrees but not by the half
+    turn; a non-square rectangle has the half turn and no other rotation."""
+    angles = [(r, 2.0 * math.pi * j / 5 + turn) for r, turn in ((1.0, 0.0), (2.0, 0.4))
+              for j in range(5)]
+    pinwheel = [[r * math.cos(t), r * math.sin(t)] for r, t in angles]
+    for pts, want in (
+            (pinwheel, ["rotational_order=5", "mirror_axes=0", "centrally_symmetric=no"]),
+            (RECTANGLE, ["rotational_order=2", "centrally_symmetric=yes"])):
+        path = _write(tmp_path, "s.json", {"points": pts})
+        assert main(["classify", "--scenario", path]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line in want] == want
+
+
 def test_classify_unique_empty_axis(tmp_path, capsys):
     path = _write(tmp_path, "s.json", {"points": UNIQUE_EMPTY_AXIS})
     assert main(["classify", "--scenario", path]) == EXIT_OK

@@ -64,6 +64,7 @@ from swarmperm import (
     InvalidLeader,
     Layer,
     LeaderMark,
+    MOVE_ALL,
     MirrorSymmetric,
     NotAPermutation,
     NotCentral,
@@ -78,6 +79,7 @@ from swarmperm import (
     VoteTally,
     adversary_frames,
     agree_chirality,
+    check_k_step_spec,
     analyze,
     center_robot_index,
     centroid,
@@ -87,6 +89,7 @@ from swarmperm import (
     decode_hop,
     encode_hop,
     inner_polygon,
+    make_protocol,
     mirror_axes,
     order_from_leader,
     order_with_chirality,
@@ -95,6 +98,7 @@ from swarmperm import (
     reconstruct,
     robots_on_axis,
     rotational_order,
+    run,
     select_pivot,
     smallest_enclosing_circle,
     symmetry_report,
@@ -1593,27 +1597,52 @@ def test_no_chirality_path_matches_reference(eps):
     assert "ok" in kinds
 
 
-def test_move_all_step_matches_reference_on_its_errors():
-    """A coincident pair in the local frame, and an ambiguous radius chain
-    about the centroid, raise from both steps with the same message."""
-    tol = Tolerance(1e-3)
-    duplicate = [Point(0.0, 0.0), Point(1.0, 0.0), Point(0.3, 1.7), Point(0.3, 1.7004)]
-    # antipodal pairs at radii 1, 1 + 0.6 eps and 1 + 1.2 eps: one chain
-    # longer than eps about the centroid at the origin
+def _radius_chain():
+    """Antipodal pairs at radii 1, 1 + 0.6 eps and 1 + 1.2 eps for eps
+    1e-3: one chain longer than eps about the centroid at the origin."""
     chain = []
     for r, th in ((1.0, 0.3), (1.0006, 1.4), (1.0012, 2.2)):
         p = Point(r * math.cos(th), r * math.sin(th))
         chain += [p, -p]
-    for pts, error in ((duplicate, DuplicatePoints), (chain, AmbiguousLayering)):
-        for variant in (pts, _swapped(pts), _mirrored(pts)):
-            for own in range(len(variant)):
-                snap = Snapshot(tuple(variant), own)
-                got = _outcome(lambda: move_all_no_chirality_step(
-                    Analysis(variant, tol), snap, 0))
-                want = _outcome(lambda: ref_move_all_no_chirality_step(
-                    RefAnalysis(variant, tol), snap, 0))
-                assert got == want
-                assert got[1] is error
+    return chain
+
+
+def test_move_all_step_matches_reference_on_its_errors():
+    """A coincident pair in the local frame raises from both steps with the
+    same message.  An ambiguous radius chain about the centroid is
+    centrally symmetric, and the half turn needs no layering, so the step
+    reflects every robot through the centroid instead of raising
+    AmbiguousLayering from the reference layer."""
+    tol = Tolerance(1e-3)
+    duplicate = [Point(0.0, 0.0), Point(1.0, 0.0), Point(0.3, 1.7), Point(0.3, 1.7004)]
+    for variant in (duplicate, _swapped(duplicate), _mirrored(duplicate)):
+        for own in range(len(variant)):
+            snap = Snapshot(tuple(variant), own)
+            got = _outcome(lambda: move_all_no_chirality_step(
+                Analysis(variant, tol), snap, 0))
+            want = _outcome(lambda: ref_move_all_no_chirality_step(
+                RefAnalysis(variant, tol), snap, 0))
+            assert got == want
+            assert got[1] is DuplicatePoints
+    chain = _radius_chain()
+    for variant in (chain, _swapped(chain), _mirrored(chain)):
+        with pytest.raises(AmbiguousLayering):
+            rotational_order(variant, tol)
+        for own, p in enumerate(variant):
+            a = Analysis(variant, tol)
+            dest, bit = move_all_no_chirality_step(a, Snapshot(tuple(variant), own), 0)
+            assert (dest, bit) == (a.centroid * 2.0 - p, 0)
+
+
+def test_move_all_relocates_the_radius_chain_in_one_round():
+    """Two rounds of MoveAllNoChirality on the radius chain hold the
+    one-round MoveAll contract."""
+    tol = Tolerance(1e-3)
+    chain = _radius_chain()
+    for kind in ("identical", "pairwise_distinct"):
+        frames = adversary_frames(kind, chain, seed=7)
+        trace = run(chain, frames, make_protocol("MoveAllNoChirality", tol), rounds=2)
+        assert check_k_step_spec(trace, MOVE_ALL, 1).passed
 
 
 @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0])
