@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -30,14 +30,41 @@ CW = "cw"
 HANDEDNESSES = (CW, CCW)
 
 
-@dataclass(frozen=True)
 class Point:
+    """An immutable point, or vector, checked finite when it is built: a
+    slotted value class with the equality, hash, repr and FrozenInstanceError
+    of a frozen dataclass, equal only to another Point."""
+
+    __slots__ = ("x", "y")
+    __match_args__ = ("x", "y")
     x: float
     y: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise NonFinite(f"point coordinates must be finite, got ({self.x}, {self.y})")
+    def __init__(self, x: float, y: float):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise NonFinite(f"point coordinates must be finite, got ({x}, {y})")
+        _set_x(self, x)
+        _set_y(self, y)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # unpickling cannot set the fields through __setattr__
+        return Point, (self.x, self.y)
+
+    def __eq__(self, other):
+        if other.__class__ is not Point:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y
+
+    def __hash__(self):
+        return hash((self.x, self.y))
+
+    def __repr__(self):
+        return f"Point(x={self.x!r}, y={self.y!r})"
 
     def __add__(self, other: "Point") -> "Point":
         return Point(self.x + other.x, self.y + other.y)
@@ -76,6 +103,7 @@ class Point:
         return Point(self.x / n, self.y / n)
 
 
+_set_x, _set_y = Point.x.__set__, Point.y.__set__
 ORIGIN = Point(0.0, 0.0)
 
 
@@ -270,8 +298,8 @@ def first_coincident_pair(points: Sequence[Point], tol: Tolerance) -> tuple[int,
 def centroid(points: Sequence[Point]) -> Point:
     if len(points) == 0:
         raise EmptyConfiguration("centroid of an empty point set")
-    sx = math.fsum(p.x for p in points)
-    sy = math.fsum(p.y for p in points)
+    sx = math.fsum([p.x for p in points])
+    sy = math.fsum([p.y for p in points])
     n = len(points)
     return Point(sx / n, sy / n)
 

@@ -27,6 +27,7 @@ from .geometry import (
     CW,
     DEFAULT_TOL,
     HANDEDNESSES,
+    TWO_PI,
     Point,
     Tolerance,
     angle_of,
@@ -90,20 +91,37 @@ def _check_handedness(handedness: str) -> None:
         raise ValueError(f"handedness must be one of {HANDEDNESSES}, got {handedness!r}")
 
 
+_BY_ANGLE_DIST, _BY_DIST = itemgetter(0, 1), itemgetter(1)
+
+
 def _ray_groups(points: Sequence[Point], idxs: Sequence[int], c: Point,
                 handedness: str, tol: Tolerance) -> list[list[int]]:
     """Indices grouped by ray from c, groups in sweep order for the given
     handedness, each sorted by increasing distance from c.  Runs on raw
     floats with the operation order of `points[i] - c`, `Point.dist` and
-    `Tolerance.ray_aligned`."""
+    `Tolerance.ray_aligned`; the heading is `norm_angle` of the atan2, and
+    for CW `norm_angle` of its negation, written out without the fmod,
+    which is exact and so leaves an angle within 2*pi unchanged."""
     cx, cy, eps = c.x, c.y, tol.eps
+    atan2, hypot = math.atan2, math.hypot
+    cw = handedness != CCW
     rows = []
     for i in idxs:
         p = points[i]
         vx, vy = p.x - cx, p.y - cy
-        th = norm_angle(math.atan2(vy, vx))
-        rows.append((th if handedness == CCW else norm_angle(-th), math.hypot(vx, vy), i, vx, vy))
-    rows.sort(key=itemgetter(0, 1))
+        th = atan2(vy, vx)
+        if th < 0.0:
+            th += TWO_PI
+            if th >= TWO_PI:  # a tiny negative angle rounds up to 2*pi
+                th -= TWO_PI
+        if cw:
+            th = -th
+            if th < 0.0:
+                th += TWO_PI
+                if th >= TWO_PI:
+                    th -= TWO_PI
+        rows.append((th, hypot(vx, vy), i, vx, vy))
+    rows.sort(key=_BY_ANGLE_DIST)
     groups: list[list[tuple]] = []
     for row in rows:
         _, d, _, vx, vy = row
@@ -118,7 +136,8 @@ def _ray_groups(points: Sequence[Point], idxs: Sequence[int], c: Point,
         if (ud > eps and rd > eps and ux * rx + uy * ry > 0.0
                 and abs(ux * ry - uy * rx) <= eps * ud * rd):
             groups.insert(0, groups.pop() + groups.pop(0))
-    return [[row[2] for row in sorted(g, key=itemgetter(1))] for g in groups]
+    return [[row[2] for row in sorted(g, key=_BY_DIST)] if len(g) > 1 else [g[0][2]]
+            for g in groups]
 
 
 def _signature(points: Sequence[Point], groups: Sequence[Sequence[int]], c: Point,

@@ -339,8 +339,11 @@ def _no_center_robot(points: Sequence[Point], eps: float) -> bool:
     bx, by = 0.5 * west[0] + 0.5 * east[0], 0.5 * south[1] + 0.5 * north[1]
     bound = max([math.hypot(x - bx, y - by) for x, y in pts]) * (1.0 + _BOX_SLACK) + eps + 1e-300
     (wx, wy), (ex, ey), (sx, sy), (nx, ny) = west, east, south, north
+    # a hypot is never below the magnitude of either difference, so the
+    # coordinate test only skips hypots that exceed the bound
     left = [(x, y) for x, y in pts
-            if math.hypot(x - wx, y - wy) <= bound and math.hypot(x - ex, y - ey) <= bound
+            if x - wx <= bound and ex - x <= bound and y - sy <= bound and ny - y <= bound
+            and math.hypot(x - wx, y - wy) <= bound and math.hypot(x - ex, y - ey) <= bound
             and math.hypot(x - sx, y - sy) <= bound and math.hypot(x - nx, y - ny) <= bound]
     core = [west, east, south, north]
     while left and len(core) < 6:  # two rounds at most

@@ -1,5 +1,9 @@
+import copy
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import pytest
 from corpus import collinear_config, oracle_sec, rand_points, regular_polygon, sweep
@@ -48,6 +52,73 @@ def test_non_finite_coordinates_raise_a_typed_error():
             Point(x, y)
     # engine and CLI boundaries catch it by type; older callers catch ValueError
     assert issubclass(NonFinite, SwarmError) and issubclass(NonFinite, ValueError)
+
+
+def test_point_equality_hash_and_repr():
+    assert Point(1, 2) == Point(1.0, 2.0) and hash(Point(1, 2)) == hash(Point(1.0, 2.0))
+    assert Point(-0.0, 0.0) == Point(0.0, -0.0)
+    assert Point(1.0, 2.0) != Point(1.0, 2.5) and Point(1.0, 2.0) != Point(1.5, 2.0)
+    # only another Point compares equal: a tuple of the same fields does not
+    assert Point(1, 2) != (1, 2) and (1, 2) != Point(1, 2)
+    assert Point(1.0, 2.0).__eq__((1.0, 2.0)) is NotImplemented
+    assert Point(1.0, 2.0).__eq__(None) is NotImplemented
+    p = Point(x=0.5, y=-3.0)
+    assert p == Point(0.5, -3.0) and (p.x, p.y) == (0.5, -3.0)
+    assert hash(p) == hash((p.x, p.y)) == hash((0.5, -3.0))
+    assert len({Point(1, 2), Point(1.0, 2.0), Point(2.0, 1.0)}) == 2
+    assert repr(p) == str(p) == "Point(x=0.5, y=-3.0)"
+    assert repr(Point(1, 2)) == "Point(x=1, y=2)"
+    assert repr(Point(1e-300, -0.0)) == "Point(x=1e-300, y=-0.0)"
+    assert repr(Point(Fraction(1, 2), 0.0)) == "Point(x=Fraction(1, 2), y=0.0)"
+    match p:
+        case Point(x, y):
+            assert (x, y) == (0.5, -3.0)
+        case _:
+            pytest.fail("Point matched no positional pattern")
+
+
+def test_point_is_frozen():
+    p = Point(1.0, 2.0)
+    for name in ("x", "y", "z"):
+        with pytest.raises(FrozenInstanceError, match=rf"^cannot assign to field '{name}'$"):
+            setattr(p, name, 3.0)
+    for name in ("x", "y"):
+        with pytest.raises(FrozenInstanceError, match=rf"^cannot delete field '{name}'$"):
+            delattr(p, name)
+    assert p == Point(1.0, 2.0)
+
+
+@pytest.mark.parametrize("x, y", [(math.inf, 0.0), (-math.inf, 1.0), (math.nan, 2.0),
+                                  (0.0, math.inf), (3.0, -math.inf), (-1.0, math.nan),
+                                  (math.nan, math.inf)])
+def test_point_refuses_non_finite_coordinates(x, y):
+    with pytest.raises(NonFinite) as info:
+        Point(x, y)
+    assert str(info.value) == f"point coordinates must be finite, got ({x}, {y})"
+
+
+def test_point_refuses_an_int_past_the_floats():
+    for x, y in ((10 ** 400, 0.0), (0.0, 10 ** 400), (-(10 ** 400), 1)):
+        with pytest.raises(OverflowError):
+            Point(x, y)
+
+
+def test_point_survives_pickle_and_copy():
+    for p in (Point(0.5, -3.0), Point(1, 2), Point(-0.0, 5e-324)):
+        copies = [pickle.loads(pickle.dumps(p, proto))
+                  for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(p), copy.deepcopy(p)]
+        for q in copies:  # the repr also tells -0.0 from 0.0 and 1 from 1.0
+            assert type(q) is Point and q == p and repr(q) == repr(p)
+    nested = {"ring": [Point(1.0, 2.0), Point(3.0, 4.0)]}
+    assert copy.deepcopy(nested) == nested
+    assert pickle.loads(pickle.dumps(nested)) == nested
+
+
+def test_point_has_no_instance_dict():
+    """The slots keep a Point small and quick to build; a decorator or field
+    that brings back the instance dict fails here."""
+    assert not hasattr(Point(1.0, 2.0), "__dict__")
 
 
 def test_tolerance_predicates():

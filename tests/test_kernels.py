@@ -11,7 +11,9 @@ helpers on floats) against the versions it replaced, and chirality
 agreement from one scan per direction, with its folded signature, against
 the rotation-orbit version it replaced, and the one-bit codec with its
 swept order, restored-configuration check and ring-only layering against
-the versions that derived each of them at every use.
+the versions that derived each of them at every use, and the sweep step's
+ray grouping on local names, the centered bound with its coordinate
+prefilter and the centroid over lists against the versions before them.
 
 The reference functions below are verbatim copies of those versions.
 Every comparison is exact: floats are compared through float.hex, so even
@@ -957,8 +959,9 @@ def test_ray_groups_match_reference(eps):
             rng.shuffle(idxs)
             for subset in (idxs, idxs[: max(1, len(idxs) // 2)]):
                 for hand in (CCW, CW):
-                    assert (_ray_groups(pts, subset, c, hand, tol)
-                            == by_distance(ref_ray_groups(pts, subset, c, hand, tol), pts, c))
+                    got = _ray_groups(pts, subset, c, hand, tol)
+                    assert got == by_distance(ref_ray_groups(pts, subset, c, hand, tol), pts, c)
+                    assert got == ref_ray_groups_norm_angle(pts, subset, c, hand, tol)
 
 
 # --- reference: the Point-based centered path --------------------------------
@@ -1568,6 +1571,7 @@ def _assert_no_chirality_identical(pts, tol, rng) -> set:
         lambda: ref_order_without_chirality(list(pts), tol).seq)
     # the second bound center decides more: a decided reference stays decided
     assert _no_center_robot(pts, tol.eps) or not ref_no_center_robot(pts, tol.eps)
+    assert _no_center_robot(pts, tol.eps) == ref_no_center_robot_unfiltered(pts, tol.eps)
     frames = _frames(rng, len(pts))
     kinds = set()
     for i in range(len(pts)):
@@ -1579,6 +1583,8 @@ def _assert_no_chirality_identical(pts, tol, rng) -> set:
         assert got == want
         assert (_no_center_robot(snap.local_points, tol.eps)
                 or not ref_no_center_robot(snap.local_points, tol.eps))
+        assert (_no_center_robot(snap.local_points, tol.eps)
+                == ref_no_center_robot_unfiltered(snap.local_points, tol.eps))
         kinds.add(got[0] if got[0] == "ok" else got[1].__name__)
     return kinds
 
@@ -1814,6 +1820,7 @@ def _assert_bound_sound(pts, eps) -> bool:
     when it decided."""
     decided = _no_center_robot(pts, eps)
     assert decided or not ref_no_center_robot(pts, eps)
+    assert decided == ref_no_center_robot_unfiltered(pts, eps)
     if decided:  # where the circle itself leaves the finite floats, no center
         center = _outcome(lambda: center_robot_index(pts, Tolerance(eps)))
         assert center[0] == "raised" or center[1] is None
@@ -2498,3 +2505,180 @@ def test_codec_matches_reference_on_centered_corpus(eps):
         cases |= _assert_codec_identical(pts, tol, rng)
     assert len(sets) > 20
     assert cases == {"C1", "C2", "L1", "L2.1", "L2.2", "L2.3"}
+
+
+# --- reference: the sweep step's kernels before they ran on locals -----------
+
+def ref_ray_groups_norm_angle(points: Sequence[Point], idxs: Sequence[int], c: Point,
+                              handedness: str, tol: Tolerance) -> list[list[int]]:
+    """Indices grouped by ray from c, groups in sweep order for the given
+    handedness, each sorted by increasing distance from c.  Runs on raw
+    floats with the operation order of `points[i] - c`, `Point.dist` and
+    `Tolerance.ray_aligned`."""
+    cx, cy, eps = c.x, c.y, tol.eps
+    rows = []
+    for i in idxs:
+        p = points[i]
+        vx, vy = p.x - cx, p.y - cy
+        th = norm_angle(math.atan2(vy, vx))
+        rows.append((th if handedness == CCW else norm_angle(-th), math.hypot(vx, vy), i, vx, vy))
+    rows.sort(key=itemgetter(0, 1))
+    groups: list[list[tuple]] = []
+    for row in rows:
+        _, d, _, vx, vy = row
+        if (groups and rd > eps and d > eps and rx * vx + ry * vy > 0.0
+                and abs(rx * vy - ry * vx) <= eps * rd * d):
+            groups[-1].append(row)
+        else:
+            groups.append([row])
+            rd, rx, ry = d, vx, vy  # the new group's first row, read from the next row on
+    if len(groups) > 1:
+        _, ud, _, ux, uy = groups[0][0]
+        if (ud > eps and rd > eps and ux * rx + uy * ry > 0.0
+                and abs(ux * ry - uy * rx) <= eps * ud * rd):
+            groups.insert(0, groups.pop() + groups.pop(0))
+    return [[row[2] for row in sorted(g, key=itemgetter(1))] for g in groups]
+
+
+def ref_no_center_robot_unfiltered(points: Sequence[Point], eps: float) -> bool:
+    """True when every robot has a robot farther than that bound from it,
+    so none is the center robot."""
+    if not points:  # the circle raises EmptyConfiguration
+        return False
+    pts = [(p.x, p.y) for p in points]
+    west, east = min(pts), max(pts)
+    south, north = min(pts, key=itemgetter(1)), max(pts, key=itemgetter(1))
+    # halves before the sum: the center stays finite for every finite box
+    bx, by = 0.5 * west[0] + 0.5 * east[0], 0.5 * south[1] + 0.5 * north[1]
+    bound = max([math.hypot(x - bx, y - by) for x, y in pts]) * (1.0 + _BOX_SLACK) + eps + 1e-300
+    (wx, wy), (ex, ey), (sx, sy), (nx, ny) = west, east, south, north
+    left = [(x, y) for x, y in pts
+            if math.hypot(x - wx, y - wy) <= bound and math.hypot(x - ex, y - ey) <= bound
+            and math.hypot(x - sx, y - sy) <= bound and math.hypot(x - nx, y - ny) <= bound]
+    core = [west, east, south, north]
+    while left and len(core) < 6:  # two rounds at most
+        try:
+            bx, by, _ = enclosing_circle_xy(core)
+        except NonFinite:  # a circumcenter left the finite floats: undecided
+            return False
+        dists = [math.hypot(x - bx, y - by) for x, y in pts]
+        reach = max(dists)
+        bound = reach * (1.0 + _BOX_SLACK) + eps + 1e-300
+        left = [(x, y) for x, y in left
+                if not any(math.hypot(x - qx, y - qy) > bound for qx, qy in pts)]
+        core.append(pts[dists.index(reach)])
+    return not left
+
+
+def ref_centroid(points: Sequence[Point]) -> Point:
+    if len(points) == 0:
+        raise EmptyConfiguration("centroid of an empty point set")
+    sx = math.fsum(p.x for p in points)
+    sy = math.fsum(p.y for p in points)
+    n = len(points)
+    return Point(sx / n, sy / n)
+
+
+# Rays at the edges of the heading's normalisation about the origin: atan2
+# a tiny negative, whose turn to [0, 2*pi) rounds up to 2*pi and wraps to 0,
+# and a tiny positive, whose CW negation does the same; the exact +pi and
+# -pi rays; the +x ray with either sign of zero; and the origin itself.
+_EDGE_RAYS = [Point(1.0, -1e-300), Point(1.0, -5e-324), Point(0.5, -1e-17), Point(1.0, 1e-300),
+              Point(3.0, 5e-324), Point(-1.0, 0.0), Point(-1.0, -0.0), Point(-2.0, -1e-300),
+              Point(1.0, 0.0), Point(2.0, -0.0), Point(0.0, 1.0), Point(0.0, -1.0),
+              Point(0.7, 0.7), Point(0.0, 0.0)]
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3, 1.0])
+def test_ray_groups_match_parent_on_edge_rays(eps):
+    assert norm_angle(math.atan2(-1e-300, 1.0)) == 0.0  # the wrap the rays exercise
+    assert norm_angle(-norm_angle(math.atan2(1e-300, 1.0))) == 0.0
+    tol = Tolerance(eps)
+    rng = random.Random(19)
+    pts = list(_EDGE_RAYS)
+    for c in (ORIGIN, Point(0.0, -0.0), centroid(pts), Point(-1e-300, 0.0)):
+        for _ in range(60):
+            idxs = rng.sample(range(len(pts)), rng.randint(1, len(pts)))
+            for hand in (CCW, CW):
+                assert (_ray_groups(pts, idxs, c, hand, tol)
+                        == ref_ray_groups_norm_angle(pts, idxs, c, hand, tol))
+
+
+def _eps_at_bound(pts, target: float) -> list[float]:
+    """Positive eps values that put the first-stage bound on pts exactly at
+    the float below target, at target and at the float above it."""
+    xys = [(p.x, p.y) for p in pts]
+    west, east = min(xys), max(xys)
+    south, north = min(xys, key=itemgetter(1)), max(xys, key=itemgetter(1))
+    bx, by = 0.5 * west[0] + 0.5 * east[0], 0.5 * south[1] + 0.5 * north[1]
+    scaled = max([math.hypot(x - bx, y - by) for x, y in xys]) * (1.0 + _BOX_SLACK)
+    out = []
+    for want in (math.nextafter(target, -math.inf), target, math.nextafter(target, math.inf)):
+        eps = want - scaled
+        for _ in range(64):
+            got = scaled + eps + 1e-300
+            if got == want:
+                if eps > 0.0:
+                    out.append(eps)
+                break
+            eps = math.nextafter(eps, math.inf if got < want else -math.inf)
+    return out
+
+
+def _assert_bound_matches_parent_at_edges(pts) -> int:
+    """The bound against its parent copy with the first-stage bound at,
+    and one float to either side of, every robot's coordinate difference
+    to each axis extreme.  Returns the number of eps values tried."""
+    xys = [(p.x, p.y) for p in pts]
+    (wx, _), (ex, _) = min(xys), max(xys)
+    sy, ny = min(y for _, y in xys), max(y for _, y in xys)
+    tried = 0
+    for x, y in xys:
+        for d in (x - wx, ex - x, y - sy, ny - y):
+            for eps in _eps_at_bound(pts, d):
+                assert _no_center_robot(pts, eps) == ref_no_center_robot_unfiltered(pts, eps)
+                tried += 1
+    return tried
+
+
+def test_no_center_robot_matches_parent_at_the_coordinate_edge():
+    # In the right triangle only the robot at the right angle, (2, 0), is
+    # within 2 of every extreme: its x-difference to the west robot is
+    # exactly 2, and so is its hypot.  A bound of 2 keeps it, and the circle
+    # stage finds no witness farther than 2; one float less drops it and
+    # decides.  Turned four ways, the one robot sits at each of the four
+    # coordinate tests' edge.
+    right = [Point(0.0, 0.0), Point(2.0, 0.0), Point(2.0, -1.5)]
+    for pts in (right, _swapped(right), [-p for p in right], _swapped([-p for p in right])):
+        below, at, above = _eps_at_bound(pts, 2.0)
+        assert _no_center_robot(pts, below) and ref_no_center_robot_unfiltered(pts, below)
+        for eps in (at, above):
+            assert not _no_center_robot(pts, eps) and not ref_no_center_robot_unfiltered(pts, eps)
+    rng = random.Random(191)
+    sets = [right, [Point(-1.0, 0.0), Point(1.0, 0.0)], [Point(0.0, -1.0), Point(0.0, 1.0)],
+            [Point(-1.0, 0.0), Point(0.0, 0.0), Point(1.0, 0.0)],
+            [Point(0.0, 0.0), Point(3.0, 0.0), Point(0.0, 1.0)], _BOX_UNDECIDED, _FIVE_CORE]
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        sets.append([Point(rng.randint(-4, 4) * 0.5, rng.randint(-4, 4) * 0.5) for _ in range(n)])
+        sets.append([Point(rng.uniform(-3, 3), rng.uniform(-1, 1)) for _ in range(n)])
+    assert sum(_assert_bound_matches_parent_at_edges(pts) for pts in sets) > 500
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3, 1.0])
+def test_no_center_robot_matches_parent_on_corpus(eps):
+    rng = random.Random(84)
+    for pts in _corpus_sets():
+        frames = _frames(rng, len(pts))
+        for snap_pts in (pts, to_local_snapshot(pts, frames, 0).local_points):
+            assert _no_center_robot(snap_pts, eps) == ref_no_center_robot_unfiltered(snap_pts, eps)
+
+
+def test_centroid_matches_parent():
+    sets = list(_corpus_sets()) + [_EDGE_RAYS, [Point(1e308, -1e308), Point(-1e308, 5e-324)],
+                                   [Point(1e16, 1.0), Point(1.0, 1e-16), Point(-1e16, -1.0)]]
+    for pts in sets:
+        got, want = centroid(pts), ref_centroid(pts)
+        assert _bits(got.x, got.y) == _bits(want.x, want.y)
+    with pytest.raises(EmptyConfiguration, match="^centroid of an empty point set$"):
+        centroid([])
