@@ -217,9 +217,16 @@ def offsets(points: Iterable[Point], c: Point) -> list[tuple[float, float, float
     return out
 
 
+def _window(eps: float) -> float:
+    """Half-width of an eps query's x-window: eps plus two of its ulps, half
+    an ulp for the rounding of an x-gap and the rest for hypot's last bit.
+    Rounding a window bound is monotone: it never drops a float the exact one holds."""
+    return eps + 2.0 * math.ulp(eps)
+
+
 class PointIndex:
     """The points' coordinates with an x-sorted index, for the eps queries
-    of coincidence checks, site matching and symmetry image sets."""
+    of site matching and symmetry image sets."""
 
     def __init__(self, points: Sequence[Point], tol: Tolerance):
         self.xs = [p.x for p in points]
@@ -227,11 +234,7 @@ class PointIndex:
         self.order = sorted(range(len(points)), key=self.xs.__getitem__)
         self.sorted_xs = [self.xs[j] for j in self.order]
         self.eps = tol.eps
-        # A point within eps has a rounded x-gap of at most eps, so an exact
-        # one of at most eps plus half an ulp of eps; two ulps also cover
-        # the last bit of hypot.  Rounding a window bound is monotone, so it
-        # never moves past a float that the exact bound holds.
-        self.window = tol.eps + 2.0 * math.ulp(tol.eps)
+        self.window = _window(tol.eps)
 
     def within(self, x: float, y: float) -> list[int]:
         """Every index j with hypot(x - xs[j], y - ys[j]) <= eps, ascending."""
@@ -269,30 +272,29 @@ class PointIndex:
             used[best] = True
         return True
 
-    def first_coincident_pair(self) -> tuple[int, int] | None:
-        """The first pair (i, j), i < j, of points within eps of each other
-        in row-major order, or None: one sweep of each point's x-window,
-        O(n log n) plus the pairs that share a window."""
-        xs, ys, order, sorted_xs = self.xs, self.ys, self.order, self.sorted_xs
-        eps, w = self.eps, self.window
-        best = None
-        for k, i in enumerate(order):
-            x, y = xs[i], ys[i]
-            edge = x + w
-            for k2 in range(k + 1, len(order)):
-                if sorted_xs[k2] > edge:
-                    break
-                j = order[k2]
-                if math.hypot(x - xs[j], y - ys[j]) <= eps:
-                    pair = (i, j) if i < j else (j, i)
-                    if best is None or pair < best:
-                        best = pair
-        return best
-
 
 def first_coincident_pair(points: Sequence[Point], tol: Tolerance) -> tuple[int, int] | None:
-    """`PointIndex.first_coincident_pair` of a fresh index of the points."""
-    return PointIndex(points, tol).first_coincident_pair()
+    """The first pair (i, j), i < j, of points within eps of each other in
+    row-major order, or None: a sweep of each point's x-window, which the
+    sorted x-gaps decide alone when no neighbours share one (Shamos-Hoey)."""
+    eps, w = tol.eps, _window(tol.eps)
+    xs = [p.x for p in points]
+    sorted_xs = sorted(xs)
+    prev = -math.inf  # -inf + w stays -inf, which passes no finite x
+    for x in sorted_xs:
+        if x <= prev + w:
+            break
+        prev = x
+    else:
+        return None
+    ys = [p.y for p in points]
+    order = sorted(range(len(xs)), key=xs.__getitem__)  # sorted_xs in this order
+    pairs = []
+    for k, i in enumerate(order):
+        for j in order[k + 1:bisect_right(sorted_xs, xs[i] + w)]:
+            if math.hypot(xs[i] - xs[j], ys[i] - ys[j]) <= eps:
+                pairs.append((i, j) if i < j else (j, i))
+    return min(pairs, default=None)
 
 
 def centroid(points: Sequence[Point]) -> Point:

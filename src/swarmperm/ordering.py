@@ -94,21 +94,20 @@ def _check_handedness(handedness: str) -> None:
 _BY_ANGLE_DIST, _BY_DIST = itemgetter(0, 1), itemgetter(1)
 
 
-def _ray_groups(points: Sequence[Point], idxs: Sequence[int], c: Point,
+def _ray_groups(vecs: Sequence[tuple[float, float, float]], idxs: Sequence[int],
                 handedness: str, tol: Tolerance) -> list[list[int]]:
     """Indices grouped by ray from c, groups in sweep order for the given
-    handedness, each sorted by increasing distance from c.  Runs on raw
-    floats with the operation order of `points[i] - c`, `Point.dist` and
+    handedness, each sorted by increasing distance from c, where vecs holds
+    every point's `offsets` from c.  Runs with the operation order of
     `Tolerance.ray_aligned`; the heading is `norm_angle` of the atan2, and
     for CW `norm_angle` of its negation, written out without the fmod,
     which is exact and so leaves an angle within 2*pi unchanged."""
-    cx, cy, eps = c.x, c.y, tol.eps
-    atan2, hypot = math.atan2, math.hypot
+    eps = tol.eps
+    atan2 = math.atan2
     cw = handedness != CCW
     rows = []
     for i in idxs:
-        p = points[i]
-        vx, vy = p.x - cx, p.y - cy
+        vx, vy, d = vecs[i]
         th = atan2(vy, vx)
         if th < 0.0:
             th += TWO_PI
@@ -120,7 +119,7 @@ def _ray_groups(points: Sequence[Point], idxs: Sequence[int], c: Point,
                 th += TWO_PI
                 if th >= TWO_PI:
                     th -= TWO_PI
-        rows.append((th, hypot(vx, vy), i, vx, vy))
+        rows.append((th, d, i, vx, vy))
     rows.sort(key=_BY_ANGLE_DIST)
     groups: list[list[tuple]] = []
     for row in rows:
@@ -194,10 +193,11 @@ def order_with_chirality(points: Sequence[Point], handedness: str = CCW,
     require_distinct(a, tol)
     CENTERED.check(a)
     c = a.centroid
-    cx, cy, eps = c.x, c.y, tol.eps
-    center_idxs = [i for i, p in enumerate(points) if math.hypot(p.x - cx, p.y - cy) <= eps]
-    rest = [i for i in range(len(points)) if i not in center_idxs]
-    groups = _ray_groups(points, rest, c, handedness, tol)
+    vecs = offsets(points, c)
+    center_idxs = [i for i, (_, _, d) in enumerate(vecs) if d <= tol.eps]
+    rest = ([i for i, (_, _, d) in enumerate(vecs) if d > tol.eps] if center_idxs
+            else range(len(vecs)))
+    groups = _ray_groups(vecs, rest, handedness, tol)
     flat = [i for g in groups for i in g]
     if not center_idxs or not rest:
         return CyclicOrder(tuple(flat + center_idxs))
@@ -227,12 +227,13 @@ def agree_chirality(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> st
     if a.mirror_axes:
         raise MirrorSymmetric("a mirror-symmetric configuration has no canonical handedness")
     c = a.centroid
-    idxs = [i for i, p in enumerate(points) if not tol.same_point(p, c)]
+    vecs = offsets(points, c)
+    idxs = [i for i, (_, _, d) in enumerate(vecs) if d > tol.eps]
     if not idxs:
         raise MirrorSymmetric("no off-centroid points to orient by")
 
     def scans(handedness: str) -> dict[int, list[float]]:
-        groups = _ray_groups(points, idxs, c, handedness, tol)
+        groups = _ray_groups(vecs, idxs, handedness, tol)
         sig = _signature(points, groups, c, handedness)
         out: dict[int, list[float]] = {}
         s = 0
@@ -247,7 +248,7 @@ def agree_chirality(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> st
         """Radius, the smaller of the robot's ccw and cw scans, and the
         sign of their comparison."""
         turn = _cmp_seq(ccw[i], cw[i], tol)
-        return (points[i].dist(c), ccw[i] if turn <= 0 else cw[i], turn)
+        return (vecs[i][2], ccw[i] if turn <= 0 else cw[i], turn)
 
     def cmp_keyed(a, b):
         r = tol.cmp(a[0], b[0])

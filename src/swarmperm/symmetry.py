@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import DuplicatePoints, NonFinite, NotOrderable
@@ -27,6 +26,8 @@ from .geometry import (
     centroid,
     concentric_decomposition,
     enclosing_circle_xy,
+    first_coincident_pair,
+    offsets,
     smallest_enclosing_circle,
 )
 
@@ -136,7 +137,7 @@ class Analysis(tuple):
 
     @_cached
     def point_index(self) -> PointIndex:
-        """The eps index of the points, for image tests and duplicate checks."""
+        """The eps index of the points, for the image tests of the symmetry queries."""
         return PointIndex(self, self.tol)
 
     @_cached
@@ -293,7 +294,7 @@ def robots_on_axis(points: Sequence[Point], axis: Axis, tol: Tolerance = DEFAULT
 def require_distinct(points: Sequence[Point], tol: Tolerance) -> None:
     """Raise DuplicatePoints naming the first pair of points within eps:
     symmetry and cyclic orders are undefined there."""
-    if (hit := analyze(points, tol).point_index.first_coincident_pair()) is not None:
+    if (hit := first_coincident_pair(points, tol)) is not None:
         raise DuplicatePoints(f"points {hit[0]} and {hit[1]} coincide within eps")
 
 
@@ -306,12 +307,9 @@ def symmetry_report(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> An
 
 
 def center_robot_index(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> int | None:
-    """Index of the unique robot on the center of the smallest enclosing
-    circle, or None."""
+    """Index of the unique robot on the smallest enclosing circle's center, or None."""
     a = analyze(points, tol)
-    c = a.sec.center
-    cx, cy, eps = c.x, c.y, tol.eps
-    hits = [i for i, p in enumerate(points) if math.hypot(p.x - cx, p.y - cy) <= eps]
+    hits = [i for i, (_, _, d) in enumerate(offsets(points, a.sec.center)) if d <= tol.eps]
     return hits[0] if len(hits) == 1 else None
 
 
@@ -327,36 +325,45 @@ def center_robot_index(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) ->
 _BOX_SLACK = 1e-6
 
 
+def _box_extremes(xs: list[float], ys: list[float]) -> list[tuple[float, float]]:
+    """min and max of the (x, y) pairs, ties in x going to y, then to the
+    first; and the first pair at the least and at the greatest y."""
+    lo, hi = min(xs), max(xs)
+    w = xs.index(lo) if xs.count(lo) == 1 else min(
+        [i for i, x in enumerate(xs) if x == lo], key=ys.__getitem__)
+    e = xs.index(hi) if xs.count(hi) == 1 else max(
+        [i for i, x in enumerate(xs) if x == hi], key=ys.__getitem__)
+    return [(xs[i], ys[i]) for i in (w, e, ys.index(min(ys)), ys.index(max(ys)))]
+
+
 def _no_center_robot(points: Sequence[Point], eps: float) -> bool:
     """True when every robot has a robot farther than that bound from it,
     so none is the center robot."""
     if not points:  # the circle raises EmptyConfiguration
         return False
-    pts = [(p.x, p.y) for p in points]
-    west, east = min(pts), max(pts)
-    south, north = min(pts, key=itemgetter(1)), max(pts, key=itemgetter(1))
+    xs, ys = [p.x for p in points], [p.y for p in points]
+    (wx, wy), (ex, ey), (sx, sy), (nx, ny) = core = _box_extremes(xs, ys)
     # halves before the sum: the center stays finite for every finite box
-    bx, by = 0.5 * west[0] + 0.5 * east[0], 0.5 * south[1] + 0.5 * north[1]
-    bound = max([math.hypot(x - bx, y - by) for x, y in pts]) * (1.0 + _BOX_SLACK) + eps + 1e-300
-    (wx, wy), (ex, ey), (sx, sy), (nx, ny) = west, east, south, north
+    bx, by = 0.5 * wx + 0.5 * ex, 0.5 * sy + 0.5 * ny
+    bound = max([math.hypot(x - bx, y - by) for x, y in zip(xs, ys)]) * (1.0 + _BOX_SLACK) + eps + 1e-300
     # a hypot is never below the magnitude of either difference, so the
     # coordinate test only skips hypots that exceed the bound
-    left = [(x, y) for x, y in pts
+    left = [(x, y) for x, y in zip(xs, ys)
             if x - wx <= bound and ex - x <= bound and y - sy <= bound and ny - y <= bound
             and math.hypot(x - wx, y - wy) <= bound and math.hypot(x - ex, y - ey) <= bound
             and math.hypot(x - sx, y - sy) <= bound and math.hypot(x - nx, y - ny) <= bound]
-    core = [west, east, south, north]
     while left and len(core) < 6:  # two rounds at most
         try:
             bx, by, _ = enclosing_circle_xy(core)
         except NonFinite:  # a circumcenter left the finite floats: undecided
             return False
-        dists = [math.hypot(x - bx, y - by) for x, y in pts]
+        dists = [math.hypot(x - bx, y - by) for x, y in zip(xs, ys)]
         reach = max(dists)
         bound = reach * (1.0 + _BOX_SLACK) + eps + 1e-300
         left = [(x, y) for x, y in left
-                if not any(math.hypot(x - qx, y - qy) > bound for qx, qy in pts)]
-        core.append(pts[dists.index(reach)])
+                if not any(math.hypot(x - qx, y - qy) > bound for qx, qy in zip(xs, ys))]
+        far = dists.index(reach)
+        core.append((xs[far], ys[far]))
     return not left
 
 

@@ -309,12 +309,10 @@ def test_move_all_reads_mirror_axes_only_without_central_symmetry(monkeypatch):
                              if reads_axes else set())
 
 
-def test_move_all_compute_builds_one_point_index(monkeypatch):
-    """The duplicate check sweeps the point index that the image tests
-    query, so one compute builds one."""
+def _count_point_indexes(monkeypatch) -> list:
+    """The point sets of every PointIndex built from now on, in order."""
     import swarmperm.geometry as geometry
 
-    cases = _move_all_cases()
     built: list = []
     init = geometry.PointIndex.__init__
 
@@ -323,9 +321,38 @@ def test_move_all_compute_builds_one_point_index(monkeypatch):
         init(self, points, tol)
 
     monkeypatch.setattr(geometry.PointIndex, "__init__", counted_init)
+    return built
+
+
+def test_move_all_compute_builds_one_point_index(monkeypatch):
+    """The duplicate check reads the coordinates without a point index,
+    and the half-turn image test and any mirror-axis ones share one, so
+    one compute builds exactly one."""
+    cases = _move_all_cases()
+    built = _count_point_indexes(monkeypatch)
     proto = make_protocol("MoveAllNoChirality")
     for pts, _ in cases:
         for snap in _snapshots(pts, "random"):
             start = len(built)
             proto.compute(snap, 0)
             assert built[start:] == [snap.local_points]
+
+
+def test_visit_all_chirality_compute_builds_no_point_index(monkeypatch):
+    """Without a center robot the step asks no image test, and the
+    duplicate check builds no index, also where x-tied robots make it
+    sweep, so a compute on generic snapshots builds none."""
+    rng = random.Random(66)
+    sets = [rand_non_c_dot(rng, n) for n in (3, 5, 8, 12, 20)]
+    column = [Point(0.0, 0.0), Point(0.0, 3.0), Point(2.0, 1.0), Point(-1.5, 2.5)]
+    built = _count_point_indexes(monkeypatch)
+    proto = make_protocol("VisitAllChirality")
+    computes = 0
+    for pts, kind in [(pts, "pairwise_distinct") for pts in sets] + [(column, "identical")]:
+        for snap in _snapshots(pts, kind):
+            assert Analysis(snap.local_points, proto.tol).center_index is None
+            proto.compute(snap, 0)
+            computes += 1
+    assert computes == 52 and built == []
+    tied = _snapshots(column, "identical")[0].local_points
+    assert tied[0].x == tied[1].x  # the sweep runs on this set

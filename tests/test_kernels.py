@@ -13,7 +13,10 @@ the rotation-orbit version it replaced, and the one-bit codec with its
 swept order, restored-configuration check and ring-only layering against
 the versions that derived each of them at every use, and the sweep step's
 ray grouping on local names, the centered bound with its coordinate
-prefilter and the centroid over lists against the versions before them.
+prefilter and the centroid over lists against the versions before them,
+and the duplicate check decided by the sorted x-gaps, the sweep order that
+reads each centroid offset once and the centered bound's extremes taken
+from float lists against the pairwise scan and the versions before them.
 
 The reference functions below are verbatim copies of those versions.
 Every comparison is exact: floats are compared through float.hex, so even
@@ -21,6 +24,7 @@ the sign of a zero must agree.
 """
 
 import functools
+import itertools
 import math
 import random
 from functools import cmp_to_key
@@ -133,6 +137,7 @@ from swarmperm.symmetry import (
     BLOCKING_AXES,
     CENTERED,
     ONE_ROBOT_AXIS,
+    _box_extremes,
     _no_center_robot,
     require_distinct,
 )
@@ -878,6 +883,95 @@ def test_index_matches_reference_on_generated_sets(xys, qxys, eps, scale):
     _assert_index_identical(sites, queries, Tolerance(eps * scale))
 
 
+# --- the duplicate check's sorted-gap decision -------------------------------
+
+def _sweep_runs(pts, tol) -> bool:
+    """Whether some x-sorted neighbours pass the sweep's window edge test,
+    so that the sorted x-gaps alone do not decide."""
+    w = tol.eps + 2.0 * math.ulp(tol.eps)
+    xs = sorted(p.x for p in pts)
+    return any(b <= a + w for a, b in zip(xs, xs[1:]))
+
+
+def _assert_pair_identical(pts, tol) -> set[bool]:
+    """first_coincident_pair against the pairwise scan on pts as given and
+    mirrored across the diagonal; returns which of the two paths, the
+    x-gaps deciding (False) or the sweep (True), the variants took."""
+    paths = set()
+    for variant in (pts, _swapped(pts)):
+        assert first_coincident_pair(variant, tol) == ref_first_coincident_pair(variant, tol)
+        paths.add(_sweep_runs(variant, tol))
+    return paths
+
+
+def test_first_coincident_pair_gap_decision_on_ties_zeros_and_duplicates():
+    tol = DEFAULT_TOL
+    column = [Point(1.0, float(k)) for k in range(5)] + [Point(-2.0, 0.5)]
+    sets = [
+        column,                                                      # x-tied, distinct
+        column + [Point(1.0, 3.0)],                                  # a duplicate in the column
+        [Point(0.0, 0.0), Point(3.0, 1.0), Point(0.0, 0.0)],         # an exact duplicate
+        [Point(2.0, 0.0), Point(2.0, 5.0), Point(2.0, 0.0), Point(2.0, 5.0)],
+        [Point(0.0, 0.0), Point(-0.0, 1.0), Point(-0.0, 0.0)],       # 0.0 next to -0.0
+        [Point(-0.0, 0.0), Point(0.0, 2.0), Point(5e-324, -2.0)],
+        [Point(-0.0, -0.0), Point(0.0, 0.0)],
+        [Point(1.0, 0.0), Point(2.0, 0.0), Point(4.0, 0.0)],         # gaps alone decide
+    ]
+    paths = set()
+    for pts in sets:
+        paths |= _assert_pair_identical(pts, tol)
+    assert paths == {False, True}
+    assert first_coincident_pair(sets[4], tol) == (0, 2)
+    assert first_coincident_pair(sets[0], tol) is None and _sweep_runs(sets[0], tol)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_first_coincident_pair_gap_decision_where_the_window_rounds_away(sign):
+    """Near 1e300 one ulp is about 1.5e284, so x + window rounds to x: only
+    exactly tied x pass the edge test, and the x-gaps decide the rest."""
+    tol = Tolerance(1.0)
+    big = sign * 1e300
+    up = math.nextafter(big, math.inf)
+    assert big + tol.eps + 2.0 * math.ulp(tol.eps) == big
+    sets = [[Point(big, 0.0), Point(big, 0.5), Point(up, 0.0)],
+            [Point(big, 0.0), Point(up, 0.25)],
+            [Point(big, 0.0), Point(big, 2.0), Point(up, 1.0)],
+            [Point(big, 0.0), Point(-big, 0.0), Point(0.0, big)]]
+    paths = set()
+    for pts in sets:
+        paths |= _assert_pair_identical(pts, tol)
+    assert paths == {False, True}
+    assert first_coincident_pair(sets[0], tol) == (0, 1)
+    assert first_coincident_pair(sets[1], tol) is None
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e12])
+def test_first_coincident_pair_gap_decision_at_the_window_edge(scale):
+    # eps 1.0: x-gaps of exactly eps, and one ulp either side, at scale
+    unit = Tolerance(1.0)
+    edge = [Point(scale, 0.0), Point(scale + 1.0, 0.0)]
+    over = [Point(scale, 0.0), Point(math.nextafter(scale + 1.0, math.inf), 0.0)]
+    under = [Point(scale, 0.0), Point(math.nextafter(scale + 1.0, -math.inf), 0.9)]
+    paths = set()
+    for pts in (edge, over, under, [Point(scale, 0.0), Point(scale + 3.0, 0.0)],
+                [Point(scale, 0.0), Point(scale + 0.6, 0.8), Point(scale + 2.0, 0.0)]):
+        paths |= _assert_pair_identical(pts, unit)
+    # eps 2.5 ulps of the scale: neighbours whole ulps apart
+    u = math.ulp(scale)
+    fine = Tolerance(2.5 * u)
+    for ks in ((0, 2, 5, 7), (0, 3, 6, 9), (0, 4, 8), (0, 1), (0, 3)):
+        for dy in (0, 1, 2):
+            pts = [Point(scale + k * u, scale + (t % 2) * dy * u) for t, k in enumerate(ks)]
+            paths |= _assert_pair_identical(pts, fine)
+    assert paths == {False, True}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_half_steps, st.sampled_from([0.5, 1.0]), st.sampled_from([1.0, 1e6, 1e12, 1e300]))
+def test_first_coincident_pair_gap_decision_on_generated_sets(xys, eps, scale):
+    _assert_pair_identical(_lattice_points(xys, scale), Tolerance(eps * scale))
+
+
 # --- the float snapshot path -------------------------------------------------
 
 def _point_bits(pts):
@@ -959,7 +1053,7 @@ def test_ray_groups_match_reference(eps):
             rng.shuffle(idxs)
             for subset in (idxs, idxs[: max(1, len(idxs) // 2)]):
                 for hand in (CCW, CW):
-                    got = _ray_groups(pts, subset, c, hand, tol)
+                    got = _ray_groups(offsets(pts, c), subset, hand, tol)
                     assert got == by_distance(ref_ray_groups(pts, subset, c, hand, tol), pts, c)
                     assert got == ref_ray_groups_norm_angle(pts, subset, c, hand, tol)
 
@@ -1740,7 +1834,7 @@ def _assert_ray_groups_identical(pts, tol, rng):
         for c in (centroid(variant), Point(0.0, 0.0), variant[0]):
             for idxs in (list(range(len(variant))), shuffled, half):
                 for hand in (CCW, CW):
-                    assert (_ray_groups(variant, idxs, c, hand, tol)
+                    assert (_ray_groups(offsets(variant, c), idxs, hand, tol)
                             == by_distance(ref_dict_ray_groups(variant, idxs, c, hand, tol),
                                            variant, c))
 
@@ -1782,14 +1876,14 @@ def test_ray_groups_match_dict_reference_on_rays_and_short_vectors(eps):
     for pts in (collinear, wrap, short):
         _assert_ray_groups_identical(pts, tol, rng)
     # the sweep's last ray joins its first; every group is sorted by distance
-    groups = _ray_groups(wrap, range(len(wrap)), Point(0.0, 0.0), CCW, tol)
+    groups = _ray_groups(offsets(wrap, ORIGIN), range(len(wrap)), CCW, tol)
     assert groups == [[3, 0, 1], [5, 2], [4]]
     # turned so that no ray straddles +x, the set keeps its groups' orders
     turned = [p.rotated(math.pi / 4.0) for p in wrap]
-    assert (sorted(_ray_groups(turned, range(len(turned)), Point(0.0, 0.0), CCW, tol))
+    assert (sorted(_ray_groups(offsets(turned, ORIGIN), range(len(turned)), CCW, tol))
             == sorted(groups))
     # a vector no longer than eps stays alone on its ray
-    groups = _ray_groups(short, range(len(short)), Point(0.0, 0.0), CCW, tol)
+    groups = _ray_groups(offsets(short, ORIGIN), range(len(short)), CCW, tol)
     assert [0] in groups and [2] in groups
 
 
@@ -1912,7 +2006,7 @@ def _signature_pairs(points, groups, c: Point, handedness: str) -> list[tuple[fl
 
 def _scan_signature(points, c: Point, rep: int, handedness: str,
                     tol: Tolerance, idxs) -> list[float]:
-    groups = _ray_groups(points, idxs, c, handedness, tol)
+    groups = _ray_groups(offsets(points, c), idxs, handedness, tol)
     at = next(t for t, g in enumerate(groups) if rep in g)
     groups = list(groups[at:]) + list(groups[:at])
     return _flatten(_signature_pairs(points, groups, c, handedness))
@@ -2014,7 +2108,7 @@ def _assert_chirality_identical(pts, tol, rng) -> set:
         seen.add(want[1] if want[0] == "ok" else want[1].__name__)
         c = centroid(view)
         for hand in (CCW, CW):
-            groups = _ray_groups(view, range(len(view)), c, hand, tol)
+            groups = _ray_groups(offsets(view, c), range(len(view)), hand, tol)
             assert (_bits(*_signature(view, groups, c, hand))
                     == _bits(*_flatten(_signature_pairs(view, groups, c, hand))))
     return seen
@@ -2600,7 +2694,7 @@ def test_ray_groups_match_parent_on_edge_rays(eps):
         for _ in range(60):
             idxs = rng.sample(range(len(pts)), rng.randint(1, len(pts)))
             for hand in (CCW, CW):
-                assert (_ray_groups(pts, idxs, c, hand, tol)
+                assert (_ray_groups(offsets(pts, c), idxs, hand, tol)
                         == ref_ray_groups_norm_angle(pts, idxs, c, hand, tol))
 
 
@@ -2682,3 +2776,101 @@ def test_centroid_matches_parent():
         assert _bits(got.x, got.y) == _bits(want.x, want.y)
     with pytest.raises(EmptyConfiguration, match="^centroid of an empty point set$"):
         centroid([])
+
+
+# --- reference: the centroid split and the box extremes before they read floats
+
+def ref_centroid_split(points: Sequence[Point], c: Point, eps: float):
+    """order_with_chirality's robots at the centroid, and the rest."""
+    cx, cy = c.x, c.y
+    center_idxs = [i for i, p in enumerate(points) if math.hypot(p.x - cx, p.y - cy) <= eps]
+    rest = [i for i in range(len(points)) if i not in center_idxs]
+    return center_idxs, rest
+
+
+def ref_order_with_chirality(points: Sequence[Point], handedness: str,
+                             tol: Tolerance) -> CyclicOrder:
+    """order_with_chirality on the split above and the parent's ray grouping."""
+    a = analyze(points, tol)
+    require_distinct(a, tol)
+    CENTERED.check(a)
+    c = a.centroid
+    center_idxs, rest = ref_centroid_split(points, c, tol.eps)
+    groups = ref_ray_groups_norm_angle(points, rest, c, handedness, tol)
+    flat = [i for g in groups for i in g]
+    if not center_idxs or not rest:
+        return CyclicOrder(tuple(flat + center_idxs))
+    starts = least_rotations(_signature(points, groups, c, handedness), 2, tol)
+    if len(starts) > 1:
+        raise NotOrderable("signature is rotationally periodic, no canonical start")
+    s = starts[0]
+    return CyclicOrder(tuple(flat[s:] + flat[:s] + center_idxs))
+
+
+def ref_box_extremes(points: Sequence[Point]) -> list[tuple[float, float]]:
+    """_no_center_robot's west, east, south and north robots, taken by min
+    and max over fresh (x, y) tuples."""
+    pts = [(p.x, p.y) for p in points]
+    west, east = min(pts), max(pts)
+    south, north = min(pts, key=itemgetter(1)), max(pts, key=itemgetter(1))
+    return [west, east, south, north]
+
+
+def _near_centroid_sets():
+    """Asymmetric sets with one robot close to the centroid, at several
+    scales and offsets, each with the distance d of that robot from the
+    centroid."""
+    outer = [Point(3.0, 0.2), Point(-1.0, 2.5), Point(-2.2, -1.7), Point(0.4, -2.9),
+             Point(1.9, 1.6)]
+    for scale in (1.0, 1e-6, 1e6):
+        for off in (Point(1e-3, 0.0), Point(-3e-4, 4e-4), Point(0.0, -2e-3), Point(0.0, 0.0)):
+            pts = [p * scale for p in outer]
+            pts.insert(2, centroid(outer) * scale + off * scale)
+            c = centroid(pts)
+            yield pts, math.hypot(pts[2].x - c.x, pts[2].y - c.y)
+
+
+def test_order_with_chirality_matches_parent_at_the_centroid_edge():
+    """eps exactly the near robot's distance from the centroid, and one ulp
+    either side, decides whether that robot is the centroid robot."""
+    split = 0
+    for pts, d in _near_centroid_sets():
+        for eps in (math.nextafter(d, 0.0), d, math.nextafter(d, math.inf)):
+            if not eps > 0.0:
+                continue
+            tol = Tolerance(eps)
+            c = centroid(pts)
+            split += ref_centroid_split(pts, c, eps)[0] == [2]
+            for variant in (pts, _swapped(pts)):
+                for hand in (CCW, CW):
+                    got = _outcome(lambda: order_with_chirality(variant, hand, tol).seq)
+                    want = _outcome(lambda: ref_order_with_chirality(variant, hand, tol).seq)
+                    assert got == want
+    assert split >= 18
+
+
+_TIED_EXTREMES = [
+    [Point(0.0, 1.0), Point(0.0, -1.0), Point(2.0, 0.0), Point(2.0, 3.0), Point(2.0, -3.0)],
+    [Point(1.0, 0.0), Point(-1.0, 0.0), Point(0.0, 2.0), Point(3.0, 2.0), Point(-2.0, 0.5)],
+    [Point(0.0, 0.0), Point(-0.0, 0.0), Point(0.0, -0.0), Point(1.0, 1.0)],
+    [Point(-0.0, 1.0), Point(0.0, 1.0), Point(-0.0, -0.0), Point(0.0, 0.0), Point(0.5, -0.0)],
+    [Point(1.0, 1.0), Point(1.0, 1.0), Point(0.0, 0.0), Point(0.0, 0.0)],
+    [Point(0.0, 0.0), Point(0.0, 1.0), Point(1.0, 1.0), Point(1.0, 0.0)],
+]
+
+
+def test_box_extremes_match_parent_on_tied_extremes():
+    """min(pts) is lexicographic, ties to the least y, while min by y alone
+    keeps the first in input order: every order of sets whose extreme x or
+    y is tied, also between 0.0 and -0.0 and between duplicates."""
+    count = 0
+    for base in _TIED_EXTREMES:
+        for pts in (base, _swapped(base), [-p for p in base]):
+            for perm in itertools.permutations(range(len(pts))):
+                view = [pts[i] for i in perm]
+                got = _box_extremes([p.x for p in view], [p.y for p in view])
+                assert [_bits(*xy) for xy in got] == [_bits(*xy) for xy in ref_box_extremes(view)]
+                for eps in (1e-9, 1.0):
+                    assert _no_center_robot(view, eps) == ref_no_center_robot_unfiltered(view, eps)
+                count += 1
+    assert count == 3 * (3 * 120 + 3 * 24)
