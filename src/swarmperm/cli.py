@@ -43,6 +43,7 @@ EXIT_OK = 0
 EXIT_SPEC_FAIL = 1
 EXIT_PROTOCOL_ERROR = 2
 EXIT_MALFORMED = 3
+SVG_WIDTH = 640  # pixels; `render` scales the trace's extent to it
 
 
 class ScenarioError(ValueError):
@@ -237,7 +238,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if verdict.passed else EXIT_SPEC_FAIL
 
 
-def render_svg(trace: RunTrace, width: int = 640) -> str:
+def render_svg(trace: RunTrace) -> str:
     configs = trace.configurations()
     # the viewport in units of a power of two near the largest |coordinate|:
     # that scaling is exact, and the extent cannot overflow at any scale
@@ -250,7 +251,7 @@ def render_svg(trace: RunTrace, width: int = 640) -> str:
     pad = 0.08 * span
     minx, maxx = minx - pad, maxx + pad
     miny, maxy = miny - pad, maxy + pad
-    scale = width / (maxx - minx)
+    scale = SVG_WIDTH / (maxx - minx)
     height = (maxy - miny) * scale
 
     def sx(x: float) -> float:
@@ -264,10 +265,10 @@ def render_svg(trace: RunTrace, width: int = 640) -> str:
     for i in range(n):
         r, g, b = colorsys.hsv_to_rgb(i / max(n, 1), 0.72, 0.82)
         colors.append(f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}")
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-           f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
-           f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>']
-    marker = max(2.0, 0.006 * width)
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH:.0f}" '
+           f'height="{height:.0f}" viewBox="0 0 {SVG_WIDTH:.0f} {height:.0f}">',
+           f'<rect width="{SVG_WIDTH:.0f}" height="{height:.0f}" fill="white"/>']
+    marker = max(2.0, 0.006 * SVG_WIDTH)
     for i in range(n):
         path = " ".join(f"{sx(c[i].x):.2f},{sy(c[i].y):.2f}" for c in configs)
         out.append(f'<polyline points="{path}" fill="none" stroke="{colors[i]}" '

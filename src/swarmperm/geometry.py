@@ -1,12 +1,12 @@
-"""Planar primitives: points, tolerance policy, circles, the sweep angle,
-concentric rings, and local-frame transforms.
+"""Planar primitives: points, tolerance policy, circles, the one sweep
+angle, the eps point index, concentric rings, and local-frame transforms.
 
 All operations are pure.  One epsilon (Tolerance) governs every geometric
 comparison in the library, and it is threaded explicitly so callers can
-tighten or relax it per run.  It is an absolute distance, and it is also
-the angular slack, in radians, of the ray-alignment tests, the sweep-angle
-clusters and gap comparisons and the mirror-axis dedup, so scaling it with
-the coordinates does not make a run scale-free.
+tighten or relax it per run.  It is an absolute distance, as in the symmetry
+image tests, and the angular slack, in radians, of the ray-alignment tests,
+the sweep-angle clusters and gaps and the mirror-axis dedup, so scaling it
+with the coordinates does not make a run scale-free.
 """
 
 from __future__ import annotations
@@ -111,11 +111,11 @@ ORIGIN = Point(0.0, 0.0)
 class Tolerance:
     """One epsilon: an absolute distance, and the angular slack in radians.
 
-    Distances and radii compare within eps.  Ray alignment tests
-    |u x v| <= eps |u| |v|, a slack of about eps radians at any vector
-    length; angles, such as sweep gaps and axis directions, also compare
-    within eps.  So eps is not scale-free: scaling it with the coordinates
-    scales the angular slack too.
+    Distances and radii compare within eps, as do symmetry images and their
+    points.  Ray alignment tests |u x v| <= eps |u| |v|, a slack of about
+    eps radians at any vector length; angles, such as sweep gaps and axis
+    directions, also compare within eps.  So eps is not scale-free: scaling
+    it with the coordinates scales the angular slack too.
     """
 
     eps: float = 1e-9
@@ -180,11 +180,6 @@ def norm_angle(a: float) -> float:
     return a
 
 
-def ccw_angle(u: Point, v: Point) -> float:
-    """Counter-clockwise angle from ray u to ray v, in [0, 2*pi)."""
-    return norm_angle(math.atan2(u.cross(v), u.dot(v)))
-
-
 def sweep_angle_xy(ux: float, uy: float, nu: float, vx: float, vy: float, nv: float,
                    handedness: str, eps: float) -> float:
     """Angle swept rotating ray (ux, uy) onto ray (vx, vy), of norms nu and
@@ -192,8 +187,8 @@ def sweep_angle_xy(ux: float, uy: float, nu: float, vx: float, vy: float, nv: fl
     within eps, otherwise the ccw angle, or 2*pi minus it for CW.  A vector
     no longer than eps (a unit axis once eps >= 1) is never aligned, so CW
     also maps a 2*pi that only rounding produced, as for an exactly aligned
-    such vector, to 0.  The arithmetic is that of `Tolerance.ray_aligned`
-    and `ccw_angle`."""
+    such vector, to 0.  The test is `Tolerance.ray_aligned` on floats; the
+    angle is `norm_angle` of the atan2 of the cross and dot products."""
     dot = ux * vx + uy * vy
     cross = ux * vy - uy * vx
     if nu > eps and nv > eps and dot > 0.0 and abs(cross) <= eps * nu * nv:

@@ -31,7 +31,6 @@ from .geometry import (
     Point,
     Tolerance,
     angle_of,
-    ccw_angle,
     norm_angle,
     offsets,
     sweep_angle_xy,
@@ -139,22 +138,26 @@ def _ray_groups(vecs: Sequence[tuple[float, float, float]], idxs: Sequence[int],
             for g in groups]
 
 
-def _signature(points: Sequence[Point], groups: Sequence[Sequence[int]], c: Point,
-               handedness: str) -> list[float]:
+def _signature(vecs: Sequence[tuple[float, float, float]], groups: Sequence[Sequence[int]],
+               handedness: str, eps: float) -> list[float]:
     """Radius and angular gap to the next ray, swept in the given
-    handedness, for each point along the cyclic sweep, laid end to end; the
-    gap is zero between points sharing a ray.  The sequence determines the
+    handedness, for each point along the cyclic sweep, laid end to end, read
+    from vecs, every point's `offsets`.  A gap is `sweep_angle_xy` from a
+    group's nearest robot to the next one's, so it is zero within a ray and
+    between such robots aligned within eps.  The sequence determines the
     configuration up to rotation."""
-    reps = [points[g[0]] - c for g in groups]
+    reps = [vecs[g[0]] for g in groups]
     sig: list[float] = []
     for t, g in enumerate(groups):
         for i in g:
-            sig += (points[i].dist(c), 0.0)
+            sig += (vecs[i][2], 0.0)
         if len(reps) == 1:
             sig[-1] = 2.0 * math.pi
         else:
             u, v = reps[t], reps[(t + 1) % len(reps)]
-            sig[-1] = ccw_angle(u, v) if handedness == CCW else ccw_angle(v, u)
+            if handedness != CCW:  # the CCW sweep back from v to u
+                u, v = v, u
+            sig[-1] = sweep_angle_xy(*u, *v, CCW, eps)
     return sig
 
 
@@ -201,7 +204,7 @@ def order_with_chirality(points: Sequence[Point], handedness: str = CCW,
     flat = [i for g in groups for i in g]
     if not center_idxs or not rest:
         return CyclicOrder(tuple(flat + center_idxs))
-    starts = least_rotations(_signature(points, groups, c, handedness), 2, tol)
+    starts = least_rotations(_signature(vecs, groups, handedness, tol.eps), 2, tol)
     if len(starts) > 1:
         raise NotOrderable("signature is rotationally periodic, no canonical start")
     s = starts[0]
@@ -234,7 +237,7 @@ def agree_chirality(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> st
 
     def scans(handedness: str) -> dict[int, list[float]]:
         groups = _ray_groups(vecs, idxs, handedness, tol)
-        sig = _signature(points, groups, c, handedness)
+        sig = _signature(vecs, groups, handedness, tol.eps)
         out: dict[int, list[float]] = {}
         s = 0
         for g in groups:

@@ -40,7 +40,6 @@ from .geometry import (
     sweep_angle_xy,
 )
 from .ordering import (
-    agree_chirality,
     least_rotations,
     order_from_leader,
     order_with_chirality,
@@ -421,8 +420,8 @@ def move_all_no_chirality_step(a: Analysis, snapshot, bit: int) -> tuple[Point, 
     After the centered guard the decision reads, in order: the duplicate
     check it shares with `symmetry_report`; central symmetry, the half turn
     about the centroid, which reflects every robot through the centroid; and
-    only then the mirror axes and the robots on them, or the agreed sweep
-    order when there are none."""
+    only then the mirror axes and the robots on them, or, when there are
+    none, the agreed sweep of `order_without_chirality`."""
     tol = a.tol
     own = snapshot.own_index
     p = a[own]
@@ -433,9 +432,7 @@ def move_all_no_chirality_step(a: Analysis, snapshot, bit: int) -> tuple[Point, 
         return c * 2.0 - p, bit
     axes = a.mirror_axes
     if not axes:
-        h = agree_chirality(a, tol)
-        order = order_with_chirality(a, h, tol)
-        return a[order.successor(own)], bit
+        return a[order_without_chirality(a, tol).successor(own)], bit
     ONE_ROBOT_AXIS.check(a)
     mine = [t for t, on in enumerate(a.axis_robots) if own in on]
     if mine:

@@ -22,7 +22,6 @@ from .geometry import (
     PointIndex,
     Tolerance,
     angle_of,
-    ccw_angle,
     centroid,
     concentric_decomposition,
     enclosing_circle_xy,
@@ -63,8 +62,8 @@ class Analysis(tuple):
     """A tuple of points that computes what the protocols ask of it, each
     part at most once, on first use, by calling the public function that a
     standalone query calls.  There are three exceptions.  `in_c_dot` counts
-    the rotations of the robots other than the center robot through the
-    private helper behind `rotational_order` and stops at the second.
+    the rotations of the robots other than the center robot in `_symmetries`,
+    the loop behind `rotational_order` and `mirror_axes`, up to the second.
     `no_center_robot` bounds the enclosing radius from the bounding box and
     circles of four or five extreme robots, never the full circle.  Only
     `CENTERED` reads it: the refusing protocols use the circle for nothing
@@ -212,72 +211,56 @@ def rotational_order(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> i
 
 
 def _rotation_count(a: Analysis, stop: int) -> int:
-    """The rotational order of a, counted up to stop: the rotations about
-    the centroid that take the reference layer's first point onto a member
-    and map the set onto itself, and at least 1."""
-    if len(a) <= 1:
+    """The rotational order of a, counted up to stop, and at least 1."""
+    if len(a) <= 1 or len(a.reference_layer) <= 1:  # one member leaves only the identity
         return 1
-    c = a.centroid
+    return max(len(_symmetries(a, False, stop)), 1)
+
+
+def _symmetries(a: Analysis, mirror: bool, stop: int) -> list[int]:
+    """The reference-layer members, up to stop of them, onto which a
+    symmetry about the centroid takes the layer's first point: a rotation,
+    or a reflection when mirror is set.  With b and m the offsets of that
+    point and of a member, w = m conj(b) maps each offset z to w z, and
+    w = m b maps it to w conj(z) (Atallah, "On symmetry detection", 1985),
+    b and m first scaled exactly by one power of two to norms near 1, and w
+    then to norm 1; the map passes when `PointIndex.matches` takes the
+    images onto the points.  No cos or sin is taken."""
+    cx, cy = a.centroid.x, a.centroid.y
     layer = a.reference_layer
-    if len(layer) <= 1:  # one member leaves only the identity to count
-        return 1
-    index = a.point_index
-    base = a[layer[0]] - c
-    count = 0
+    bx, by = a[layer[0]].x - cx, a[layer[0]].y - cy
+    k = -math.frexp(math.hypot(bx, by))[1]
+    bx, by = math.ldexp(bx, k), math.ldexp(by if mirror else -by, k)
+    zs = [(p.x - cx, cy - p.y if mirror else p.y - cy) for p in a]
+    hits: list[int] = []
     for i in layer:
-        if index.matches(_rotated(a, c.x, c.y, ccw_angle(base, a[i] - c))):
-            count += 1
-            if count == stop:
+        mx, my = math.ldexp(a[i].x - cx, k), math.ldexp(a[i].y - cy, k)
+        wx, wy = mx * bx - my * by, mx * by + my * bx
+        wd = math.hypot(wx, wy)
+        wx, wy = wx / wd, wy / wd
+        if a.point_index.matches((cx + (wx * zx - wy * zy), cy + (wy * zx + wx * zy)) for zx, zy in zs):
+            hits.append(i)
+            if len(hits) == stop:
                 break
-    return max(count, 1)
+    return hits
 
 
 def mirror_axes(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> tuple[Axis, ...]:
     """All mirror axes of the point set.  Every axis passes through the
     centroid; results are deduplicated and sorted by angle in [0, pi)."""
     a = analyze(points, tol)
-    if len(a) <= 1:
+    if len(a) <= 1 or not a.reference_layer:
         return ()
-    c = a.centroid
-    layer = a.reference_layer
-    if not layer:
-        return ()
-    index = a.point_index
+    c, layer = a.centroid, a.reference_layer
     theta_base = angle_of(a[layer[0]] - c)
-    angles: list[float] = []
-    for i in layer:
-        alpha = (theta_base + angle_of(a[i] - c)) / 2.0
-        alpha = alpha if alpha >= 0.0 else alpha + math.pi
-        alpha = math.fmod(alpha, math.pi)
-        if index.matches(_reflected(a, c.x, c.y, alpha)):
-            angles.append(alpha)
-    angles.sort()
+    halves = [(theta_base + angle_of(a[i] - c)) / 2.0 for i in _symmetries(a, True, len(layer))]
+    angles = sorted(math.fmod(h if h >= 0.0 else h + math.pi, math.pi) for h in halves)
     dedup: list[float] = []
     for ang in angles:
         if any(abs(ang - b) <= tol.eps or abs(abs(ang - b) - math.pi) <= tol.eps for b in dedup):
             continue
         dedup.append(ang)
     return tuple(Axis(c, Point(math.cos(ang), math.sin(ang))) for ang in dedup)
-
-
-def _rotated(points: Sequence[Point], cx: float, cy: float, alpha: float):
-    """The images c + (p - c).rotated(alpha), as (x, y) floats."""
-    co, s = math.cos(alpha), math.sin(alpha)
-    for p in points:
-        vx, vy = p.x - cx, p.y - cy
-        yield cx + (co * vx - s * vy), cy + (s * vx + co * vy)
-
-
-def _reflected(points: Sequence[Point], cx: float, cy: float, axis_angle: float):
-    """The images of the points reflected across the line through c at
-    axis_angle, as (x, y) floats: rotate p - c by -axis_angle, mirror
-    across the x-axis, rotate back and add c."""
-    c1, s1 = math.cos(-axis_angle), math.sin(-axis_angle)
-    c2, s2 = math.cos(axis_angle), math.sin(axis_angle)
-    for p in points:
-        vx, vy = p.x - cx, p.y - cy
-        mx, my = c1 * vx - s1 * vy, -(s1 * vx + c1 * vy)
-        yield cx + (c2 * mx - s2 * my), cy + (s2 * mx + c2 * my)
 
 
 def robots_on_axis(points: Sequence[Point], axis: Axis, tol: Tolerance = DEFAULT_TOL) -> tuple[int, ...]:

@@ -9,7 +9,6 @@ the other one.  Small lattice sets hold the exact ties that random
 families rarely draw, so every one of them runs too.
 """
 
-import itertools
 import random
 import re
 import time
@@ -26,6 +25,7 @@ from corpus import (
     rand_points,
     unique_empty_axis_config,
 )
+from lattice_oracle import lattice_classes
 
 from swarmperm import (
     MOVE_ALL,
@@ -135,22 +135,13 @@ def test_rows_agree_with_runs(family):
           f"with their rows in {time.perf_counter() - t0:.2f} s")
 
 
-def _lattice_classes(n, side=4):
-    """Every set of n points of the side x side integer grid, up to
-    translation: the sets that touch both the x = 0 and the y = 0 line."""
-    grid = [(x, y) for x in range(side) for y in range(side)]
-    for xys in itertools.combinations(grid, n):
-        if min(x for x, _ in xys) == 0 and min(y for _, y in xys) == 0:
-            yield [Point(x, y) for x, y in xys]
-
-
 @pytest.mark.parametrize("n, kinds, classes", [(3, ALL_KINDS, 204), (4, ("identical",), 956)],
                          ids=["3-every-kind", "4-identical"])
 def test_rows_agree_with_runs_on_lattice_sets(n, kinds, classes):
     misses = []
     runs = 0
     t0 = time.perf_counter()
-    sets = list(_lattice_classes(n))
+    sets = [[Point(x, y) for x, y in xys] for xys in lattice_classes(n)]
     for s, pts in enumerate(sets):
         for pid in PROTOCOL_IDS:
             for kind in (k for k in KINDS[pid] if k in kinds):

@@ -119,7 +119,6 @@ from swarmperm.geometry import (
     ORIGIN,
     PointIndex,
     angle_of,
-    ccw_angle,
     enclosing_circle_xy,
     first_coincident_pair,
     norm_angle,
@@ -296,6 +295,11 @@ def ref_mirror_axes(points, tol=DEFAULT_TOL) -> tuple[Axis, ...]:
 
 
 # --- reference: the sweep-angle and least-rotation copies ----------------
+
+def ccw_angle(u: Point, v: Point) -> float:
+    """Counter-clockwise angle from ray u to ray v, in [0, 2*pi)."""
+    return norm_angle(math.atan2(u.cross(v), u.dot(v)))
+
 
 def _cmp_seq(a, b, tol: Tolerance) -> int:
     for x, y in zip(a, b):
@@ -2109,7 +2113,7 @@ def _assert_chirality_identical(pts, tol, rng) -> set:
         c = centroid(view)
         for hand in (CCW, CW):
             groups = _ray_groups(offsets(view, c), range(len(view)), hand, tol)
-            assert (_bits(*_signature(view, groups, c, hand))
+            assert (_bits(*_signature(offsets(view, c), groups, hand, tol.eps))
                     == _bits(*_flatten(_signature_pairs(view, groups, c, hand))))
     return seen
 
@@ -2800,7 +2804,7 @@ def ref_order_with_chirality(points: Sequence[Point], handedness: str,
     flat = [i for g in groups for i in g]
     if not center_idxs or not rest:
         return CyclicOrder(tuple(flat + center_idxs))
-    starts = least_rotations(_signature(points, groups, c, handedness), 2, tol)
+    starts = least_rotations(_signature(offsets(points, c), groups, handedness, tol.eps), 2, tol)
     if len(starts) > 1:
         raise NotOrderable("signature is rotationally periodic, no canonical start")
     s = starts[0]

@@ -18,6 +18,7 @@ from corpus import (
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lattice_oracle import exact_symmetry, lattice_classes
 
 from swarmperm import (
     DEFAULT_TOL,
@@ -236,3 +237,32 @@ def test_half_turn_is_invariant_under_exact_similarities(data, which, k):
     f, s = _EXACT_MAPS[which], math.ldexp(1.0, k)
     moved = [f(p) * s for p in relabelled]
     assert Analysis(moved).is_central_symmetric == Analysis(pts).is_central_symmetric
+
+
+# --- the symmetry maps ---------------------------------------------------------
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** -20, 1e-6, 1e6])
+def test_symmetry_facts_match_the_integer_oracle_on_lattice_sets(scale):
+    """Four facts of every 3- to 5-point translation class of the 4x4 grid,
+    scaled, against the exact integer answer."""
+    sets = [xys for n in (3, 4, 5) for xys in lattice_classes(n)]
+    assert len(sets) == 4070
+    for xys in sets:
+        a = classify([Point(x * scale, y * scale) for x, y in xys])
+        got = (a.rotational_order, a.axis_count, a.in_c_dot, a.is_central_symmetric)
+        assert got == exact_symmetry(xys), xys
+
+
+@pytest.mark.parametrize("center", [False, True], ids=["80-gon", "80-gon-and-center"])
+def test_symmetry_maps_take_no_cos_or_sin(monkeypatch, center):
+    """The rotations and reflections are built from two offsets each: only
+    the direction of an axis found takes a cos and a sin."""
+    pts = regular_polygon(80) + ([Point(0.4, -0.2)] if center else [])
+    calls = []
+    for name in ("cos", "sin"):
+        monkeypatch.setattr(math, name, lambda t, f=getattr(math, name): calls.append(t) or f(t))
+    assert rotational_order(pts) == 80
+    assert calls == []
+    axes = mirror_axes(pts)
+    assert len(axes) == 80
+    assert len(calls) == 2 * len(axes)
