@@ -26,7 +26,7 @@ from .errors import (
     NotCentral,
     SwarmError,
 )
-from .geometry import DEFAULT_TOL, Frame, Point, Tolerance, first_coincident_pair
+from .geometry import DEFAULT_TOL, Frame, Point, Tolerance, as_points, first_coincident_pair
 from .protocols import Protocol
 from .symmetry import center_robot_index, mirror_axes
 
@@ -37,9 +37,11 @@ IDENTITY_FRAME = Frame()
 @dataclass(frozen=True)
 class Snapshot:
     """What one robot sees: every position in its own frame (itself at
-    the origin), and optionally every robot's +x direction."""
+    the origin), and optionally every robot's +x direction.  From
+    `to_local_snapshot` the positions are a `Points`, whose coordinate
+    columns the protocols read, any sequence of Points otherwise."""
 
-    local_points: tuple[Point, ...]
+    local_points: Sequence[Point]
     own_index: int
     visible_frames: tuple[Point, ...] | None = None
 
@@ -71,12 +73,11 @@ def to_local_snapshot(points: Sequence[Point], frames: Sequence[Frame], i: int,
         raise InvalidFrame(f"{len(frames)} frames for {len(points)} robots")
     f = frames[i]
     try:
-        local = tuple(f.to_local(points, points[i]))
+        local = f.to_local(points, points[i])
         dirs = None
         if visible:
             # each robot's unit x-direction, turned into this robot's frame
-            x_dirs = (Point(math.cos(g.rotation), math.sin(g.rotation)) for g in frames)
-            dirs = tuple(d.unit() for d in f.to_local(x_dirs))
+            dirs = tuple(d.unit() for d in f.to_local([g.x_dir for g in frames]))
     except NonFinite as exc:
         raise InvalidFrame(f"robot {i}'s frame (scale {f.scale:g}) cannot hold the "
                            f"configuration: {exc}") from exc
@@ -89,6 +90,7 @@ def fsync_round(points: Sequence[Point], frames: Sequence[Frame], protocol: Prot
     round-start snapshots, then applied together; a shared destination is
     a collision and the round does not commit."""
     tol = protocol.tol
+    points = as_points(points)  # the round's coordinates, read once for every snapshot
     new_bits: list[int] = []
     dests_local: list[Point] = []
     for i in range(len(points)):
@@ -102,17 +104,18 @@ def fsync_round(points: Sequence[Point], frames: Sequence[Frame], protocol: Prot
         dests_local.append(dest)
         new_bits.append(int(bit))
     try:
-        new_points = tuple(f.to_global((d,), p)[0] for d, f, p in zip(dests_local, frames, points))
+        new = as_points(f.to_global((d,), p)[0] for d, f, p in zip(dests_local, frames, points))
     except NonFinite as exc:
         raise InvalidFrame(f"a destination does not map back to the global frame: "
                            f"{exc}") from exc
-    if (hit := first_coincident_pair(new_points, tol)) is not None:
+    if (hit := first_coincident_pair(new, tol)) is not None:
         i, j = hit
         raise CollisionDetected(f"robots {i} and {j} share the destination "
-                                f"({new_points[i].x:.6g}, {new_points[i].y:.6g})", hit)
+                                f"({new.xs[i]:.6g}, {new.ys[i]:.6g})", hit)
     eps = tol.eps
-    moved = tuple(math.hypot(p.x - q.x, p.y - q.y) > eps for p, q in zip(points, new_points))
-    return new_points, tuple(new_bits), moved
+    moved = tuple(math.hypot(x - u, y - v) > eps
+                  for x, y, u, v in zip(points.xs, points.ys, new.xs, new.ys))
+    return new.points, tuple(new_bits), moved
 
 
 def run(c0: Sequence[Point], frames: Sequence[Frame], protocol: Protocol,

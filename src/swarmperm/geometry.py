@@ -1,5 +1,7 @@
-"""Planar primitives: points, tolerance policy, circles, the one sweep
-angle, the eps point index, concentric rings, and local-frame transforms.
+"""Planar primitives: points and point columns, tolerance policy, circles,
+the one sweep angle, the eps point index, concentric rings, and local-frame
+transforms.  The kernels read a point set's coordinate columns, which a
+`Points` holds and `columns` reads from any other sequence of Points.
 
 All operations are pure.  One epsilon (Tolerance) governs every geometric
 comparison in the library, and it is threaded explicitly so callers can
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -105,6 +108,65 @@ class Point:
 
 _set_x, _set_y = Point.x.__set__, Point.y.__set__
 ORIGIN = Point(0.0, 0.0)
+
+
+class Points:
+    """A sequence of Points held as an x column and a y column, which the
+    kernels read and nothing writes.  An index read builds one Point;
+    iterating builds them all once and keeps them.  It equals, and hashes
+    as, the tuple of its Points."""
+
+    __slots__ = ("xs", "ys", "_points")
+
+    def __init__(self, xs: list[float], ys: list[float], points: tuple[Point, ...] | None = None):
+        self.xs, self.ys, self._points = xs, ys, points
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __getitem__(self, i):
+        if self._points is not None:
+            return self._points[i]
+        if i.__class__ is not int:
+            return self.points[i]
+        return Point(self.xs[i], self.ys[i])
+
+    def __iter__(self):
+        return iter(self.points)
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        if self._points is None:
+            self._points = tuple(map(Point, self.xs, self.ys))
+        return self._points
+
+    def __eq__(self, other):
+        return self.points == (other.points if isinstance(other, Points) else other)
+
+    def __hash__(self):
+        return hash(self.points)
+
+    def __repr__(self):
+        return repr(self.points)
+
+
+def columns(points: Iterable[Point]) -> tuple[list[float], list[float]]:
+    """The x and y coordinate lists of points: a Points' own, else read from each Point."""
+    if isinstance(points, Points):
+        return points.xs, points.ys
+    xs, ys = [], []
+    for p in points:
+        xs.append(p.x)
+        ys.append(p.y)
+    return xs, ys
+
+
+def as_points(points: Iterable[Point]) -> Points:
+    """points itself when it is a Points, else a Points of its columns that keeps its Points."""
+    if isinstance(points, Points):
+        return points
+    pts = tuple(points)
+    return Points(*columns(pts), pts)
 
 
 @dataclass(frozen=True)
@@ -205,9 +267,10 @@ def offsets(points: Iterable[Point], c: Point) -> list[tuple[float, float, float
     also the point's `Point.dist` to c: the vector arguments of
     sweep_angle_xy."""
     cx, cy = c.x, c.y
+    xs, ys = columns(points)
     out = []
-    for p in points:
-        vx, vy = p.x - cx, p.y - cy
+    for x, y in zip(xs, ys):
+        vx, vy = x - cx, y - cy
         out.append((vx, vy, math.hypot(vx, vy)))
     return out
 
@@ -224,9 +287,8 @@ class PointIndex:
     of site matching and symmetry image sets."""
 
     def __init__(self, points: Sequence[Point], tol: Tolerance):
-        self.xs = [p.x for p in points]
-        self.ys = [p.y for p in points]
-        self.order = sorted(range(len(points)), key=self.xs.__getitem__)
+        self.xs, self.ys = columns(points)
+        self.order = sorted(range(len(self.xs)), key=self.xs.__getitem__)
         self.sorted_xs = [self.xs[j] for j in self.order]
         self.eps = tol.eps
         self.window = _window(tol.eps)
@@ -273,7 +335,7 @@ def first_coincident_pair(points: Sequence[Point], tol: Tolerance) -> tuple[int,
     row-major order, or None: a sweep of each point's x-window, which the
     sorted x-gaps decide alone when no neighbours share one (Shamos-Hoey)."""
     eps, w = tol.eps, _window(tol.eps)
-    xs = [p.x for p in points]
+    xs, ys = columns(points)
     sorted_xs = sorted(xs)
     prev = -math.inf  # -inf + w stays -inf, which passes no finite x
     for x in sorted_xs:
@@ -282,7 +344,6 @@ def first_coincident_pair(points: Sequence[Point], tol: Tolerance) -> tuple[int,
         prev = x
     else:
         return None
-    ys = [p.y for p in points]
     order = sorted(range(len(xs)), key=xs.__getitem__)  # sorted_xs in this order
     pairs = []
     for k, i in enumerate(order):
@@ -293,12 +354,11 @@ def first_coincident_pair(points: Sequence[Point], tol: Tolerance) -> tuple[int,
 
 
 def centroid(points: Sequence[Point]) -> Point:
-    if len(points) == 0:
+    xs, ys = columns(points)
+    n = len(xs)
+    if n == 0:
         raise EmptyConfiguration("centroid of an empty point set")
-    sx = math.fsum([p.x for p in points])
-    sy = math.fsum([p.y for p in points])
-    n = len(points)
-    return Point(sx / n, sy / n)
+    return Point(math.fsum(xs) / n, math.fsum(ys) / n)
 
 
 # --- smallest enclosing circle ------------------------------------------
@@ -410,11 +470,11 @@ def smallest_enclosing_circle(points: Sequence[Point]) -> Circle:
     point multiset in any input order."""
     if len(points) == 0:
         raise EmptyConfiguration("smallest enclosing circle of an empty point set")
-    cx, cy, cr = enclosing_circle_xy([(p.x, p.y) for p in points])
+    cx, cy, cr = enclosing_circle_xy(zip(*columns(points)))
     return Circle(Point(cx, cy), cr)
 
 
-def enclosing_circle_xy(xys: list[tuple[float, float]]) -> tuple[float, float, float]:
+def enclosing_circle_xy(xys: Iterable[tuple[float, float]]) -> tuple[float, float, float]:
     """smallest_enclosing_circle of non-empty (x, y) pairs, as (x, y, r), with no Point."""
     xys = sorted(xys)
     xs = [x for x, _ in xys]
@@ -443,8 +503,8 @@ def concentric_decomposition(points: Sequence[Point], center: Point,
     if len(points) == 0:
         raise EmptyConfiguration("decomposition of an empty point set")
     cx, cy = center.x, center.y
-    keys = [(math.hypot(p.x - cx, p.y - cy), p.x, p.y) for p in points]
-    order = sorted(range(len(points)), key=keys.__getitem__)
+    keys = [(math.hypot(x - cx, y - cy), x, y) for x, y in zip(*columns(points))]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
     ds = [keys[i][0] for i in order]
     layers: list[Layer] = []
     start = 0
@@ -477,10 +537,15 @@ class Frame:
             raise InvalidFrame(f"scale must be positive and parameters finite, "
                                f"got scale={self.scale}")
 
+    @cached_property
+    def x_dir(self) -> Point:
+        """The unit +x direction in the global frame, taken once per frame."""
+        return Point(math.cos(self.rotation), math.sin(self.rotation))
+
     def to_global(self, points: Iterable[Point], origin: Point = ORIGIN) -> list[Point]:
         """Every local point mirrored (about the x-axis), then rotated, scaled
-        and translated by origin, with one cos and sin."""
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
+        and translated by origin, with the frame's one cos and sin."""
+        c, s = self.x_dir.x, self.x_dir.y
         mirror, scale = self.mirror, self.scale
         tx, ty = origin.x, origin.y
         out = []
@@ -489,14 +554,22 @@ class Frame:
             out.append(Point((c * x - s * y) * scale + tx, (s * x + c * y) * scale + ty))
         return out
 
-    def to_local(self, points: Iterable[Point], origin: Point = ORIGIN) -> list[Point]:
-        """The inverse of to_global with the same origin, with one cos and sin."""
+    def to_local(self, points: Iterable[Point], origin: Point = ORIGIN) -> Points:
+        """The inverse of to_global with the same origin, with one cos and
+        sin, on the coordinate columns: a Points, whose Points are built only
+        when read.  One finiteness check of the column sums, which any inf or
+        NaN leaves non-finite, and only when it fails a Point per pair, so
+        NonFinite names the first point in input order."""
         c, s = math.cos(-self.rotation), math.sin(-self.rotation)
         mirror, scale = self.mirror, self.scale
         tx, ty = origin.x, origin.y
-        out = []
-        for p in points:
-            x, y = (p.x - tx) / scale, (p.y - ty) / scale
-            rx, ry = c * x - s * y, s * x + c * y
-            out.append(Point(rx, -ry if mirror else ry))
-        return out
+        xs, ys = columns(points)
+        lxs, lys = [0.0] * len(xs), [0.0] * len(xs)
+        for k in range(len(xs)):
+            x, y = (xs[k] - tx) / scale, (ys[k] - ty) / scale
+            lxs[k] = c * x - s * y
+            lys[k] = -(s * x + c * y) if mirror else s * x + c * y
+        if not math.isfinite(sum(lxs) + sum(lys)):
+            for x, y in zip(lxs, lys):
+                Point(x, y)
+        return Points(lxs, lys)

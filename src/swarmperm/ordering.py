@@ -31,6 +31,7 @@ from .geometry import (
     Point,
     Tolerance,
     angle_of,
+    columns,
     norm_angle,
     offsets,
     sweep_angle_xy,
@@ -196,7 +197,7 @@ def order_with_chirality(points: Sequence[Point], handedness: str = CCW,
     require_distinct(a, tol)
     CENTERED.check(a)
     c = a.centroid
-    vecs = offsets(points, c)
+    vecs = offsets(a, c)
     center_idxs = [i for i, (_, _, d) in enumerate(vecs) if d <= tol.eps]
     rest = ([i for i, (_, _, d) in enumerate(vecs) if d > tol.eps] if center_idxs
             else range(len(vecs)))
@@ -230,7 +231,7 @@ def agree_chirality(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> st
     if a.mirror_axes:
         raise MirrorSymmetric("a mirror-symmetric configuration has no canonical handedness")
     c = a.centroid
-    vecs = offsets(points, c)
+    vecs = offsets(a, c)
     idxs = [i for i, (_, _, d) in enumerate(vecs) if d > tol.eps]
     if not idxs:
         raise MirrorSymmetric("no off-centroid points to orient by")
@@ -270,7 +271,7 @@ def orient_axis(points: Sequence[Point], axis: Axis, tol: Tolerance = DEFAULT_TO
     axis, which callers exclude.  Runs on raw floats with the operation
     order of `u.dot(p - c)` and `u.cross(p - c)`, each p - c taken once."""
     cx, cy = axis.point.x, axis.point.y
-    vecs = [(p.x - cx, p.y - cy) for p in points]
+    vecs = [(x - cx, y - cy) for x, y in zip(*columns(points))]
 
     def profile(ux: float, uy: float) -> list[float]:
         rows = sorted((ux * vx + uy * vy, abs(ux * vy - uy * vx)) for vx, vy in vecs)
@@ -306,8 +307,8 @@ def order_without_chirality(points: Sequence[Point], tol: Tolerance = DEFAULT_TO
     cx, cy = c.x, c.y
     crosses: list[float] = []
     keys: list[tuple[float, float]] = []
-    for p in points:
-        vx, vy = p.x - cx, p.y - cy
+    for x, y in zip(a.xs, a.ys):
+        vx, vy = x - cx, y - cy
         cross = ux * vy - uy * vx
         crosses.append(cross)
         keys.append((ux * vx + uy * vy, abs(cross)))
@@ -344,8 +345,9 @@ def vote_tally(points: Sequence[Point], x_dirs: Sequence[Point],
 def _votes(a: Analysis, polygon: Sequence[int], x_dirs: Sequence[Point]) -> list[int]:
     """For each frame direction, the polygon vertex first met sweeping clockwise
     from it about the center: exact alignment wins, sub-eps ties go to (x, y)."""
-    eps = a.tol.eps
-    vecs = list(zip(offsets((a[v] for v in polygon), a.sec.center), polygon))
+    eps, xs, ys = a.tol.eps, a.xs, a.ys
+    rows = offsets(a, a.sec.center)
+    vecs = [(rows[v], v) for v in polygon]
     out = []
     for d in x_dirs:
         dx, dy = d.x, d.y
@@ -355,9 +357,9 @@ def _votes(a: Analysis, polygon: Sequence[int], x_dirs: Sequence[Point]) -> list
         cluster = [(s, v) for s, v in scored if s <= best_a + eps]
         zero = [v for s, v in cluster if s == 0.0]
         if zero:
-            out.append(min(zero, key=lambda v: (a[v].x, a[v].y)))
+            out.append(min(zero, key=lambda v: (xs[v], ys[v])))
         else:
-            out.append(min(cluster, key=lambda sv: (a[sv[1]].x, a[sv[1]].y))[1])
+            out.append(min(cluster, key=lambda sv: (xs[sv[1]], ys[sv[1]]))[1])
     return out
 
 
@@ -385,7 +387,7 @@ def order_from_leader(points: Sequence[Point], leader: int,
     center point appended last."""
     a = analyze(points, tol)
     eps = tol.eps
-    vecs = offsets(points, a.sec.center)
+    vecs = offsets(a, a.sec.center)
     ux, uy, un = vecs[leader]
     if un <= eps:
         raise InvalidLeader("leader must not occupy the center")

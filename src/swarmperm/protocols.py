@@ -33,6 +33,7 @@ from .geometry import (
     DEFAULT_TOL,
     Point,
     Tolerance,
+    columns,
     concentric_decomposition,
     first_coincident_pair,
     offsets,
@@ -95,8 +96,9 @@ def _swept_order(points: Sequence[Point], idxs: Sequence[int], c: Point,
     """idxs ordered by the angle swept about c, in the given handedness, from
     the start ray (a vector from c with its norm; +x is (1.0, 0.0, 1.0)) to
     each point, ties to (x, y): a point on the start ray comes first."""
-    keys = {v: (sweep_angle_xy(*start, *vec, handedness, tol.eps), points[v].x, points[v].y)
-            for v, vec in zip(idxs, offsets((points[v] for v in idxs), c))}
+    xs, ys = columns(points)
+    vecs = offsets(points, c)
+    keys = {v: (sweep_angle_xy(*start, *vecs[v], handedness, tol.eps), xs[v], ys[v]) for v in idxs}
     return sorted(idxs, key=keys.__getitem__)
 
 
@@ -208,10 +210,9 @@ def _restored(points: Sequence[Point], moves: dict[int, Point],
     """The analysis of points with each robot of moves put back, when those
     are distinct and centered symmetric; otherwise None, also when the
     layering behind that test is ambiguous."""
-    rec = [moves.get(i, p) for i, p in enumerate(points)]
-    if first_coincident_pair(rec, tol) is not None:
+    ra = Analysis([moves.get(i, p) for i, p in enumerate(points)], tol)
+    if first_coincident_pair(ra, tol) is not None:
         return None
-    ra = Analysis(rec, tol)
     try:
         return ra if ra.in_c_dot else None
     except AmbiguousLayering:
@@ -289,7 +290,8 @@ def _attempts_many(points: Analysis, tol: Tolerance) -> list[LeaderMark]:
     out: list[LeaderMark] = []
     n = len(points)
     sec = points.sec
-    boundary = [i for i in range(n) if tol.eq(points[i].dist(sec.center), sec.radius)]
+    boundary = [i for i, (_, _, d) in enumerate(offsets(points, sec.center))
+                if tol.eq(d, sec.radius)]
 
     # stretched boundary pair
     if len(boundary) == 2 and n >= 4:

@@ -20,9 +20,12 @@ from .geometry import (
     Layer,
     Point,
     PointIndex,
+    Points,
     Tolerance,
     angle_of,
+    as_points,
     centroid,
+    columns,
     concentric_decomposition,
     enclosing_circle_xy,
     first_coincident_pair,
@@ -58,12 +61,13 @@ class _cached(cached_property):
         return self if a is None else a.__dict__.setdefault(self.attrname, self.func(a))
 
 
-class Analysis(tuple):
-    """A tuple of points that computes what the protocols ask of it, each
-    part at most once, on first use, by calling the public function that a
-    standalone query calls.  There are three exceptions.  `in_c_dot` counts
-    the rotations of the robots other than the center robot in `_symmetries`,
-    the loop behind `rotational_order` and `mirror_axes`, up to the second.
+class Analysis(Points):
+    """A point set's columns, a `Points`, that computes what the protocols
+    ask of it, each part at most once, on first use, by calling the public
+    function that a standalone query calls.  There are three exceptions.
+    `in_c_dot` counts the rotations of the robots other than the center
+    robot in `_symmetries`, the loop behind `rotational_order` and
+    `mirror_axes`, up to the second.
     `no_center_robot` bounds the enclosing radius from the bounding box and
     circles of four or five extreme robots, never the full circle.  Only
     `CENTERED` reads it: the refusing protocols use the circle for nothing
@@ -71,16 +75,19 @@ class Analysis(tuple):
     a robot sits at or near the center, so the bound never decides there.
     `is_central_symmetric` tests the half turn alone, one image test.
     A protocol builds one per snapshot and drops it when the step returns.
+    Its Points are built only when read: a step that reads the columns
+    through the kernels builds only the Points it returns or keeps, such as
+    the centroid.
 
     It is also the one report of a configuration: `classify` and
     `symmetry_report` return it, and the facts that `swarmperm classify`
     prints, from `rho` to `unique_axis_no_robots`, are attributes computed
     on first read like the rest."""
 
-    def __new__(cls, points: Iterable[Point], tol: Tolerance = DEFAULT_TOL):
-        self = super().__new__(cls, points)
+    def __init__(self, points: Iterable[Point], tol: Tolerance = DEFAULT_TOL):
+        pts = as_points(points)
+        super().__init__(pts.xs, pts.ys, pts._points)
         self.tol = tol
-        return self
 
     @_cached
     def sec(self) -> Circle:
@@ -105,7 +112,8 @@ class Analysis(tuple):
         rc = self.center_index
         if rc is None or len(self) < 3:
             return None
-        return Analysis([p for i, p in enumerate(self) if i != rc], self.tol)
+        xs, ys = self.xs, self.ys
+        return Analysis(Points(xs[:rc] + xs[rc + 1:], ys[:rc] + ys[rc + 1:]), self.tol)
 
     @_cached
     def k_without_center(self) -> int:
@@ -187,7 +195,7 @@ class Analysis(tuple):
     def is_central_symmetric(self) -> bool:
         """The half turn about the centroid: one image test of 2c - p."""
         return len(self) > 1 and self.point_index.matches(
-            (c.x + c.x - p.x, c.y + c.y - p.y) for c in [self.centroid] for p in self)
+            (c.x + c.x - x, c.y + c.y - y) for c in [self.centroid] for x, y in zip(self.xs, self.ys))
 
     @_cached
     def rho(self) -> int:
@@ -227,14 +235,14 @@ def _symmetries(a: Analysis, mirror: bool, stop: int) -> list[int]:
     then to norm 1; the map passes when `PointIndex.matches` takes the
     images onto the points.  No cos or sin is taken."""
     cx, cy = a.centroid.x, a.centroid.y
-    layer = a.reference_layer
-    bx, by = a[layer[0]].x - cx, a[layer[0]].y - cy
+    xs, ys, layer = a.xs, a.ys, a.reference_layer
+    bx, by = xs[layer[0]] - cx, ys[layer[0]] - cy
     k = -math.frexp(math.hypot(bx, by))[1]
     bx, by = math.ldexp(bx, k), math.ldexp(by if mirror else -by, k)
-    zs = [(p.x - cx, cy - p.y if mirror else p.y - cy) for p in a]
+    zs = [(x - cx, cy - y if mirror else y - cy) for x, y in zip(xs, ys)]
     hits: list[int] = []
     for i in layer:
-        mx, my = math.ldexp(a[i].x - cx, k), math.ldexp(a[i].y - cy, k)
+        mx, my = math.ldexp(xs[i] - cx, k), math.ldexp(ys[i] - cy, k)
         wx, wy = mx * bx - my * by, mx * by + my * bx
         wd = math.hypot(wx, wy)
         wx, wy = wx / wd, wy / wd
@@ -270,8 +278,8 @@ def robots_on_axis(points: Sequence[Point], axis: Axis, tol: Tolerance = DEFAULT
     cx, cy = axis.point.x, axis.point.y
     dx, dy = axis.direction.x, axis.direction.y
     bound = tol.eps * max(1.0, math.hypot(dx, dy))
-    return tuple(i for i, p in enumerate(points)
-                 if abs((p.x - cx) * dy - (p.y - cy) * dx) <= bound)
+    return tuple(i for i, (x, y) in enumerate(zip(*columns(points)))
+                 if abs((x - cx) * dy - (y - cy) * dx) <= bound)
 
 
 def require_distinct(points: Sequence[Point], tol: Tolerance) -> None:
@@ -292,7 +300,7 @@ def symmetry_report(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> An
 def center_robot_index(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> int | None:
     """Index of the unique robot on the smallest enclosing circle's center, or None."""
     a = analyze(points, tol)
-    hits = [i for i, (_, _, d) in enumerate(offsets(points, a.sec.center)) if d <= tol.eps]
+    hits = [i for i, (_, _, d) in enumerate(offsets(a, a.sec.center)) if d <= tol.eps]
     return hits[0] if len(hits) == 1 else None
 
 
@@ -316,15 +324,16 @@ def _box_extremes(xs: list[float], ys: list[float]) -> list[tuple[float, float]]
         [i for i, x in enumerate(xs) if x == lo], key=ys.__getitem__)
     e = xs.index(hi) if xs.count(hi) == 1 else max(
         [i for i, x in enumerate(xs) if x == hi], key=ys.__getitem__)
-    return [(xs[i], ys[i]) for i in (w, e, ys.index(min(ys)), ys.index(max(ys)))]
+    s, n = ys.index(min(ys)), ys.index(max(ys))
+    return [(xs[w], ys[w]), (xs[e], ys[e]), (xs[s], ys[s]), (xs[n], ys[n])]
 
 
 def _no_center_robot(points: Sequence[Point], eps: float) -> bool:
     """True when every robot has a robot farther than that bound from it,
     so none is the center robot."""
-    if not points:  # the circle raises EmptyConfiguration
+    xs, ys = columns(points)
+    if not xs:  # the circle raises EmptyConfiguration
         return False
-    xs, ys = [p.x for p in points], [p.y for p in points]
     (wx, wy), (ex, ey), (sx, sy), (nx, ny) = core = _box_extremes(xs, ys)
     # halves before the sum: the center stays finite for every finite box
     bx, by = 0.5 * wx + 0.5 * ex, 0.5 * sy + 0.5 * ny

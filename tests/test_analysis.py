@@ -356,3 +356,45 @@ def test_visit_all_chirality_compute_builds_no_point_index(monkeypatch):
     assert computes == 52 and built == []
     tied = _snapshots(column, "identical")[0].local_points
     assert tied[0].x == tied[1].x  # the sweep runs on this set
+
+
+def _count_points(monkeypatch) -> list:
+    """A one-item list counting every Point built from now on."""
+    import swarmperm.geometry as geometry
+
+    built = [0]
+    init = geometry.Point.__init__
+
+    def counted_init(self, x, y):
+        built[0] += 1
+        init(self, x, y)
+
+    monkeypatch.setattr(geometry.Point, "__init__", counted_init)
+    return built
+
+
+def test_visit_all_chirality_builds_o_n_points_per_round(monkeypatch):
+    """A snapshot holds coordinate columns and builds no Point.  On generic
+    snapshots, where the bound settles the centered guard, a compute reads
+    the columns through the kernels and builds two Points, the centroid and
+    the destination, and a round adds one per robot for its destination in
+    the global frame: 3n Points a round, not n^2.  (A frame's first round
+    also builds its +x direction, once.)"""
+    rng = random.Random(67)
+    proto = make_protocol("VisitAllChirality")
+    built = _count_points(monkeypatch)
+    for n in (3, 5, 8, 12, 20):
+        pts = rand_non_c_dot(rng, n)
+        frames = adversary_frames("pairwise_distinct", pts, seed=n)
+        for i in range(n):
+            start = built[0]
+            snap = to_local_snapshot(pts, frames, i)
+            assert built[0] == start
+            assert Analysis(snap.local_points, proto.tol).no_center_robot
+            start = built[0]
+            proto.compute(snap, 0)
+            assert built[0] - start == 2
+        fsync_round(pts, frames, proto, [0] * n)
+        start = built[0]
+        fsync_round(pts, frames, proto, [0] * n)
+        assert built[0] - start == 3 * n

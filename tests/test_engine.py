@@ -241,6 +241,18 @@ def test_frame_that_cannot_hold_the_floats_is_invalid():
         "InvalidFrame: a destination does not map back to the global frame")
 
 
+def test_frame_that_cannot_hold_the_floats_names_robot_and_point():
+    """Robot 1's unit of 1e-300 takes the two far robots past the floats:
+    the trace names the robot, its scale and the first of them."""
+    pts = [Point(0.0, 0.0), Point(1.0, 2.0), Point(-2e10, 0.0), Point(3e10, 0.0)]
+    frames = [Frame(), Frame(0.5, False, 1e-300), Frame(), Frame()]
+    for protocol_id in ("VisitAllChirality", "VotingVisitAll"):
+        trace = run(pts, frames, make_protocol(protocol_id), 1)
+        assert trace.records[-1].error == (
+            "InvalidFrame: robot 1's frame (scale 1e-300) cannot hold the configuration: "
+            "point coordinates must be finite, got (-inf, inf)")
+
+
 def test_compute_that_leaves_the_finite_floats_is_invalid():
     # one robot's local enclosing circle overflows: the run records it
     pts = [Point(1e308, 0.0), Point(1.5e308, 0.0), Point(1e308, 1e308)]

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+from collections import namedtuple
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -151,6 +152,39 @@ def test_transform_rejects_bad_scale():
         with pytest.raises(InvalidFrame, match=r"^scale must be positive and parameters "
                                                r"finite, got scale="):
             Frame(0.0, False, scale)
+
+
+_OVERFLOWING = [Point(0.0, 0.0), Point(1.0, 2.0), Point(-2e10, 0.0), Point(3e10, 0.0)]
+
+
+@pytest.mark.parametrize("mirror, swap, got", [(False, False, "(-inf, inf)"),
+                                               (False, True, "(inf, -inf)"),
+                                               (True, False, "(-inf, -inf)"),
+                                               (True, True, "(inf, inf)")])
+def test_to_local_names_the_first_point_that_leaves_the_floats(mirror, swap, got):
+    """A unit of 1e-300 takes the last two points past the floats, each to
+    its own pair of infinities: the error names the first in input order."""
+    pts = _OVERFLOWING[:2] + _OVERFLOWING[2:][::-1] if swap else _OVERFLOWING
+    with pytest.raises(NonFinite) as info:
+        Frame(0.5, mirror, 1e-300).to_local(pts, pts[0])
+    assert str(info.value) == f"point coordinates must be finite, got {got}"
+
+
+def test_to_local_names_a_nan_input_before_a_later_overflow():
+    """A point type that holds a NaN maps to NaNs, named ahead of a later
+    point that overflows."""
+    xy = namedtuple("xy", "x y")
+    with pytest.raises(NonFinite) as info:
+        Frame(0.5).to_local([Point(1.0, 2.0), xy(math.nan, 1.0), Point(3e300, 0.0)],
+                            Point(-1e300, 0.0))
+    assert str(info.value) == "point coordinates must be finite, got (nan, nan)"
+
+
+def test_to_local_keeps_finite_points_whose_sums_overflow():
+    """Coordinates near the float limit whose column sums overflow are all
+    finite: the per-point check runs and passes them through."""
+    pts = [Point(1.5e308, -1.5e308), Point(1.6e308, -1.6e308), Point(-1e308, 1e308)]
+    assert list(Frame().to_local(pts)) == pts
 
 
 def test_mirror_flips_orientation():
