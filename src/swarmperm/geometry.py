@@ -207,10 +207,7 @@ class Tolerance:
 
     def ray_aligned(self, u: Point, v: Point) -> bool:
         """True when u and v point along the same ray from the origin."""
-        nu, nv = u.norm(), v.norm()
-        if nu <= self.eps or nv <= self.eps:
-            return False
-        return u.dot(v) > 0.0 and abs(u.cross(v)) <= self.eps * nu * nv
+        return aligned_xy(u.x, u.y, u.norm(), v.x, v.y, v.norm(), self.eps)
 
 
 DEFAULT_TOL = Tolerance()
@@ -249,17 +246,22 @@ def sweep_angle_xy(ux: float, uy: float, nu: float, vx: float, vy: float, nv: fl
     within eps, otherwise the ccw angle, or 2*pi minus it for CW.  A vector
     no longer than eps (a unit axis once eps >= 1) is never aligned, so CW
     also maps a 2*pi that only rounding produced, as for an exactly aligned
-    such vector, to 0.  The test is `Tolerance.ray_aligned` on floats; the
-    angle is `norm_angle` of the atan2 of the cross and dot products."""
-    dot = ux * vx + uy * vy
-    cross = ux * vy - uy * vx
-    if nu > eps and nv > eps and dot > 0.0 and abs(cross) <= eps * nu * nv:
+    such vector, to 0.  The test is `aligned_xy`; the angle is `norm_angle`
+    of the atan2 of the cross and dot products."""
+    if aligned_xy(ux, uy, nu, vx, vy, nv, eps):
         return 0.0
-    a = norm_angle(math.atan2(cross, dot))
+    a = norm_angle(math.atan2(ux * vy - uy * vx, ux * vx + uy * vy))
     if handedness == CCW:
         return a
     cw = TWO_PI - a
     return cw if cw < TWO_PI else 0.0
+
+
+def aligned_xy(ux: float, uy: float, nu: float, vx: float, vy: float, nv: float,
+               eps: float) -> bool:
+    """The one alignment rule: rays (ux, uy) and (vx, vy), of norms nu and nv
+    over eps, with |u x v| <= eps nu nv and u . v > 0; `Tolerance.ray_aligned` on floats."""
+    return nu > eps and nv > eps and ux * vx + uy * vy > 0.0 and abs(ux * vy - uy * vx) <= eps * nu * nv
 
 
 def offsets(points: Iterable[Point], c: Point) -> list[tuple[float, float, float]]:
@@ -500,10 +502,15 @@ def concentric_decomposition(points: Sequence[Point], center: Point,
     stretches over more than eps, also from the center, has no
     well-defined layering and raises AmbiguousLayering.
     """
-    if len(points) == 0:
-        raise EmptyConfiguration("decomposition of an empty point set")
     cx, cy = center.x, center.y
-    keys = [(math.hypot(x - cx, y - cy), x, y) for x, y in zip(*columns(points))]
+    return rings_by_radius([(math.hypot(x - cx, y - cy), x, y) for x, y in zip(*columns(points))],
+                           center, tol)
+
+
+def rings_by_radius(keys: list[tuple], center: Point, tol: Tolerance) -> tuple[Layer, ...]:
+    """concentric_decomposition of the points keyed (distance from center, x, y)."""
+    if not keys:
+        raise EmptyConfiguration("decomposition of an empty point set")
     order = sorted(range(len(keys)), key=keys.__getitem__)
     ds = [keys[i][0] for i in order]
     layers: list[Layer] = []

@@ -30,7 +30,6 @@ from .geometry import (
     TWO_PI,
     Point,
     Tolerance,
-    angle_of,
     columns,
     norm_angle,
     offsets,
@@ -321,15 +320,16 @@ def order_without_chirality(points: Sequence[Point], tol: Tolerance = DEFAULT_TO
 
 def inner_polygon(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> tuple[int, ...]:
     """Indices of the innermost ring about the center of the smallest
-    enclosing circle, in ccw angular order."""
+    enclosing circle, in ccw angular order: the angle of each one's row in
+    the analysis."""
     a = analyze(points, tol)
     if len(points) < 3:
         raise DegenerateReference("inner polygon needs at least 3 points")
-    c = a.sec.center
     if not a.layers:
         raise DegenerateReference("all points coincide with the center")
+    rows = a.rows
     return tuple(sorted(a.layers[0].indices,
-                        key=lambda i: norm_angle(angle_of(points[i] - c))))
+                        key=lambda i: norm_angle(math.atan2(rows[i][1], rows[i][0]))))
 
 
 def vote_tally(points: Sequence[Point], x_dirs: Sequence[Point],
@@ -345,8 +345,7 @@ def vote_tally(points: Sequence[Point], x_dirs: Sequence[Point],
 def _votes(a: Analysis, polygon: Sequence[int], x_dirs: Sequence[Point]) -> list[int]:
     """For each frame direction, the polygon vertex first met sweeping clockwise
     from it about the center: exact alignment wins, sub-eps ties go to (x, y)."""
-    eps, xs, ys = a.tol.eps, a.xs, a.ys
-    rows = offsets(a, a.sec.center)
+    eps, xs, ys, rows = a.tol.eps, a.xs, a.ys, a.rows
     vecs = [(rows[v], v) for v in polygon]
     out = []
     for d in x_dirs:
@@ -387,7 +386,7 @@ def order_from_leader(points: Sequence[Point], leader: int,
     center point appended last."""
     a = analyze(points, tol)
     eps = tol.eps
-    vecs = offsets(a, a.sec.center)
+    vecs = a.rows
     ux, uy, un = vecs[leader]
     if un <= eps:
         raise InvalidLeader("leader must not occupy the center")

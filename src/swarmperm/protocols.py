@@ -32,12 +32,14 @@ from .geometry import (
     CW,
     DEFAULT_TOL,
     Point,
+    Points,
     Tolerance,
+    aligned_xy,
     columns,
     concentric_decomposition,
+    enclosing_circle_xy,
     first_coincident_pair,
     offsets,
-    smallest_enclosing_circle,
     sweep_angle_xy,
 )
 from .ordering import (
@@ -80,6 +82,8 @@ def decode_hop(e: float, m: int) -> int:
     if m < 2:
         raise InvalidHop(f"need at least 2 slots, got m={m}")
     x = 2.0 * (e - 0.5) * (m + 1) - 1.0
+    if not math.isfinite(x):  # round() would raise an untyped error
+        raise DecodeFailure(f"value {e} is outside every guard band (m={m})")
     # nearest codeword; round() alone can tip over at an exact band edge
     i = min(max(round(x), 0), m - 1)
     best = min((j for j in (i - 1, i, i + 1) if 0 <= j < m),
@@ -95,9 +99,12 @@ def _swept_order(points: Sequence[Point], idxs: Sequence[int], c: Point,
                  tol: Tolerance) -> list[int]:
     """idxs ordered by the angle swept about c, in the given handedness, from
     the start ray (a vector from c with its norm; +x is (1.0, 0.0, 1.0)) to
-    each point, ties to (x, y): a point on the start ray comes first."""
+    each point, ties to (x, y): a point on the start ray comes first.  The
+    vectors are an analysis's rows when c is its circle's center, else the
+    offsets of idxs alone."""
     xs, ys = columns(points)
-    vecs = offsets(points, c)
+    vecs = (points.rows if isinstance(points, Analysis) and c == points.sec.center else
+            dict(zip(idxs, offsets(Points([xs[v] for v in idxs], [ys[v] for v in idxs]), c))))
     keys = {v: (sweep_angle_xy(*start, *vecs[v], handedness, tol.eps), xs[v], ys[v]) for v in idxs}
     return sorted(idxs, key=keys.__getitem__)
 
@@ -114,13 +121,11 @@ def select_pivot(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> int:
     the caller's position.
     """
     a = analyze(points, tol)
-    c = a.sec.center
     ring = list(reversed(a.inner_polygon))
-    m = len(ring)
-    us = offsets((points[i] for i in ring), c)
-    gaps = [sweep_angle_xy(*us[t], *us[(t + 1) % m], CW, tol.eps) for t in range(m)]
+    us = [a.rows[i] for i in ring]
+    gaps = [sweep_angle_xy(*u, *v, CW, tol.eps) for u, v in zip(us, us[1:] + us[:1])]
     candidates = [ring[s] for s in least_rotations(gaps, 1, tol)]
-    return _swept_order(points, candidates, c, (1.0, 0.0, 1.0), CW, tol)[0]
+    return _swept_order(a, candidates, a.sec.center, (1.0, 0.0, 1.0), CW, tol)[0]
 
 
 def _centered_prologue(points: Sequence[Point], tol: Tolerance,
@@ -207,10 +212,13 @@ def compute_movement_not_central(points: Sequence[Point], own: int,
 
 def _restored(points: Sequence[Point], moves: dict[int, Point],
               tol: Tolerance) -> Analysis | None:
-    """The analysis of points with each robot of moves put back, when those
-    are distinct and centered symmetric; otherwise None, also when the
-    layering behind that test is ambiguous."""
-    ra = Analysis([moves.get(i, p) for i, p in enumerate(points)], tol)
+    """The analysis of a copy of the points' columns with each robot of
+    moves put back, when those are distinct and centered symmetric;
+    otherwise None, also when the layering behind that test is ambiguous."""
+    xs, ys = map(list, columns(points))
+    for i, p in moves.items():
+        xs[i], ys[i] = p.x, p.y
+    ra = Analysis(Points(xs, ys), tol)
     if first_coincident_pair(ra, tol) is not None:
         return None
     try:
@@ -219,32 +227,42 @@ def _restored(points: Sequence[Point], moves: dict[int, Point],
         return None
 
 
-def _eighth_out(points: Sequence[Point], q: int, ra: Analysis, c: Point,
-                tol: Tolerance) -> bool:
-    """True when robot q stands an eighth of ra's innermost radius from c,
-    where the central robot's slide toward the pivot puts it."""
-    return tol.eq(points[q].dist(c), ra[ra.inner_polygon[0]].dist(c) / 8.0)
+def _eighth_out(points: Analysis, q: int, ra: Analysis, c: Point, tol: Tolerance) -> list[int]:
+    """The vertices of ra's inner polygon on robot q's ray from c, when q
+    stands an eighth of ra's innermost radius from c, where the central
+    robot's slide toward the pivot puts it; otherwise none.  On floats, the
+    ray test by `aligned_xy`."""
+    p1 = ra.inner_polygon
+    (ux, uy, nu), *vecs = offsets(Points([points.xs[q], *(ra.xs[v] for v in p1)],
+                                         [points.ys[q], *(ra.ys[v] for v in p1)]), c)
+    if not tol.eq(nu, vecs[0][2] / 8.0):
+        return []
+    return [v for v, vec in zip(p1, vecs) if aligned_xy(ux, uy, nu, *vec, tol.eps)]
 
 
-def _finish_mark(points: Sequence[Point], leader: int, origin: Point, e: float,
+def _finish_mark(points: Analysis, leader: int, origin: Point, e: float,
                  c: Point, case: str, tol: Tolerance) -> LeaderMark | None:
     """Shared tail of the two-mover cases, the leader put back at origin:
-    locate and snap the displaced central robot, validate the restored
-    configuration, and decode the pivot from the leader's encoded fraction."""
-    rest = [i for i in range(len(points)) if i != leader]
+    locate and snap the displaced central robot, layering the rest from
+    column slices, validate the restored configuration, and decode the pivot
+    from the leader's encoded fraction e.  No slot count below 2.5e11
+    decodes an e outside (1/2, 1), so such an e returns None first."""
+    if not 0.5 < e < 1.0:
+        return None
+    xs, ys = columns(points)
     try:
-        rings = concentric_decomposition([points[i] for i in rest], c, tol)
+        rings = concentric_decomposition(
+            Points(xs[:leader] + xs[leader + 1:], ys[:leader] + ys[leader + 1:]), c, tol)
     except AmbiguousLayering:
         return None
     if not rings or len(rings[0].indices) != 1:
         return None
-    qc = rest[rings[0].indices[0]]
+    qc = rings[0].indices[0]
+    qc += qc >= leader
     ra = _restored(points, {leader: origin, qc: c}, tol)
     if ra is None or not _eighth_out(points, qc, ra, c, tol):
         return None
     p1 = ra.inner_polygon
-    if not any(tol.ray_aligned(points[qc] - c, ra[v] - c) for v in p1):
-        return None
     try:
         nhop = decode_hop(e, len(p1))
     except (DecodeFailure, InvalidHop):
@@ -287,42 +305,37 @@ def _attempts_three(points: Sequence[Point], tol: Tolerance) -> list[LeaderMark]
 
 
 def _attempts_many(points: Analysis, tol: Tolerance) -> list[LeaderMark]:
-    out: list[LeaderMark] = []
-    n = len(points)
-    sec = points.sec
-    boundary = [i for i, (_, _, d) in enumerate(offsets(points, sec.center))
-                if tol.eq(d, sec.radius)]
+    out: list[LeaderMark | None] = []  # None for a rejected two-mover candidate
+    sec, rows = points.sec, points.rows
+    boundary = [i for i, (_, _, d) in enumerate(rows) if tol.eq(d, sec.radius)]
 
     # stretched boundary pair
-    if len(boundary) == 2 and n >= 4:
-        i1, i2 = boundary
-        rest = [points[i] for i in range(n) if i not in boundary]
-        c2 = smallest_enclosing_circle(rest).center
-        d1, d2 = points[i1].dist(c2), points[i2].dist(c2)
+    if len(boundary) == 2:
+        xs, ys = points.xs, points.ys
+        c2 = Point(*enclosing_circle_xy(xy for i, xy in enumerate(zip(xs, ys)) if i not in boundary)[:2])
+        d1, d2 = (math.hypot(xs[i] - c2.x, ys[i] - c2.y) for i in boundary)
         if not tol.eq(d1, d2):
-            lead, anchor = (i1, i2) if d1 > d2 else (i2, i1)
-            span = points[lead].dist(points[anchor])
-            d_anchor = points[anchor].dist(c2)
+            lead, anchor = boundary if d1 > d2 else boundary[::-1]
+            d_anchor = min(d1, d2)
+            ux, uy = xs[lead] - xs[anchor], ys[lead] - ys[anchor]
+            span = math.hypot(ux, uy)
             if d_anchor > tol.eps:
                 e = span / d_anchor - 2.0
-                if tol.ray_aligned(points[lead] - points[anchor], c2 - points[anchor]):
+                if aligned_xy(ux, uy, span, c2.x - xs[anchor], c2.y - ys[anchor], d_anchor, tol.eps):
                     origin = c2 * 2.0 - points[anchor]
-                    mark = _finish_mark(points, lead, origin, e, c2, "L2.3", tol)
-                    if mark:
-                        out.append(mark)
+                    out.append(_finish_mark(points, lead, origin, e, c2, "L2.3", tol))
 
     try:
         rings = points.layers
     except AmbiguousLayering:
-        return out
+        return [mk for mk in out if mk]
     c = sec.center
 
     # outermost triple knocked out of its equal spacing
     outer = rings[-1]
     if len(outer.indices) == 3:
-        vecs = dict(zip(outer.indices, offsets((points[i] for i in outer.indices), c)))
         ring = _swept_order(points, outer.indices, c, (1.0, 0.0, 1.0), CCW, tol)
-        gaps = [sweep_angle_xy(*vecs[ring[t]], *vecs[ring[(t + 1) % 3]], CCW, tol.eps)
+        gaps = [sweep_angle_xy(*rows[ring[t]], *rows[ring[(t + 1) % 3]], CCW, tol.eps)
                 for t in range(3)]
         if not all(tol.eq(g, THIRD_TURN) for g in gaps):
             t_min = min(range(3), key=lambda t: gaps[t])
@@ -332,44 +345,35 @@ def _attempts_many(points: Analysis, tol: Tolerance) -> list[LeaderMark]:
                 ahead = ring[(t_min + 1) % 3]
                 e = gaps[t_min] / THIRD_TURN
                 origin = c + (points[ahead] - c).rotated(-THIRD_TURN)
-                mark = _finish_mark(points, lead, origin, e, c, "L2.2", tol)
-                if mark:
-                    out.append(mark)
+                out.append(_finish_mark(points, lead, origin, e, c, "L2.2", tol))
 
     singles = [layer for layer in rings if len(layer.indices) == 1]
 
     # leader parked between two layers
-    if len(singles) >= 2:
-        qc_layer = singles[0]
-        for ql_layer in singles[1:]:
-            ql = ql_layer.indices[0]
-            rho_l = points[ql].dist(c)
-            skip = {ql, qc_layer.indices[0]}
-            clean = [0.0] + [layer.radius for layer in rings
-                             if not (set(layer.indices) & skip)]
-            above = [r for r in clean if tol.gt(r, rho_l)]
-            if not above:
-                continue
-            rho_above = min(above)
-            rho_below = max(r for r in clean if tol.lt(r, rho_l))
-            x = rho_above - rho_below
-            if x <= tol.eps:
-                continue
-            e = 2.0 * (rho_above - rho_l) / x
-            origin = c + (points[ql] - c).unit() * rho_above
-            mark = _finish_mark(points, ql, origin, e, c, "L2.1", tol)
-            if mark:
-                out.append(mark)
+    for ql_layer in singles[1:]:
+        ql = ql_layer.indices[0]
+        rho_l = rows[ql][2]
+        clean = [0.0] + [layer.radius for layer in rings if layer not in (singles[0], ql_layer)]
+        above = [r for r in clean if tol.gt(r, rho_l)]
+        if not above:
+            continue
+        rho_above = min(above)
+        rho_below = max(r for r in clean if tol.lt(r, rho_l))
+        x = rho_above - rho_below
+        if x <= tol.eps:
+            continue
+        e = 2.0 * (rho_above - rho_l) / x
+        origin = c + (points[ql] - c).unit() * rho_above
+        out.append(_finish_mark(points, ql, origin, e, c, "L2.1", tol))
 
     # only the central robot moved
     if singles:
         q = singles[0].indices[0]
         ra = _restored(points, {q: c}, tol)
-        if ra is not None and _eighth_out(points, q, ra, c, tol):
-            hits = [v for v in ra.inner_polygon if tol.ray_aligned(points[q] - c, ra[v] - c)]
-            if len(hits) == 1:
-                out.append(LeaderMark(q, hits[0], ra, "C2"))
-    return out
+        hits = [] if ra is None else _eighth_out(points, q, ra, c, tol)
+        if len(hits) == 1:
+            out.append(LeaderMark(q, hits[0], ra, "C2"))
+    return [mk for mk in out if mk]
 
 
 def reconstruct(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> LeaderMark:

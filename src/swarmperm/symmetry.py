@@ -30,6 +30,7 @@ from .geometry import (
     enclosing_circle_xy,
     first_coincident_pair,
     offsets,
+    rings_by_radius,
     smallest_enclosing_circle,
 )
 
@@ -74,6 +75,9 @@ class Analysis(Points):
     else, while the centered steps go on to use it, and on their snapshots
     a robot sits at or near the center, so the bound never decides there.
     `is_central_symmetric` tests the half turn alone, one image test.
+    `rows` holds each robot's offset from the enclosing circle's center,
+    taken once for every centered reader, from `center_robot_index` and
+    `layers` to OneBit's reconstruction.
     A protocol builds one per snapshot and drops it when the step returns.
     Its Points are built only when read: a step that reads the columns
     through the kernels builds only the Points it returns or keeps, such as
@@ -93,6 +97,11 @@ class Analysis(Points):
     def sec(self) -> Circle:
         """The smallest enclosing circle."""
         return smallest_enclosing_circle(self)
+
+    @_cached
+    def rows(self) -> list[tuple[float, float, float]]:
+        """Each robot's `offsets` row, its vector and distance, from the circle's center."""
+        return offsets(self, self.sec.center)
 
     @_cached
     def center_index(self) -> int | None:
@@ -149,8 +158,9 @@ class Analysis(Points):
 
     @_cached
     def layers(self) -> tuple[Layer, ...]:
-        """Concentric rings about the circle center, innermost first."""
-        return concentric_decomposition(self, self.sec.center, self.tol)
+        """Concentric rings about the circle center, innermost first, from the rows' radii."""
+        keys = [(d, x, y) for (_, _, d), x, y in zip(self.rows, self.xs, self.ys)]
+        return rings_by_radius(keys, self.sec.center, self.tol)
 
     @_cached
     def inner_polygon(self) -> tuple[int, ...]:
@@ -298,9 +308,9 @@ def symmetry_report(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> An
 
 
 def center_robot_index(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> int | None:
-    """Index of the unique robot on the smallest enclosing circle's center, or None."""
+    """Index of the unique robot within eps of the circle's center, by the rows, or None."""
     a = analyze(points, tol)
-    hits = [i for i, (_, _, d) in enumerate(offsets(a, a.sec.center)) if d <= tol.eps]
+    hits = [i for i, (_, _, d) in enumerate(a.rows) if d <= tol.eps]
     return hits[0] if len(hits) == 1 else None
 
 

@@ -398,3 +398,79 @@ def test_visit_all_chirality_builds_o_n_points_per_round(monkeypatch):
         start = built[0]
         fsync_round(pts, frames, proto, [0] * n)
         assert built[0] - start == 3 * n
+
+
+def _record_offsets(monkeypatch) -> list:
+    """The (points, center) of every `offsets` call from now on, in every
+    module that calls it."""
+    import swarmperm.geometry as geometry
+    import swarmperm.ordering as ordering
+    import swarmperm.protocols as protocols
+    import swarmperm.symmetry as symmetry
+
+    calls: list = []
+    real = geometry.offsets
+
+    def recorded(points, c):
+        calls.append((points, c))
+        return real(points, c)
+
+    for module in (geometry, symmetry, ordering, protocols):
+        monkeypatch.setattr(module, "offsets", recorded)
+    return calls
+
+
+def test_centered_steps_take_one_row_set_per_analysis(monkeypatch):
+    """OneBit's centered and off-center steps and Voting's elections read
+    each analysis's offsets from its own enclosing circle's center from one
+    cached row set: at most one such `offsets` call per Analysis built.  And
+    a reconstruction reads the robots through columns and rows, so the
+    Points it builds do not grow with n: each candidate analysis builds at
+    most 2 (its circle's center and the centroid of its robots but the
+    center one), and an origin at most 5, so no reconstruct on these sets
+    builds more than 15, from n = 4 to 16 (reading by index, the columnar
+    code before the row cache built 18 to 71)."""
+    import swarmperm.protocols as protocols
+
+    calls = _record_offsets(monkeypatch)
+    built = _count_points(monkeypatch)
+    analyses: list = []
+    init = Analysis.__init__
+    monkeypatch.setattr(Analysis, "__init__",
+                        lambda self, *args: analyses.append(self) or init(self, *args))
+    rebuilds: list = []
+    real = protocols.reconstruct
+
+    def counted_reconstruct(points, tol):
+        start = built[0]
+        mark = real(points, tol)
+        rebuilds.append((len(points), built[0] - start))
+        return mark
+
+    monkeypatch.setattr(protocols, "reconstruct", counted_reconstruct)
+    steps = {"one-bit centered": 0, "one-bit off-center": 0, "voting": 0}
+    rng = random.Random(69)
+    for name in ("OneBitVisitAll", "VotingVisitAll"):
+        proto = make_protocol(name)
+        for n in (4, 5, 7, 9, 10, 13, 16):
+            pts = rand_c_dot(rng, n)
+            frames = adversary_frames("pairwise_distinct", pts, seed=n)
+            bits = (0,) * n
+            for _ in range(4):
+                for i in range(n):
+                    snap = to_local_snapshot(pts, frames, i, proto.needs_visible_frames)
+                    first, start = len(analyses), len(calls)
+                    proto.compute(snap, bits[i])
+                    own = [id(p) for p, c in calls[start:] if isinstance(p, Analysis)
+                           and "sec" in p.__dict__ and c == p.sec.center]
+                    assert len(own) == len(set(own)) <= len(analyses) - first
+                    if name == "VotingVisitAll":
+                        steps["voting"] += analyses[first].in_c_dot
+                    elif analyses[first].in_c_dot:
+                        steps["one-bit centered"] += 1
+                    else:
+                        steps["one-bit off-center"] += bits[i]
+                pts, bits, _ = fsync_round(pts, frames, proto, bits)
+    assert min(steps.values()) > 0
+    assert {n for n, _ in rebuilds} == {4, 5, 7, 9, 10, 13, 16}
+    assert max(count for _, count in rebuilds) <= 15

@@ -138,3 +138,41 @@ def test_no_parallel_tables():
         for name, keys in _dict_tables(ast.parse(p.read_text())):
             by_keys.setdefault(keys, []).append(f"{p.name}:{name}")
     assert [names for names in by_keys.values() if len(names) > 1] == []
+
+
+def _row_recomputations(tree: ast.Module) -> list[int]:
+    """Lines of `offsets(x, x.sec.center)` calls, or of `offsets(x,
+    sec.center)`, outside `Analysis.rows`: the rows about an analysis's own
+    circle center, which that property caches once per analysis."""
+    lines: list[int] = []
+
+    def walk(node: ast.AST, path: tuple) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            path = path + (node.name,)
+        if isinstance(node, ast.Call) and len(node.args) == 2 and path[-2:] != ("Analysis", "rows"):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            x, c = (ast.unparse(arg) for arg in node.args)
+            if name == "offsets" and c in (f"{x}.sec.center", "sec.center"):
+                lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            walk(child, path)
+
+    walk(tree, ())
+    return lines
+
+
+def test_row_check_sees_a_recomputation():
+    src = ("class Analysis:\n"
+           "    def rows(self):\n"
+           "        return offsets(self, self.sec.center)\n"
+           "def f(a, sec):\n"
+           "    return offsets(a, a.sec.center), geometry.offsets(a, sec.center), offsets(a, c)\n")
+    assert _row_recomputations(ast.parse(src)) == [5, 5]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_one_row_set_per_analysis(path):
+    """Offsets about an analysis's own enclosing-circle center come from its
+    cached `rows` alone, never from a second `offsets` pass."""
+    assert _row_recomputations(ast.parse(path.read_text(), filename=str(path))) == []

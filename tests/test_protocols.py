@@ -1,8 +1,11 @@
 import math
 import random
+import re
 
 import pytest
 from corpus import rand_c_dot
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swarmperm import (
     DEFAULT_TOL,
@@ -30,6 +33,7 @@ from swarmperm import (
     select_pivot,
     smallest_enclosing_circle,
 )
+import swarmperm.protocols as protocols
 from swarmperm.protocols import one_bit_step, voting_visit_all_step
 
 SQUARE_CENTER = [Point(0, 0), Point(1, 0), Point(0, 1), Point(-1, 0), Point(0, -1)]
@@ -71,6 +75,37 @@ def test_encode_decode_roundtrip_with_perturbation():
                 # beyond the top codeword plus its guard band
                 with pytest.raises(DecodeFailure):
                     decode_hop(e + 3 * guard, m)
+
+
+@pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf, 1e308])
+def test_decode_hop_rejects_a_value_round_cannot_take_with_a_typed_error(e):
+    """nan, the infinities, and a finite e whose slot position overflows."""
+    with pytest.raises(DecodeFailure, match=re.escape(f"value {e} is outside every guard band")):
+        decode_hop(e, 4)
+
+
+# Just inside (1/2, 1): decode_hop still refuses them, since its lowest band
+# starts at 1/2 + 1/(4(m+1)) - 1e-12 and its highest ends 1e-12 past
+# 1 - 1/(4(m+1)).
+INSIDE_EDGES = [math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(2, 64), st.one_of(st.floats(max_value=0.5), st.floats(min_value=1.0),
+                                     st.sampled_from(INSIDE_EDGES)))
+@example(2, 0.5)
+@example(2, 1.0)
+@example(64, 0.5)
+@example(64, 1.0)
+@example(2, INSIDE_EDGES[0])
+@example(2, INSIDE_EDGES[1])
+@example(64, INSIDE_EDGES[0])
+@example(64, INSIDE_EDGES[1])
+def test_decode_hop_refuses_every_fraction_outside_the_open_interval(m, e):
+    """The premise of `_finish_mark`'s early return: no slot count decodes
+    an e at or beyond 1/2 or 1, nor the floats next to them inside."""
+    with pytest.raises(DecodeFailure):
+        decode_hop(e, m)
 
 
 # --- pivot selection ------------------------------------------------------
@@ -280,6 +315,36 @@ def test_roundtrip_leader_outer_triple():
         mark = reconstruct(moved)
         assert mark.case == "L2.2"
         _assert_roundtrip(pts, moved, own, pivot)
+
+
+def test_finish_mark_rejects_an_out_of_band_fraction_before_any_analysis(monkeypatch):
+    """A real L2.1 candidate decodes with its own e; with an e outside
+    (1/2, 1) the same call returns None without layering the rest or
+    building a candidate Analysis."""
+    rng = random.Random(50)
+    pts = rand_c_dot(rng, 9, k=2)
+    ci = center_robot_index(pts)
+    sec = smallest_enclosing_circle(pts)
+    outer_r = max(p.dist(sec.center) for p in pts)
+    own = next(i for i, p in enumerate(pts) if i != ci and p.dist(sec.center) < outer_r - 1e-9)
+    moved, pivot = _apply_both(pts, own)
+    finish = protocols._finish_mark
+    calls = []
+    monkeypatch.setattr(protocols, "_finish_mark", lambda *args: calls.append(args) or finish(*args))
+    assert reconstruct(moved).case == "L2.1"
+    [args] = [args for args in calls if args[5] == "L2.1" and finish(*args) is not None]
+    assert finish(*args).pivot_index == pivot
+
+    built, layered = [], []
+    init = Analysis.__init__
+    monkeypatch.setattr(Analysis, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    layer = protocols.concentric_decomposition
+    monkeypatch.setattr(protocols, "concentric_decomposition",
+                        lambda *a: layered.append(a) or layer(*a))
+    for e in [0.5, 1.0, 0.25, 1.5, -math.inf, math.inf, math.nan]:
+        assert finish(*args[:3], e, *args[4:]) is None
+    assert built == [] and layered == []
+    assert finish(*args) is not None and len(built) == 2 and len(layered) == 1
 
 
 def test_leader_move_alone_is_not_invertible():
