@@ -207,7 +207,7 @@ class Tolerance:
 
     def ray_aligned(self, u: Point, v: Point) -> bool:
         """True when u and v point along the same ray from the origin."""
-        return aligned_xy(u.x, u.y, u.norm(), v.x, v.y, v.norm(), self.eps)
+        return aligned(u.dot(v), u.cross(v), u.norm(), v.norm(), self.eps)
 
 
 DEFAULT_TOL = Tolerance()
@@ -246,22 +246,22 @@ def sweep_angle_xy(ux: float, uy: float, nu: float, vx: float, vy: float, nv: fl
     within eps, otherwise the ccw angle, or 2*pi minus it for CW.  A vector
     no longer than eps (a unit axis once eps >= 1) is never aligned, so CW
     also maps a 2*pi that only rounding produced, as for an exactly aligned
-    such vector, to 0.  The test is `aligned_xy`; the angle is `norm_angle`
-    of the atan2 of the cross and dot products."""
-    if aligned_xy(ux, uy, nu, vx, vy, nv, eps):
+    such vector, to 0.  The test is `aligned`; the angle is `norm_angle` of
+    the atan2 of the same cross and dot products."""
+    dot, cross = ux * vx + uy * vy, ux * vy - uy * vx
+    if aligned(dot, cross, nu, nv, eps):
         return 0.0
-    a = norm_angle(math.atan2(ux * vy - uy * vx, ux * vx + uy * vy))
+    a = norm_angle(math.atan2(cross, dot))
     if handedness == CCW:
         return a
     cw = TWO_PI - a
     return cw if cw < TWO_PI else 0.0
 
 
-def aligned_xy(ux: float, uy: float, nu: float, vx: float, vy: float, nv: float,
-               eps: float) -> bool:
-    """The one alignment rule: rays (ux, uy) and (vx, vy), of norms nu and nv
-    over eps, with |u x v| <= eps nu nv and u . v > 0; `Tolerance.ray_aligned` on floats."""
-    return nu > eps and nv > eps and ux * vx + uy * vy > 0.0 and abs(ux * vy - uy * vx) <= eps * nu * nv
+def aligned(dot: float, cross: float, nu: float, nv: float, eps: float) -> bool:
+    """The one alignment rule: rays u and v, of norms nu and nv over eps,
+    lie along one ray when dot = u . v > 0 and |cross| = |u x v| <= eps nu nv."""
+    return nu > eps and nv > eps and dot > 0.0 and abs(cross) <= eps * nu * nv
 
 
 def offsets(points: Iterable[Point], c: Point) -> list[tuple[float, float, float]]:

@@ -327,9 +327,8 @@ def inner_polygon(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> tupl
         raise DegenerateReference("inner polygon needs at least 3 points")
     if not a.layers:
         raise DegenerateReference("all points coincide with the center")
-    rows = a.rows
     return tuple(sorted(a.layers[0].indices,
-                        key=lambda i: norm_angle(math.atan2(rows[i][1], rows[i][0]))))
+                        key=lambda i: norm_angle(math.atan2(a.rows[i][1], a.rows[i][0]))))
 
 
 def vote_tally(points: Sequence[Point], x_dirs: Sequence[Point],

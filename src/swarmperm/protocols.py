@@ -34,7 +34,7 @@ from .geometry import (
     Point,
     Points,
     Tolerance,
-    aligned_xy,
+    aligned,
     columns,
     concentric_decomposition,
     enclosing_circle_xy,
@@ -99,12 +99,9 @@ def _swept_order(points: Sequence[Point], idxs: Sequence[int], c: Point,
                  tol: Tolerance) -> list[int]:
     """idxs ordered by the angle swept about c, in the given handedness, from
     the start ray (a vector from c with its norm; +x is (1.0, 0.0, 1.0)) to
-    each point, ties to (x, y): a point on the start ray comes first.  The
-    vectors are an analysis's rows when c is its circle's center, else the
-    offsets of idxs alone."""
+    each point, ties to (x, y): a point on the start ray comes first."""
     xs, ys = columns(points)
-    vecs = (points.rows if isinstance(points, Analysis) and c == points.sec.center else
-            dict(zip(idxs, offsets(Points([xs[v] for v in idxs], [ys[v] for v in idxs]), c))))
+    vecs = dict(zip(idxs, offsets(Points([xs[v] for v in idxs], [ys[v] for v in idxs]), c)))
     keys = {v: (sweep_angle_xy(*start, *vecs[v], handedness, tol.eps), xs[v], ys[v]) for v in idxs}
     return sorted(idxs, key=keys.__getitem__)
 
@@ -230,14 +227,14 @@ def _restored(points: Sequence[Point], moves: dict[int, Point],
 def _eighth_out(points: Analysis, q: int, ra: Analysis, c: Point, tol: Tolerance) -> list[int]:
     """The vertices of ra's inner polygon on robot q's ray from c, when q
     stands an eighth of ra's innermost radius from c, where the central
-    robot's slide toward the pivot puts it; otherwise none.  On floats, the
-    ray test by `aligned_xy`."""
+    robot's slide toward the pivot puts it; otherwise none."""
     p1 = ra.inner_polygon
     (ux, uy, nu), *vecs = offsets(Points([points.xs[q], *(ra.xs[v] for v in p1)],
                                          [points.ys[q], *(ra.ys[v] for v in p1)]), c)
     if not tol.eq(nu, vecs[0][2] / 8.0):
         return []
-    return [v for v, vec in zip(p1, vecs) if aligned_xy(ux, uy, nu, *vec, tol.eps)]
+    return [v for v, (vx, vy, nv) in zip(p1, vecs)
+            if aligned(ux * vx + uy * vy, ux * vy - uy * vx, nu, nv, tol.eps)]
 
 
 def _finish_mark(points: Analysis, leader: int, origin: Point, e: float,
@@ -305,7 +302,12 @@ def _attempts_three(points: Sequence[Point], tol: Tolerance) -> list[LeaderMark]
 
 
 def _attempts_many(points: Analysis, tol: Tolerance) -> list[LeaderMark]:
-    out: list[LeaderMark | None] = []  # None for a rejected two-mover candidate
+    out: list[LeaderMark] = []
+
+    def finish(leader: int, origin: Point, e: float, c: Point, case: str) -> None:
+        if mark := _finish_mark(points, leader, origin, e, c, case, tol):
+            out.append(mark)
+
     sec, rows = points.sec, points.rows
     boundary = [i for i, (_, _, d) in enumerate(rows) if tol.eq(d, sec.radius)]
 
@@ -318,17 +320,16 @@ def _attempts_many(points: Analysis, tol: Tolerance) -> list[LeaderMark]:
             lead, anchor = boundary if d1 > d2 else boundary[::-1]
             d_anchor = min(d1, d2)
             ux, uy = xs[lead] - xs[anchor], ys[lead] - ys[anchor]
+            vx, vy = c2.x - xs[anchor], c2.y - ys[anchor]
             span = math.hypot(ux, uy)
-            if d_anchor > tol.eps:
-                e = span / d_anchor - 2.0
-                if aligned_xy(ux, uy, span, c2.x - xs[anchor], c2.y - ys[anchor], d_anchor, tol.eps):
-                    origin = c2 * 2.0 - points[anchor]
-                    out.append(_finish_mark(points, lead, origin, e, c2, "L2.3", tol))
+            if aligned(ux * vx + uy * vy, ux * vy - uy * vx, span, d_anchor, tol.eps):
+                origin = c2 * 2.0 - points[anchor]
+                finish(lead, origin, span / d_anchor - 2.0, c2, "L2.3")  # d_anchor > eps
 
     try:
         rings = points.layers
     except AmbiguousLayering:
-        return [mk for mk in out if mk]
+        return out
     c = sec.center
 
     # outermost triple knocked out of its equal spacing
@@ -345,7 +346,7 @@ def _attempts_many(points: Analysis, tol: Tolerance) -> list[LeaderMark]:
                 ahead = ring[(t_min + 1) % 3]
                 e = gaps[t_min] / THIRD_TURN
                 origin = c + (points[ahead] - c).rotated(-THIRD_TURN)
-                out.append(_finish_mark(points, lead, origin, e, c, "L2.2", tol))
+                finish(lead, origin, e, c, "L2.2")
 
     singles = [layer for layer in rings if len(layer.indices) == 1]
 
@@ -364,7 +365,7 @@ def _attempts_many(points: Analysis, tol: Tolerance) -> list[LeaderMark]:
             continue
         e = 2.0 * (rho_above - rho_l) / x
         origin = c + (points[ql] - c).unit() * rho_above
-        out.append(_finish_mark(points, ql, origin, e, c, "L2.1", tol))
+        finish(ql, origin, e, c, "L2.1")
 
     # only the central robot moved
     if singles:
@@ -373,7 +374,7 @@ def _attempts_many(points: Analysis, tol: Tolerance) -> list[LeaderMark]:
         hits = [] if ra is None else _eighth_out(points, q, ra, c, tol)
         if len(hits) == 1:
             out.append(LeaderMark(q, hits[0], ra, "C2"))
-    return [mk for mk in out if mk]
+    return out
 
 
 def reconstruct(points: Sequence[Point], tol: Tolerance = DEFAULT_TOL) -> LeaderMark:
