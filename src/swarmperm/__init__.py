@@ -88,7 +88,6 @@ from .verify import (
     VISIT_ALL,
     SpecVerdict,
     StepPermutation,
-    apply_permutation,
     check_k_step_spec,
     extract_permutation,
     visit_matrix,

@@ -29,7 +29,7 @@ from .engine import (
     to_local_snapshot,
 )
 from .errors import NonFinite, SwarmError
-from .geometry import DEFAULT_TOL, Frame, Point, PointIndex, Tolerance
+from .geometry import DEFAULT_TOL, Frame, Point, PointIndex, Tolerance, columns
 from .protocols import (
     PROTOCOL_IDS,
     Protocol,
@@ -239,12 +239,12 @@ def cmd_verify(args) -> int:
 
 
 def render_svg(trace: RunTrace) -> str:
-    configs = trace.configurations()
+    configs = [columns(rec.positions) for rec in trace.records]
     # the viewport in units of a power of two near the largest |coordinate|:
     # that scaling is exact, and the extent cannot overflow at any scale
-    k = math.frexp(max(max(abs(p.x), abs(p.y)) for c in configs for p in c))[1]
-    xs = [math.ldexp(p.x, -k) for c in configs for p in c]
-    ys = [math.ldexp(p.y, -k) for c in configs for p in c]
+    k = math.frexp(max(abs(v) for cx, cy in configs for v in cx + cy))[1]
+    xs = [math.ldexp(x, -k) for cx, _ in configs for x in cx]
+    ys = [math.ldexp(y, -k) for _, cy in configs for y in cy]
     minx, maxx = min(xs), max(xs)
     miny, maxy = min(ys), max(ys)
     span = max(maxx - minx, maxy - miny) or 1.0
@@ -260,7 +260,7 @@ def render_svg(trace: RunTrace) -> str:
     def sy(y: float) -> float:
         return (maxy - math.ldexp(y, -k)) * scale
 
-    n = len(configs[0])
+    n = len(configs[0][0])
     colors = []
     for i in range(n):
         r, g, b = colorsys.hsv_to_rgb(i / max(n, 1), 0.72, 0.82)
@@ -270,14 +270,14 @@ def render_svg(trace: RunTrace) -> str:
            f'<rect width="{SVG_WIDTH:.0f}" height="{height:.0f}" fill="white"/>']
     marker = max(2.0, 0.006 * SVG_WIDTH)
     for i in range(n):
-        path = " ".join(f"{sx(c[i].x):.2f},{sy(c[i].y):.2f}" for c in configs)
+        path = " ".join(f"{sx(cx[i]):.2f},{sy(cy[i]):.2f}" for cx, cy in configs)
         out.append(f'<polyline points="{path}" fill="none" stroke="{colors[i]}" '
                    f'stroke-width="1.5"/>')
-        for c in configs[1:]:
-            out.append(f'<circle cx="{sx(c[i].x):.2f}" cy="{sy(c[i].y):.2f}" '
+        for cx, cy in configs[1:]:
+            out.append(f'<circle cx="{sx(cx[i]):.2f}" cy="{sy(cy[i]):.2f}" '
                        f'r="{marker:.2f}" fill="{colors[i]}"/>')
-    for i, p in enumerate(configs[0]):
-        out.append(f'<circle cx="{sx(p.x):.2f}" cy="{sy(p.y):.2f}" '
+    for i, (x, y) in enumerate(zip(*configs[0])):
+        out.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" '
                    f'r="{2 * marker:.2f}" fill="{colors[i]}" stroke="black" '
                    f'stroke-width="1"/>')
     out.append("</svg>")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,7 +27,8 @@ from .errors import (
     NotCentral,
     SwarmError,
 )
-from .geometry import DEFAULT_TOL, Frame, Point, Tolerance, as_points, first_coincident_pair
+from .geometry import (DEFAULT_TOL, Frame, Point, Points, Tolerance, as_points, columns,
+                       first_coincident_pair)
 from .protocols import Protocol
 from .symmetry import center_robot_index, mirror_axes
 
@@ -48,8 +50,11 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class RoundRecord:
+    """One round.  `run` and `parse_trace` give `positions` as a `Points`,
+    whose columns the serializer and verifier read, as from any Points."""
+
     round_index: int
-    positions: tuple[Point, ...]
+    positions: Sequence[Point]
     bits: tuple[int, ...]
     moved: tuple[bool, ...]
     error: str | None = None
@@ -62,9 +67,6 @@ class RunTrace:
     @property
     def failed(self) -> bool:
         return self.records[-1].error is not None
-
-    def configurations(self) -> list[tuple[Point, ...]]:
-        return [rec.positions for rec in self.records]
 
 
 def to_local_snapshot(points: Sequence[Point], frames: Sequence[Frame], i: int,
@@ -115,7 +117,7 @@ def fsync_round(points: Sequence[Point], frames: Sequence[Frame], protocol: Prot
     eps = tol.eps
     moved = tuple(math.hypot(x - u, y - v) > eps
                   for x, y, u, v in zip(points.xs, points.ys, new.xs, new.ys))
-    return new.points, tuple(new_bits), moved
+    return new, tuple(new_bits), moved
 
 
 def run(c0: Sequence[Point], frames: Sequence[Frame], protocol: Protocol,
@@ -124,7 +126,7 @@ def run(c0: Sequence[Point], frames: Sequence[Frame], protocol: Protocol,
     trace (positions unchanged) and stops; nothing escapes."""
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    points = tuple(c0)
+    points = as_points(c0)
     n = len(points)
     if n < 2:
         raise EmptyConfiguration("a configuration needs at least 2 robots")
@@ -224,7 +226,7 @@ def _g17(v: float) -> str:
 
 
 def record_to_json(rec: RoundRecord) -> str:
-    pos = "[" + ",".join(f"[{_g17(p.x)},{_g17(p.y)}]" for p in rec.positions) + "]"
+    pos = "[" + ",".join(f"[{_g17(x)},{_g17(y)}]" for x, y in zip(*columns(rec.positions))) + "]"
     bits = "[" + ",".join(str(int(b)) for b in rec.bits) + "]"
     moved = "[" + ",".join("true" if m else "false" for m in rec.moved) + "]"
     line = (f'{{"round":{rec.round_index},"positions":{pos},'
@@ -238,7 +240,33 @@ def serialize_trace(trace: RunTrace) -> str:
     return "".join(record_to_json(rec) + "\n" for rec in trace.records)
 
 
+_NUMBERS = {int, float}
+_NEGATIVE_ZERO = re.compile(r"-0(?![\d.eE])")  # the number -0, which json reads as the int 0
+
+
+def _pair_columns(pairs) -> tuple[list[float], list[float]]:
+    """The columns of pairs of finite JSON numbers: one type test per column and one
+    finiteness check of their sums, and only if either fails, or a pair is not
+    two values, a check of each pair in turn, which names the first bad one."""
+    try:
+        xs, ys = zip(*pairs, strict=True)
+        if set(map(type, xs)) | set(map(type, ys)) <= _NUMBERS:
+            xs, ys = list(map(float, xs)), list(map(float, ys))
+            if math.isfinite(sum(xs) + sum(ys)):
+                return xs, ys
+    except (TypeError, ValueError, OverflowError):
+        pass
+    for x, y in pairs:
+        if bad := [v for v in (x, y) if type(v) not in _NUMBERS]:
+            raise TypeError(f"coordinate {bad[0]!r} is not a JSON number")
+        Point(float(x), float(y))
+    return [float(x) for x, _ in pairs], [float(y) for _, y in pairs]
+
+
 def parse_trace(text: str) -> RunTrace:
+    """A trace as `serialize_trace` writes it, each round's positions a
+    `Points`.  A record holds an integer round, pairs of JSON numbers (not
+    booleans), bits 0 or 1, boolean moved flags and a string error or none."""
     records = []
     for lineno, line in enumerate(text.splitlines()):
         if not line.strip():
@@ -248,12 +276,24 @@ def parse_trace(text: str) -> RunTrace:
         except json.JSONDecodeError as exc:
             raise ValueError(f"trace line {lineno + 1}: invalid JSON ({exc})") from exc
         try:
-            positions = tuple(Point(float(x), float(y)) for x, y in obj["positions"])
-            rec = RoundRecord(int(obj["round"]), positions,
-                              tuple(int(b) for b in obj["bits"]),
-                              tuple(bool(m) for m in obj["moved"]),
-                              obj.get("error"))
-        except (KeyError, TypeError, ValueError) as exc:
+            xs, ys = _pair_columns(obj["positions"])
+            if (0.0 in xs or 0.0 in ys) and _NEGATIVE_ZERO.search(line):
+                xs, ys = _pair_columns(json.loads(line, parse_int=float)["positions"])
+            positions = Points(xs, ys)
+            round_index, bits, moved = obj["round"], tuple(obj["bits"]), tuple(obj["moved"])
+            error = obj.get("error")
+            if type(round_index) is not int:
+                raise TypeError(f"round {round_index!r} is not an integer")
+            if not (set(map(type, bits)) <= {int} and set(bits) <= {0, 1}):
+                bad = next(b for b in bits if type(b) is not int or b not in (0, 1))
+                raise TypeError(f"bit {bad!r} is not 0 or 1")
+            if not set(map(type, moved)) <= {bool}:
+                bad = next(m for m in moved if type(m) is not bool)
+                raise TypeError(f"moved flag {bad!r} is not a boolean")
+            if not (error is None or type(error) is str):
+                raise TypeError(f"error {error!r} is not a string")
+            rec = RoundRecord(round_index, positions, bits, moved, error)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"trace line {lineno + 1}: bad record ({exc})") from exc
         if not (len(rec.positions) == len(rec.bits) == len(rec.moved)):
             raise ValueError(f"trace line {lineno + 1}: mismatched lengths")

@@ -292,19 +292,23 @@ class PointIndex:
         self.xs, self.ys = columns(points)
         self.order = sorted(range(len(self.xs)), key=self.xs.__getitem__)
         self.sorted_xs = [self.xs[j] for j in self.order]
+        self.sorted_ys = [self.ys[j] for j in self.order]
         self.eps = tol.eps
         self.window = _window(tol.eps)
 
-    def within(self, x: float, y: float) -> list[int]:
-        """Every index j with hypot(x - xs[j], y - ys[j]) <= eps, ascending."""
-        xs, ys, order, eps, w = self.xs, self.ys, self.order, self.eps, self.window
-        hits = []
-        for k in range(bisect_left(self.sorted_xs, x - w), bisect_right(self.sorted_xs, x + w)):
-            j = order[k]
-            if math.hypot(x - xs[j], y - ys[j]) <= eps:
-                hits.append(j)
-        hits.sort()
-        return hits
+    def within(self, qxs: Sequence[float], qys: Sequence[float]) -> list[list[int]]:
+        """Per query (x, y), ascending, every j with hypot(x - xs[j], y - ys[j]) <= eps: one
+        hypot and no loop when a single point lies in the query's x-window."""
+        sxs, sys_, order, eps, w = self.sorted_xs, self.sorted_ys, self.order, self.eps, self.window
+        out, last = [], len(sxs) - 1
+        for x, y in zip(qxs, qys):
+            lo, top = bisect_left(sxs, x - w), x + w
+            if lo < last and sxs[lo] <= top < sxs[lo + 1]:
+                out.append([order[lo]] if math.hypot(x - sxs[lo], y - sys_[lo]) <= eps else [])
+            else:
+                out.append(sorted(order[k] for k in range(lo, bisect_right(sxs, top))
+                                  if math.hypot(x - sxs[k], y - sys_[k]) <= eps))
+        return out
 
     def matches(self, images: Iterable[tuple[float, float]]) -> bool:
         """True when `images` is a permutation of the points within eps.

@@ -11,11 +11,13 @@ without trusting the protocol that produced the trace.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .errors import NotAPermutation
-from .geometry import DEFAULT_TOL, Point, PointIndex, Tolerance
+from .geometry import DEFAULT_TOL, Point, PointIndex, Tolerance, columns
 
 MOVE_ALL = "MoveAll"
 VISIT_ALL = "VisitAll"
@@ -54,14 +56,6 @@ class SpecVerdict:
         return json.dumps(self.to_dict(), separators=(",", ":"))
 
 
-def _match_index(p: Point, sites: PointIndex) -> int:
-    hits = sites.within(p.x, p.y)
-    if len(hits) != 1:
-        raise NotAPermutation(
-            f"point ({p.x:.6g}, {p.y:.6g}) matches {len(hits)} points")
-    return hits[0]
-
-
 def _cycle_flags(pi: Sequence[int]) -> tuple[bool, bool]:
     # (fixed-point-free, one n-cycle): one cycle iff the orbit of 0 covers all
     orbit = 1
@@ -74,20 +68,20 @@ def _cycle_flags(pi: Sequence[int]) -> tuple[bool, bool]:
 
 def extract_permutation(c_a: Sequence[Point], c_b: Sequence[Point],
                         tol: Tolerance = DEFAULT_TOL) -> StepPermutation:
-    """The unique pi with c_b[i] = c_a[pi[i]]; anything ambiguous or
-    unmatched is a violation, not something to repair."""
+    """The unique pi with c_b[i] = c_a[pi[i]], from one batch query; anything ambiguous
+    or unmatched is a violation, named by c_b's first point without one site."""
     if len(c_a) != len(c_b):
         raise NotAPermutation(f"sizes differ: {len(c_a)} vs {len(c_b)}")
-    sites = PointIndex(c_a, tol)
-    pi = tuple(_match_index(p, sites) for p in c_b)
+    qxs, qys = columns(c_b)
+    hits = PointIndex(c_a, tol).within(qxs, qys)
+    pi = tuple(chain.from_iterable(hits))  # one site each when no list is empty
+    if len(pi) != len(hits) or not all(hits):
+        r = next(r for r, h in enumerate(hits) if len(h) != 1)
+        raise NotAPermutation(f"point ({qxs[r]:.6g}, {qys[r]:.6g}) matches {len(hits[r])} points")
     if len(set(pi)) != len(pi):
         raise NotAPermutation("matching is not a bijection")
     fpf, single = _cycle_flags(pi)
     return StepPermutation(pi, fpf, single)
-
-
-def apply_permutation(pi: Sequence[int], pts: Sequence[Point]) -> tuple[Point, ...]:
-    return tuple(pts[pi[i]] for i in range(len(pi)))
 
 
 def check_k_step_spec(trace, spec: str, k: int,
@@ -126,13 +120,15 @@ def check_k_step_spec(trace, spec: str, k: int,
     if spec == VISIT_ALL and not step.is_n_cycle:
         return SpecVerdict(spec, k, False, (k, f"permutation is not a {n}-cycle"))
     power = list(range(n))
+    x0, y0 = columns(configs[0])
+    eps = tol.eps
     i = 0
     while (i + 1) * k <= last:
         i += 1
         power = [step.pi[x] for x in power]
-        expected = apply_permutation(power, configs[0])
-        got = configs[i * k]
-        bad = next((r for r in range(n) if not tol.same_point(expected[r], got[r])), None)
+        gx, gy = columns(configs[i * k])  # each robot against Tolerance.same_point's float
+        bad = next((r for r in range(n)
+                    if not math.hypot(x0[power[r]] - gx[r], y0[power[r]] - gy[r]) <= eps), None)
         if bad is not None:
             return SpecVerdict(spec, k, False,
                                (i * k, f"robot {bad} deviates from the fixed "
@@ -154,7 +150,8 @@ def check_k_step_spec(trace, spec: str, k: int,
 def visit_matrix(trace, stride: int = 1,
                  tol: Tolerance = DEFAULT_TOL) -> list[list[int]]:
     """count[i][l] = rounds (sampled every `stride`, final round dropped
-    as the cycle closer) in which robot i stands on initial location l."""
+    as the cycle closer) in which robot i stands on initial location l:
+    one batch query of each sampled round's columns against round 0's."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
     records = trace.records
@@ -164,7 +161,7 @@ def visit_matrix(trace, stride: int = 1,
     sites = PointIndex(base, tol)
     sampled = records[:-1] if len(records) > 1 else records
     for rec in sampled[::stride]:
-        for i, p in enumerate(rec.positions):
-            for l in sites.within(p.x, p.y):
-                counts[i][l] += 1
+        for row, hits in zip(counts, sites.within(*columns(rec.positions))):
+            for l in hits:
+                row[l] += 1
     return counts

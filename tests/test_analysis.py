@@ -23,24 +23,31 @@ from hypothesis import strategies as st
 from swarmperm import (
     DEFAULT_TOL,
     Analysis,
+    VISIT_ALL,
     Point,
     Protocol,
+    RoundRecord,
+    RunTrace,
     SwarmError,
     Tolerance,
     adversary_frames,
     analyze,
     center_robot_index,
     centroid,
+    check_k_step_spec,
     classify,
     concentric_decomposition,
     fsync_round,
     inner_polygon,
     make_protocol,
     mirror_axes,
+    parse_trace,
     robots_on_axis,
     rotational_order,
+    serialize_trace,
     smallest_enclosing_circle,
     to_local_snapshot,
+    visit_matrix,
 )
 from swarmperm.errors import NonFinite
 
@@ -398,6 +405,39 @@ def test_visit_all_chirality_builds_o_n_points_per_round(monkeypatch):
         start = built[0]
         fsync_round(pts, frames, proto, [0] * n)
         assert built[0] - start == 3 * n
+
+
+def test_trace_audit_builds_no_point(monkeypatch):
+    """Reading a trace and verifying it run on coordinate columns: parsing
+    a 30-robot, 60-round trace, checking it against the k-step contract and
+    counting its visits build 0 Points, and so do a violation's verdict and
+    message (the Point-per-robot-round reader built 3,060 here)."""
+    rng = random.Random(68)
+    n, rounds = 30, 60
+    base = rand_points(rng, n)
+    order = list(range(n))
+    rng.shuffle(order)
+    pi = [0] * n
+    for j in range(n):
+        pi[order[j]] = order[(j + 1) % n]
+    configs = [tuple(base)]
+    for _ in range(rounds):
+        configs.append(tuple(configs[-1][pi[i]] for i in range(n)))
+    records = [RoundRecord(r, c, (0,) * n, (r > 0,) * n) for r, c in enumerate(configs)]
+    text = serialize_trace(RunTrace(tuple(records)))
+    drifted = configs[:40] + [configs[40][:-1] + (configs[40][-1] + Point(1e-3, 0.0),)]
+    bad_text = serialize_trace(RunTrace(tuple(
+        RoundRecord(r, c, (0,) * n, (r > 0,) * n) for r, c in enumerate(drifted))))
+    built = _count_points(monkeypatch)
+    trace = parse_trace(text)
+    verdict = check_k_step_spec(trace, VISIT_ALL, 1)
+    visits = visit_matrix(trace)
+    bad = check_k_step_spec(parse_trace(bad_text), VISIT_ALL, 1)
+    assert built[0] == 0
+    assert verdict.passed and not verdict.provisional
+    assert all(c == 2 for row in visits for c in row)
+    assert bad.first_violation == (40, f"robot {n - 1} deviates from the fixed permutation "
+                                       f"power at round 40")
 
 
 def _record_offsets(monkeypatch) -> list:

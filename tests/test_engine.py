@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from corpus import chirality_preserving_frames, rand_non_c_dot
 
 import swarmperm.errors as errors
@@ -19,6 +21,8 @@ from swarmperm import (
     PROTOCOL_IDS,
     Point,
     Protocol,
+    RoundRecord,
+    RunTrace,
     SwarmError,
     adversary_frames,
     fsync_round,
@@ -381,6 +385,111 @@ def test_parse_trace_rejects_malformed():
         bad = f'{{"round":0,"positions":{positions},"bits":[0],"moved":[false]}}'
         with pytest.raises(ValueError, match=r"^trace line 2: bad record \("):
             parse_trace(f"\n{bad}\n")
+
+
+_RECORD = '{{"round":{round},"positions":{positions},"bits":{bits},"moved":{moved}{error}}}'
+
+
+def _record(**fields) -> str:
+    """One record line with two robots, any field replaced as given text."""
+    base = {"round": "0", "positions": "[[0,0],[1,1]]", "bits": "[0,1]",
+            "moved": "[false,true]", "error": ""}
+    return _RECORD.format(**{**base, **fields})
+
+
+def _bad_record(text: str) -> str:
+    with pytest.raises(ValueError, match=r"^trace line 1: bad record \(") as info:
+        parse_trace(text)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("positions, message", [
+    # the per-pair messages the parser has always given, which the first bad
+    # pair in input order still decides
+    ('[[NaN,0],["x",0]]', "point coordinates must be finite, got (nan, 0.0)"),
+    ('[[0,Infinity],["x",0]]', "point coordinates must be finite, got (0.0, inf)"),
+    ("[[0,0],[1,1e999]]", "point coordinates must be finite, got (1.0, inf)"),
+    ("[[0,0],[1]]", "not enough values to unpack (expected 2, got 1)"),
+    ("[[0,0],[1,2,3]]", "too many values to unpack (expected 2)"),
+    ("[[0,0],null]", "cannot unpack non-iterable NoneType object"),
+    ("5", "'int' object is not iterable"),
+    # pairs that were coerced into points
+    ('[["x",0],[NaN,0]]', "coordinate 'x' is not a JSON number"),
+    ('[[0,0],["1.5",0]]', "coordinate '1.5' is not a JSON number"),
+    ("[[true,2],[0,0]]", "coordinate True is not a JSON number"),
+    ("[[0,0],[1,null]]", "coordinate None is not a JSON number"),
+    ('["12","34"]', "coordinate '1' is not a JSON number"),
+    (f"[[0,0],[1,{'9' * 400}]]", "int too large to convert to float"),
+])
+def test_parse_trace_names_the_first_bad_pair(positions, message):
+    assert _bad_record(_record(positions=positions)) == f"trace line 1: bad record ({message})"
+
+
+@pytest.mark.parametrize("field, text, message", [
+    ("moved", '["false","no"]', "moved flag 'false' is not a boolean"),
+    ("moved", "[0,1]", "moved flag 0 is not a boolean"),
+    ("moved", '"tf"', "moved flag 't' is not a boolean"),
+    ("bits", '["1",true]', "bit '1' is not 0 or 1"),
+    ("bits", "[0,true]", "bit True is not 0 or 1"),
+    ("bits", "[1.0,0]", "bit 1.0 is not 0 or 1"),
+    ("bits", "[0,2]", "bit 2 is not 0 or 1"),
+    ("round", "0.5", "round 0.5 is not an integer"),
+    ("round", "false", "round False is not an integer"),
+    ("round", '"0"', "round '0' is not an integer"),
+    ("error", ',"error":5', "error 5 is not a string"),
+    ("error", ',"error":["x"]', "error ['x'] is not a string"),
+])
+def test_parse_trace_accepts_only_what_the_writer_writes(field, text, message):
+    assert _bad_record(_record(**{field: text})) == f"trace line 1: bad record ({message})"
+    # a bad pair comes first, whatever else is wrong
+    assert _bad_record(_record(positions='[[0,0],["x",0]]', **{field: text})).endswith(
+        "(coordinate 'x' is not a JSON number)")
+
+
+def test_parse_trace_reads_what_the_writer_writes():
+    trace = parse_trace(_record(error=',"error":null') + "\n"
+                        + _record(round="1", positions="[[0.5,-0],[1e300,-2.5e-8]]",
+                                  error=',"error":"NotOrderable: x"'))
+    first, second = trace.records
+    assert first == RoundRecord(0, (Point(0.0, 0.0), Point(1.0, 1.0)), (0, 1), (False, True))
+    assert second.error == "NotOrderable: x"
+    assert [float.hex(v) for v in second.positions.xs + second.positions.ys] == [
+        float.hex(v) for v in (0.5, 1e300, -0.0, -2.5e-8)]
+
+
+_SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                   1.0, -3.0, 2.0 ** 53, 1e16, -123456789.0, 0.1)
+_coordinates = st.one_of(st.sampled_from(_SPECIAL_FLOATS),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _traces(draw) -> RunTrace:
+    n = draw(st.integers(1, 5))
+    records = []
+    for r in range(draw(st.integers(1, 4))):
+        pts = tuple(Point(draw(_coordinates), draw(_coordinates)) for _ in range(n))
+        records.append(RoundRecord(r, pts, tuple(draw(st.lists(st.sampled_from((0, 1)),
+                                                                min_size=n, max_size=n))),
+                                   tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))))
+    error = draw(st.none() | st.text())
+    records[-1] = RoundRecord(records[-1].round_index, records[-1].positions, records[-1].bits,
+                              records[-1].moved, error)
+    return RunTrace(tuple(records))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_traces())
+def test_parse_trace_roundtrip_is_bit_exact(trace):
+    """Every float comes back with its bits, -0.0, subnormals, the largest
+    finite floats and integral values written as JSON ints included."""
+    text = serialize_trace(trace)
+    back = parse_trace(text)
+    assert back.records == trace.records
+    for ra, rb in zip(trace.records, back.records):
+        assert [(float.hex(p.x), float.hex(p.y)) for p in ra.positions] == [
+            (float.hex(x), float.hex(y)) for x, y in zip(rb.positions.xs, rb.positions.ys)]
+    assert serialize_trace(back) == text
 
 
 def test_error_round_preserved_in_jsonl():

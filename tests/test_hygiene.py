@@ -176,3 +176,75 @@ def test_one_row_set_per_analysis(path):
     """Offsets about an analysis's own enclosing-circle center come from its
     cached `rows` alone, never from a second `offsets` pass."""
     assert _row_recomputations(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+_UNPACKERS = {"enumerate", "zip", "reversed", "iter", "list", "tuple", "sorted", "map", "filter"}
+
+
+def _elementwise_reads(tree: ast.Module) -> list[int]:
+    """Lines that build a `Point` or read a configuration element by
+    element: a loop or comprehension over one, or an index into one.  A
+    configuration is a `.positions`, a parameter annotated with Point, a
+    name bound to either, or an item of a list of `.positions`."""
+    configs: set[str] = set()
+    config_lists: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None \
+                and "Point" in ast.unparse(node.annotation):
+            configs.add(node.arg)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            value, name = node.value, node.targets[0].id
+            if isinstance(value, (ast.ListComp, ast.GeneratorExp)):
+                if _is_config(value.elt, configs, config_lists):
+                    config_lists.add(name)
+            elif _is_config(value, configs, config_lists):
+                configs.add(name)
+    lines: list[int] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (getattr(node.func, "id", None) == "Point"
+                                           or getattr(node.func, "attr", None) == "Point"):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Subscript) and _is_config(node.value, configs, config_lists):
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            todo = [node.iter]
+            while todo:
+                it = todo.pop()
+                if isinstance(it, ast.Starred):
+                    todo.append(it.value)
+                elif isinstance(it, ast.Call) and getattr(it.func, "id", None) in _UNPACKERS:
+                    todo += it.args
+                elif _is_config(it, configs, config_lists):
+                    lines.append(it.lineno)
+    return sorted(lines)
+
+
+def _is_config(node: ast.AST, configs: set[str], config_lists: set[str]) -> bool:
+    return ((isinstance(node, ast.Attribute) and node.attr == "positions")
+            or (isinstance(node, ast.Name) and node.id in configs)
+            or (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id in config_lists))
+
+
+def test_elementwise_check_sees_point_reads():
+    src = ("def f(trace, c_a: Sequence[Point], k):\n"
+           "    configs = [rec.positions for rec in trace.records]\n"
+           "    base = trace.records[0].positions\n"
+           "    got = configs[k]\n"
+           "    a = [p.x for p in c_a] + [p for p in enumerate(base)]\n"
+           "    for i, p in zip(range(3), trace.records[1].positions):\n"
+           "        pass\n"
+           "    return got[0], configs[0][1], Point(0, 0), geometry.Point(1, 1)\n"
+           "def g(trace, configs):\n"
+           "    xs, ys = columns(trace.records[0].positions)\n"
+           "    return [rec.positions for rec in trace.records], len(configs), configs[0]\n")
+    assert _elementwise_reads(ast.parse(src)) == [5, 5, 6, 8, 8, 8, 8]
+
+
+def test_verifier_reads_columns():
+    """The verifier reads each round through its coordinate columns and
+    builds no Point, so a trace audit costs no Point per robot-round."""
+    path = SRC / "verify.py"
+    assert _elementwise_reads(ast.parse(path.read_text(), filename=str(path))) == []

@@ -23,6 +23,7 @@ Every comparison is exact: floats are compared through float.hex, so even
 the sign of a zero must agree.
 """
 
+import bisect
 import functools
 import itertools
 import math
@@ -94,6 +95,7 @@ from swarmperm import (
     concentric_decomposition,
     decode_hop,
     encode_hop,
+    extract_permutation,
     inner_polygon,
     make_protocol,
     mirror_axes,
@@ -118,6 +120,7 @@ from swarmperm.geometry import _circle_two_points as circle_two_points
 from swarmperm.geometry import (
     ORIGIN,
     PointIndex,
+    _window,
     angle_of,
     enclosing_circle_xy,
     first_coincident_pair,
@@ -140,7 +143,6 @@ from swarmperm.symmetry import (
     _no_center_robot,
     require_distinct,
 )
-from swarmperm.verify import _match_index
 
 # --- reference: the Point-based kernels ----------------------------------
 
@@ -382,12 +384,24 @@ def ref_first_coincident_pair(points, tol):
     return None
 
 
+def ref_within(p: Point, pts, tol: Tolerance) -> list[int]:
+    return [j for j, q in enumerate(pts) if tol.same_point(p, q)]
+
+
 def ref_match_index(p: Point, pts, tol: Tolerance) -> int:
-    hits = [j for j, q in enumerate(pts) if tol.same_point(p, q)]
+    hits = ref_within(p, pts, tol)
     if len(hits) != 1:
         raise NotAPermutation(
             f"point ({p.x:.6g}, {p.y:.6g}) matches {len(hits)} points")
     return hits[0]
+
+
+def ref_extract_pi(c_a, c_b, tol: Tolerance) -> tuple[int, ...]:
+    """extract_permutation's pi, one site match per point of c_b in turn."""
+    pi = tuple(ref_match_index(p, c_a, tol) for p in c_b)
+    if len(set(pi)) != len(pi):
+        raise NotAPermutation("matching is not a bijection")
+    return pi
 
 
 def ref_visit_matrix(trace, stride: int = 1, tol: Tolerance = DEFAULT_TOL):
@@ -782,10 +796,11 @@ def _assert_index_identical_once(sites, queries, tol):
     for pts in (sites, queries):
         assert first_coincident_pair(pts, tol) == ref_first_coincident_pair(pts, tol)
     index = PointIndex(sites, tol)
-    for q in queries:
-        assert (_outcome(lambda: _match_index(q, index))
-                == _outcome(lambda: ref_match_index(q, sites, tol)))
+    hits = index.within([q.x for q in queries], [q.y for q in queries])
+    assert hits == [ref_within(q, sites, tol) for q in queries]
     if len(queries) == len(sites):
+        assert (_outcome(lambda: extract_permutation(sites, queries, tol).pi)
+                == _outcome(lambda: ref_extract_pi(sites, queries, tol)))
         trace = _trace_of([sites, queries, queries, sites])
         for stride in (1, 2):
             assert visit_matrix(trace, stride, tol) == ref_visit_matrix(trace, stride, tol)
@@ -841,6 +856,33 @@ def test_index_matches_reference_on_window_edges(scale):
     steps = [Point(scale + k * u, scale + (k % 2) * u) for k in range(0, 12, 3)]
     steps += [Point(scale + k * u, -scale) for k in (0, 2, 5, 7)]
     _assert_index_identical(steps, steps[::-1], fine)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e12])
+def test_index_single_candidate_ties_on_the_window_edge(scale):
+    """Queries with exactly one site in their x-window, not the last in x
+    order, which one hypot decides: at exactly eps (along x and along a
+    3-4-5 diagonal), one ulp past it, and on the window's edge."""
+    tol = Tolerance(0.625)
+    w = _window(tol.eps)
+    sites = [Point(scale, scale), Point(scale + 10.0, scale), Point(scale + 20.0, scale)]
+    queries = [Point(scale + 0.625, scale), Point(scale + 0.375, scale + 0.5),
+               Point(math.nextafter(scale + 0.625, math.inf), scale),
+               Point(scale + 0.375, math.nextafter(scale + 0.5, math.inf)),
+               Point(scale - 0.625, scale), Point(scale + w, scale),
+               Point(scale + 10.0 - w, scale - 1e-3), Point(scale + 10.0, scale + 0.625)]
+    index = PointIndex(sites, tol)
+    in_window = [bisect.bisect_right(index.sorted_xs, q.x + w)
+                 - bisect.bisect_left(index.sorted_xs, q.x - w) for q in queries]
+    want = [ref_within(q, sites, tol) for q in queries]
+    assert want[:5] + want[7:] == [[0], [0], [], [], [0], [1]]
+    # the ties at exactly eps, and at scale 1 every query, take the shortcut
+    assert max(in_window) == 1 and all(in_window[k] for k in (0, 1, 4, 7))
+    assert scale != 1.0 or in_window == [1] * len(queries)
+    _assert_index_identical(sites, queries, tol)
+    # a permutation matched at exactly eps
+    assert extract_permutation(sites, [sites[2], queries[7], queries[1]], tol).pi == (2, 1, 0)
+    _assert_index_identical(sites, [sites[2], queries[7], queries[1]], tol)
 
 
 def test_index_counts_every_site_within_eps():

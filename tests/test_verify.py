@@ -12,7 +12,6 @@ from swarmperm import (
     Point,
     SpecVerdict,
     VISIT_ALL,
-    apply_permutation,
     check_k_step_spec,
     extract_permutation,
     make_protocol,
@@ -58,9 +57,8 @@ def test_extract_matches_random_permutations():
         after = [pts[perm[i]] for i in range(n)]
         sp = extract_permutation(pts, after)
         assert list(sp.pi) == perm
-        got = apply_permutation(sp.pi, pts)
-        for p, q in zip(got, after):
-            assert p.dist(q) < 1e-12
+        for i, q in enumerate(after):  # c_b[i] == c_a[pi[i]]
+            assert pts[sp.pi[i]].dist(q) < 1e-12
 
 
 def ref_cycle_flags(pi):
