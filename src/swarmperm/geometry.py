@@ -285,14 +285,14 @@ def _window(eps: float) -> float:
 
 
 class PointIndex:
-    """The points' coordinates with an x-sorted index, for the eps queries
-    of site matching and symmetry image sets."""
+    """The points' coordinate columns sorted by x, with each row's index
+    in `order`, for the eps queries of site matching and symmetry image sets."""
 
     def __init__(self, points: Sequence[Point], tol: Tolerance):
-        self.xs, self.ys = columns(points)
-        self.order = sorted(range(len(self.xs)), key=self.xs.__getitem__)
-        self.sorted_xs = [self.xs[j] for j in self.order]
-        self.sorted_ys = [self.ys[j] for j in self.order]
+        xs, ys = columns(points)
+        self.order = sorted(range(len(xs)), key=xs.__getitem__)
+        self.sorted_xs = [xs[j] for j in self.order]
+        self.sorted_ys = [ys[j] for j in self.order]
         self.eps = tol.eps
         self.window = _window(tol.eps)
 
@@ -318,16 +318,15 @@ class PointIndex:
         more than eps away.  Only points in the image's x-window are
         compared, so the first image without a match ends the test.
         """
-        xs, ys, order, sorted_xs = self.xs, self.ys, self.order, self.sorted_xs
-        eps, w = self.eps, self.window
-        used = [False] * len(xs)
+        sxs, sys_, order, eps, w = self.sorted_xs, self.sorted_ys, self.order, self.eps, self.window
+        used = [False] * len(order)
         for qx, qy in images:
             best, best_d = -1, math.inf
-            for k in range(bisect_left(sorted_xs, qx - w), bisect_right(sorted_xs, qx + w)):
+            for k in range(bisect_left(sxs, qx - w), bisect_right(sxs, qx + w)):
                 j = order[k]
                 if used[j]:
                     continue
-                d = math.hypot(xs[j] - qx, ys[j] - qy)
+                d = math.hypot(sxs[k] - qx, sys_[k] - qy)
                 if d < best_d or (d == best_d and j < best):
                     best, best_d = j, d
             if best < 0 or best_d > eps:
