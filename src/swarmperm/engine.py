@@ -15,6 +15,7 @@ import random
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import truediv
 from typing import Sequence
 
 from .errors import (
@@ -30,7 +31,7 @@ from .errors import (
 from .geometry import (DEFAULT_TOL, Frame, Point, Points, Tolerance, as_points, columns,
                        first_coincident_pair)
 from .protocols import Protocol
-from .symmetry import center_robot_index, mirror_axes
+from .symmetry import _cached, center_robot_index, mirror_axes
 
 
 IDENTITY_FRAME = Frame()
@@ -40,12 +41,12 @@ IDENTITY_FRAME = Frame()
 class Snapshot:
     """What one robot sees: every position in its own frame (itself at
     the origin), and optionally every robot's +x direction.  From
-    `to_local_snapshot` the positions are a `Points`, whose coordinate
-    columns the protocols read, any sequence of Points otherwise."""
+    `to_local_snapshot` both are a `Points`, whose coordinate columns the
+    protocols read, any sequence of Points otherwise."""
 
     local_points: Sequence[Point]
     own_index: int
-    visible_frames: tuple[Point, ...] | None = None
+    visible_frames: Sequence[Point] | None = None
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,11 @@ class RunTrace:
     def failed(self) -> bool:
         return self.records[-1].error is not None
 
+    @_cached
+    def site_labels(self) -> dict:
+        """Per `Tolerance`, the verifier's site labels of the rounds; no field, no hash."""
+        return {}
+
 
 def to_local_snapshot(points: Sequence[Point], frames: Sequence[Frame], i: int,
                       visible: bool = False) -> Snapshot:
@@ -78,8 +84,10 @@ def to_local_snapshot(points: Sequence[Point], frames: Sequence[Frame], i: int,
         local = f.to_local(points, points[i])
         dirs = None
         if visible:
-            # each robot's unit x-direction, turned into this robot's frame
-            dirs = tuple(d.unit() for d in f.to_local([g.x_dir for g in frames]))
+            # each robot's unit x-direction, turned into this robot's frame: Point.unit's floats
+            d = f.to_local([g.x_dir for g in frames])
+            norms = list(map(math.hypot, d.xs, d.ys))
+            dirs = Points(list(map(truediv, d.xs, norms)), list(map(truediv, d.ys, norms)))
     except NonFinite as exc:
         raise InvalidFrame(f"robot {i}'s frame (scale {f.scale:g}) cannot hold the "
                            f"configuration: {exc}") from exc

@@ -296,18 +296,20 @@ class PointIndex:
         self.eps = tol.eps
         self.window = _window(tol.eps)
 
-    def within(self, qxs: Sequence[float], qys: Sequence[float]) -> list[list[int]]:
-        """Per query (x, y), ascending, every j with hypot(x - xs[j], y - ys[j]) <= eps: one
-        hypot and no loop when a single point lies in the query's x-window."""
+    def labels(self, qxs: Sequence[float], qys: Sequence[float]) -> list[int]:
+        """Per query (x, y), the one j with hypot(x - xs[j], y - ys[j]) <= eps, -1 when no
+        j is that close and -2 when several are: one hypot and no loop when a single
+        point lies in the query's x-window."""
         sxs, sys_, order, eps, w = self.sorted_xs, self.sorted_ys, self.order, self.eps, self.window
         out, last = [], len(sxs) - 1
         for x, y in zip(qxs, qys):
             lo, top = bisect_left(sxs, x - w), x + w
             if lo < last and sxs[lo] <= top < sxs[lo + 1]:
-                out.append([order[lo]] if math.hypot(x - sxs[lo], y - sys_[lo]) <= eps else [])
+                out.append(order[lo] if math.hypot(x - sxs[lo], y - sys_[lo]) <= eps else -1)
             else:
-                out.append(sorted(order[k] for k in range(lo, bisect_right(sxs, top))
-                                  if math.hypot(x - sxs[k], y - sys_[k]) <= eps))
+                hits = [order[k] for k in range(lo, bisect_right(sxs, top))
+                        if math.hypot(x - sxs[k], y - sys_[k]) <= eps]
+                out.append(hits[0] if len(hits) == 1 else -2 if hits else -1)
         return out
 
     def matches(self, images: Iterable[tuple[float, float]]) -> bool:

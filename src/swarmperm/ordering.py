@@ -347,8 +347,7 @@ def _votes(a: Analysis, polygon: Sequence[int], x_dirs: Sequence[Point]) -> list
     eps, xs, ys, rows = a.tol.eps, a.xs, a.ys, a.rows
     vecs = [(rows[v], v) for v in polygon]
     out = []
-    for d in x_dirs:
-        dx, dy = d.x, d.y
+    for dx, dy in zip(*columns(x_dirs)):
         dn = math.hypot(dx, dy)
         scored = [(sweep_angle_xy(dx, dy, dn, *vec, CW, eps), v) for vec, v in vecs]
         best_a = min(s for s, _ in scored)

@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
+from functools import cache
+from operator import sub
 from typing import Sequence
 
 from .errors import NotAPermutation
-from .geometry import DEFAULT_TOL, Point, PointIndex, Tolerance, columns
+from .geometry import DEFAULT_TOL, Point, PointIndex, Tolerance, columns, first_coincident_pair
 
 MOVE_ALL = "MoveAll"
 VISIT_ALL = "VisitAll"
@@ -66,22 +67,58 @@ def _cycle_flags(pi: Sequence[int]) -> tuple[bool, bool]:
     return all(pi[i] != i for i in range(len(pi))), orbit == len(pi)
 
 
+def _hits(x: float, y: float, xs: list[float], ys: list[float], eps: float) -> list[int]:
+    """Every site l within eps of (x, y), by `PointIndex.labels`' float: a recount."""
+    return [l for l, (sx, sy) in enumerate(zip(xs, ys)) if math.hypot(x - sx, y - sy) <= eps]
+
+
+def _step(labels: list[int], c_a: Sequence[Point], c_b: Sequence[Point],
+          eps: float) -> StepPermutation:
+    """The pi that c_b's labels against c_a name; anything ambiguous or unmatched is a
+    violation, named by c_b's first point without one site."""
+    if len(c_a) != len(labels):
+        raise NotAPermutation(f"sizes differ: {len(c_a)} vs {len(labels)}")
+    if min(labels, default=0) < 0:
+        qxs, qys = columns(c_b)
+        r = next(r for r, site in enumerate(labels) if site < 0)
+        raise NotAPermutation(f"point ({qxs[r]:.6g}, {qys[r]:.6g}) matches "
+                              f"{len(_hits(qxs[r], qys[r], *columns(c_a), eps))} points")
+    if len(set(labels)) != len(labels):
+        raise NotAPermutation("matching is not a bijection")
+    return StepPermutation(tuple(labels), *_cycle_flags(labels))
+
+
 def extract_permutation(c_a: Sequence[Point], c_b: Sequence[Point],
                         tol: Tolerance = DEFAULT_TOL) -> StepPermutation:
-    """The unique pi with c_b[i] = c_a[pi[i]], from one batch query; anything ambiguous
-    or unmatched is a violation, named by c_b's first point without one site."""
-    if len(c_a) != len(c_b):
-        raise NotAPermutation(f"sizes differ: {len(c_a)} vs {len(c_b)}")
-    qxs, qys = columns(c_b)
-    hits = PointIndex(c_a, tol).within(qxs, qys)
-    pi = tuple(chain.from_iterable(hits))  # one site each when no list is empty
-    if len(pi) != len(hits) or not all(hits):
-        r = next(r for r, h in enumerate(hits) if len(h) != 1)
-        raise NotAPermutation(f"point ({qxs[r]:.6g}, {qys[r]:.6g}) matches {len(hits[r])} points")
-    if len(set(pi)) != len(pi):
-        raise NotAPermutation("matching is not a bijection")
-    fpf, single = _cycle_flags(pi)
-    return StepPermutation(pi, fpf, single)
+    """The unique pi with c_b[i] = c_a[pi[i]], from one batch query."""
+    return _step(PointIndex(c_a, tol).labels(*columns(c_b)), c_a, c_b, tol.eps)
+
+
+class _SiteLabels(dict):
+    """Round r's `PointIndex.labels` against round 0's sites at [r], taken on first
+    read; `of` keeps one per trace and tolerance in `RunTrace.site_labels`."""
+
+    def __init__(self, records, tol: Tolerance):
+        self.records, self.sites = records, PointIndex(records[0].positions, tol)
+
+    def __missing__(self, r: int) -> list[int]:
+        row = self[r] = self.sites.labels(*columns(self.records[r].positions))
+        return row
+
+    @classmethod
+    def of(cls, trace, tol: Tolerance) -> _SiteLabels:
+        kept = trace.site_labels
+        return kept[tol] if tol in kept else kept.setdefault(tol, cls(trace.records, tol))
+
+
+# A shift pair (j, j + k) passes unmatched when round 0's sites lie more
+# than 2 eps apart and both rounds put their robots on distinct sites, each
+# within eps/2 of its own.  A robot of round j + k is then within
+# eps/2 + eps/2 = eps of the robot of round j on its site, and more than
+# 2 eps - eps/2 - eps/2 = eps from every other one, so `extract_permutation`
+# would pass.  The factors 1 +- _MARGIN cover a few ulps of rounding for eps
+# above 1e-300.
+_MARGIN = 1e-9
 
 
 def check_k_step_spec(trace, spec: str, k: int,
@@ -95,7 +132,8 @@ def check_k_step_spec(trace, spec: str, k: int,
     the restart property at multiples of k (the in-between rounds carry
     signalling displacements); all-zero-bit traces are held to it at
     every j.  A visiting verdict from fewer than k*n + 1 rounds is
-    flagged provisional.
+    flagged provisional.  Every round is matched against round 0's sites
+    once, in the labelling that `visit_matrix` reads too.
     """
     if spec not in SPECS:
         raise ValueError(f"unknown spec {spec!r}; choose from {SPECS}")
@@ -111,8 +149,11 @@ def check_k_step_spec(trace, spec: str, k: int,
                            (last, f"trace has {last} rounds, needs at least {k}"))
     configs = [rec.positions for rec in records]
     n = len(configs[0])
+    labels = _SiteLabels.of(trace, tol)
+    x0, y0 = columns(configs[0])
+    eps = tol.eps
     try:
-        step = extract_permutation(configs[0], configs[k], tol)
+        step = _step(labels[k], configs[0], configs[k], eps)
     except NotAPermutation as exc:
         return SpecVerdict(spec, k, False, (k, f"NotAPermutation: {exc}"))
     if spec == MOVE_ALL and not step.fixed_point_free:
@@ -120,12 +161,12 @@ def check_k_step_spec(trace, spec: str, k: int,
     if spec == VISIT_ALL and not step.is_n_cycle:
         return SpecVerdict(spec, k, False, (k, f"permutation is not a {n}-cycle"))
     power = list(range(n))
-    x0, y0 = columns(configs[0])
-    eps = tol.eps
     i = 0
     while (i + 1) * k <= last:
         i += 1
         power = [step.pi[x] for x in power]
+        if labels[i * k] == power:
+            continue
         gx, gy = columns(configs[i * k])  # each robot against Tolerance.same_point's float
         bad = next((r for r in range(n)
                     if not math.hypot(x0[power[r]] - gx[r], y0[power[r]] - gy[r]) <= eps), None)
@@ -136,7 +177,21 @@ def check_k_step_spec(trace, spec: str, k: int,
     memoryless = all(not any(rec.bits) for rec in records)
     # the pair (0, k) is the step extracted above
     shift_js = range(1, last - k + 1) if memoryless else range(k, last - k + 1, k)
+    wide, half = eps * 2.0 * (1.0 + _MARGIN), eps * 0.5 * (1.0 - _MARGIN)
+    separated = (eps > 1e-300 and wide < math.inf
+                 and first_coincident_pair(configs[0], Tolerance(wide)) is None)
+
+    @cache
+    def snug(r: int) -> bool:
+        """Round r's labels a permutation, every robot within `half` of its own site."""
+        row, (gx, gy) = labels[r], columns(configs[r])
+        return (min(row) >= 0 and len(set(row)) == len(row) == n
+                and max(map(math.hypot, map(sub, gx, map(x0.__getitem__, row)),
+                            map(sub, gy, map(y0.__getitem__, row)))) <= half)
+
     for j in shift_js:
+        if separated and snug(j) and snug(j + k):
+            continue
         try:
             extract_permutation(configs[j], configs[j + k], tol)
         except NotAPermutation as exc:
@@ -150,18 +205,20 @@ def check_k_step_spec(trace, spec: str, k: int,
 def visit_matrix(trace, stride: int = 1,
                  tol: Tolerance = DEFAULT_TOL) -> list[list[int]]:
     """count[i][l] = rounds (sampled every `stride`, final round dropped
-    as the cycle closer) in which robot i stands on initial location l:
-    one batch query of each sampled round's columns against round 0's."""
+    as the cycle closer) in which robot i stands on initial location l,
+    read from the labelling that `check_k_step_spec` shares."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
     records = trace.records
-    base = records[0].positions
-    n = len(base)
-    counts = [[0] * n for _ in range(n)]
-    sites = PointIndex(base, tol)
-    sampled = records[:-1] if len(records) > 1 else records
-    for rec in sampled[::stride]:
-        for row, hits in zip(counts, sites.within(*columns(rec.positions))):
-            for l in hits:
-                row[l] += 1
+    x0, y0 = columns(records[0].positions)
+    counts = [[0] * len(x0) for _ in x0]
+    labels = _SiteLabels.of(trace, tol)
+    for r in range(0, max(len(records) - 1, 1), stride):
+        for i, site in enumerate(labels[r]):
+            if site >= 0:
+                counts[i][site] += 1
+            elif site == -2:  # within eps of several sites: one visit to each
+                gx, gy = columns(records[r].positions)
+                for l in _hits(gx[i], gy[i], x0, y0, tol.eps):
+                    counts[i][l] += 1
     return counts

@@ -248,3 +248,40 @@ def test_verifier_reads_columns():
     builds no Point, so a trace audit costs no Point per robot-round."""
     path = SRC / "verify.py"
     assert _elementwise_reads(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def _index_constructions(tree: ast.Module) -> list[str]:
+    """The dotted path of the def or class around each `PointIndex(...)` call."""
+    out: list[str] = []
+
+    def walk(node: ast.AST, path: tuple) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            path = path + (node.name,)
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "PointIndex":
+                out.append(".".join(path))
+        for child in ast.iter_child_nodes(node):
+            walk(child, path)
+
+    walk(tree, ())
+    return out
+
+
+def test_index_check_sees_every_construction():
+    src = ("def f(a, tol):\n"
+           "    return PointIndex(a, tol)\n"
+           "class C:\n"
+           "    def g(self, tol):\n"
+           "        return [geometry.PointIndex(b, tol) for b in self], index(self)\n")
+    assert _index_constructions(ast.parse(src)) == ["f", "C.g"]
+
+
+def test_verifier_builds_an_index_only_to_label_a_trace_or_extract_a_step():
+    """The k-step check and the visit matrix read one labelling of the
+    trace's rounds against round 0's sites; only that labelling and
+    `extract_permutation`, the shift check's pairwise fallback, index sites."""
+    path = SRC / "verify.py"
+    made = _index_constructions(ast.parse(path.read_text(), filename=str(path)))
+    assert sorted(made) == ["_SiteLabels.__init__", "extract_permutation"]

@@ -81,8 +81,10 @@ from swarmperm import (
     RoundRecord,
     RunTrace,
     Snapshot,
+    SpecVerdict,
     SwarmError,
     Tolerance,
+    VISIT_ALL,
     VoteTally,
     adversary_frames,
     agree_chirality,
@@ -388,6 +390,12 @@ def ref_within(p: Point, pts, tol: Tolerance) -> list[int]:
     return [j for j, q in enumerate(pts) if tol.same_point(p, q)]
 
 
+def ref_label(p: Point, pts, tol: Tolerance) -> int:
+    """`PointIndex.labels` of one query: its one site, -1 for none, -2 for several."""
+    hits = ref_within(p, pts, tol)
+    return hits[0] if len(hits) == 1 else -2 if hits else -1
+
+
 def ref_match_index(p: Point, pts, tol: Tolerance) -> int:
     hits = ref_within(p, pts, tol)
     if len(hits) != 1:
@@ -402,6 +410,46 @@ def ref_extract_pi(c_a, c_b, tol: Tolerance) -> tuple[int, ...]:
     if len(set(pi)) != len(pi):
         raise NotAPermutation("matching is not a bijection")
     return pi
+
+
+def ref_check_k_step_spec(trace, spec: str, k: int, tol: Tolerance = DEFAULT_TOL) -> SpecVerdict:
+    """check_k_step_spec by the pairwise scans: `ref_extract_pi` for the step
+    and for every shift pair, and `same_point` for each robot of the power check."""
+    records = trace.records
+    last = len(records) - 1
+    for rec in records:
+        if rec.error is not None:
+            return SpecVerdict(spec, k, False, (rec.round_index, rec.error))
+    if last < k:
+        return SpecVerdict(spec, k, False, (last, f"trace has {last} rounds, needs at least {k}"))
+    configs = [list(rec.positions) for rec in records]
+    n = len(configs[0])
+    try:
+        pi = ref_extract_pi(configs[0], configs[k], tol)
+    except NotAPermutation as exc:
+        return SpecVerdict(spec, k, False, (k, f"NotAPermutation: {exc}"))
+    orbit, i = 1, pi[0]
+    while i != 0:
+        orbit, i = orbit + 1, pi[i]
+    if spec == MOVE_ALL and any(pi[i] == i for i in range(n)):
+        return SpecVerdict(spec, k, False, (k, "permutation has a fixed point"))
+    if spec == VISIT_ALL and orbit != n:
+        return SpecVerdict(spec, k, False, (k, f"permutation is not a {n}-cycle"))
+    power = list(range(n))
+    for i in range(1, last // k + 1):
+        power = [pi[x] for x in power]
+        for r in range(n):
+            if not tol.same_point(configs[0][power[r]], configs[i * k][r]):
+                return SpecVerdict(spec, k, False, (i * k, f"robot {r} deviates from the fixed "
+                                                           f"permutation power at round {i * k}"))
+    memoryless = all(not any(rec.bits) for rec in records)
+    for j in range(1, last - k + 1) if memoryless else range(k, last - k + 1, k):
+        try:
+            ref_extract_pi(configs[j], configs[j + k], tol)
+        except NotAPermutation as exc:
+            return SpecVerdict(spec, k, False, (j + k, f"round {j + k} is not a permutation "
+                                                       f"of round {j}: {exc}"))
+    return SpecVerdict(spec, k, True, None, spec == VISIT_ALL and last < k * n)
 
 
 def ref_visit_matrix(trace, stride: int = 1, tol: Tolerance = DEFAULT_TOL):
@@ -796,8 +844,8 @@ def _assert_index_identical_once(sites, queries, tol):
     for pts in (sites, queries):
         assert first_coincident_pair(pts, tol) == ref_first_coincident_pair(pts, tol)
     index = PointIndex(sites, tol)
-    hits = index.within([q.x for q in queries], [q.y for q in queries])
-    assert hits == [ref_within(q, sites, tol) for q in queries]
+    labels = index.labels([q.x for q in queries], [q.y for q in queries])
+    assert labels == [ref_label(q, sites, tol) for q in queries]
     if len(queries) == len(sites):
         assert (_outcome(lambda: extract_permutation(sites, queries, tol).pi)
                 == _outcome(lambda: ref_extract_pi(sites, queries, tol)))
@@ -927,6 +975,110 @@ def test_index_matches_reference_on_generated_sets(xys, qxys, eps, scale):
     sites = _lattice_points(xys, scale)
     queries = _lattice_points((qxys * len(xys))[:len(xys)], scale)
     _assert_index_identical(sites, queries, Tolerance(eps * scale))
+
+
+# --- the k-step check and the visit matrix at the eps margins ----------------
+
+_MARGINS = (0.3, 0.49, 0.5, 0.51, 0.9, 1.0, 1.1, 2.5)
+_GAPS = (1.5, 1.99, 2.0, 2.01, 3.0)
+
+
+def _margin_trace(rng, n: int, k: int, eps: float, gap: float, memoryless: bool,
+                  plant: bool) -> RunTrace:
+    """A seeded n-cycle of sites, advanced every k rounds for about one
+    period.  Sites 0 and 1 lie gap*eps apart, the rest on a 10-eps lattice.
+    In each round after 0 up to two robots stand a margin times eps off
+    their site, along x (toward or away from the near pair's other site) or
+    at a seeded angle, so some stand within eps of both near sites.  The
+    in-between rounds of k = 2 repeat the last configuration, and a planted
+    violation moves one robot 3 eps at a seeded round."""
+    ox, oy = rng.choice((0.0, rng.uniform(-5.0, 5.0))), rng.uniform(-5.0, 5.0)
+    sites = [Point(ox, oy), Point(ox + gap * eps, oy)]
+    sites += [Point(ox + 10.0 * eps * (i % 3), oy + 10.0 * eps * (1 + i // 3))
+              for i in range(n - 2)]
+    order = list(range(n))
+    rng.shuffle(order)
+    pi = [0] * n
+    for j in range(n):
+        pi[order[j]] = order[(j + 1) % n]
+    rounds = k * n + rng.choice((-k, 0, 1, k))
+    planted = rng.randrange(1, rounds + 1) if plant else None
+    power = list(range(n))
+    configs = [sites]
+    for r in range(1, rounds + 1):
+        if r % k == 0:
+            power = [pi[x] for x in power]
+        config = [sites[s] for s in power]
+        for i in rng.sample(range(n), rng.choice((0, 0, 1, 2))):
+            m = rng.choice(_MARGINS) * eps
+            t = rng.choice((0.0, math.pi, rng.uniform(0.0, 2.0 * math.pi)))
+            config[i] = Point(config[i].x + m * math.cos(t), config[i].y + m * math.sin(t))
+        if r == planted:
+            i = rng.randrange(n)
+            config[i] = Point(config[i].x + 3.0 * eps, config[i].y)
+        configs.append(config)
+    holder = rng.randrange(n)
+    bits = (0,) * n if memoryless else tuple(int(i == holder) for i in range(n))
+    return RunTrace(tuple(RoundRecord(r, tuple(c), bits if r else (0,) * n, (r > 0,) * n)
+                          for r, c in enumerate(configs)))
+
+
+def _assert_verifier_identical(trace: RunTrace, k: int, eps: float) -> set[bool]:
+    """The verdict JSON of both specs and the visit matrix at strides 1 and
+    k, against the references, at eps and then at 2 eps on the same trace
+    (the visit matrix read first there); the verdicts' pass flags."""
+    passed = set()
+    for tol in (Tolerance(eps), Tolerance(2.0 * eps)):
+        visits = {stride: visit_matrix(trace, stride, tol) for stride in (1, k)
+                  if tol.eps != eps}
+        for spec in (MOVE_ALL, VISIT_ALL):
+            got = check_k_step_spec(trace, spec, k, tol)
+            assert got.to_json() == ref_check_k_step_spec(trace, spec, k, tol).to_json()
+            passed.add(got.passed)
+        for stride in (1, k):
+            want = ref_visit_matrix(trace, stride, tol)
+            assert visits.get(stride, want) == want
+            assert visit_matrix(trace, stride, tol) == want
+    return passed
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-3, 1.0])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("memoryless", [True, False])
+def test_k_step_check_and_visits_match_reference_at_eps_margins(eps, k, memoryless):
+    """Sites 1.5 to 3 eps apart and robots 0.3 to 2.5 eps off them, with and
+    without a planted violation: both verdicts occur, and every verdict,
+    message and visit count is the pairwise scans'."""
+    rng = random.Random(f"margins {eps} {k} {memoryless}")
+    passed = set()
+    for gap in _GAPS:
+        for _ in range(12):
+            trace = _margin_trace(rng, rng.randint(3, 8), k, eps, gap, memoryless,
+                                  rng.random() < 0.3)
+            passed |= _assert_verifier_identical(trace, k, eps)
+    assert passed == {True, False}
+
+
+def test_k_step_check_and_visits_match_reference_between_two_sites():
+    """A robot 0.75 eps from both sites of a near pair stands on both in the
+    visit matrix, and its round matches no site uniquely."""
+    eps = 1e-3
+    sites = [Point(0.0, 0.0), Point(1.5e-3, 0.0), Point(0.0, 1e-2)]
+    shifted = [sites[1], sites[2], sites[0]]
+    between = [Point(0.75e-3, 0.0), sites[2], sites[0]]
+    for configs in ([sites, shifted, between, sites], [sites, between, shifted, sites]):
+        trace = _trace_of(configs)
+        _assert_verifier_identical(trace, 1, eps)
+        assert visit_matrix(trace, 1, Tolerance(eps))[0][:2] == [2, 2]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.randoms(use_true_random=False), st.integers(3, 8), st.sampled_from([1, 2]),
+       st.sampled_from([1e-9, 1e-3, 1.0]), st.sampled_from(_GAPS), st.booleans(),
+       st.booleans())
+def test_k_step_check_and_visits_match_reference_on_generated_margin_traces(
+        rng, n, k, eps, gap, memoryless, plant):
+    _assert_verifier_identical(_margin_trace(rng, n, k, eps, gap, memoryless, plant), k, eps)
 
 
 # --- the duplicate check's sorted-gap decision -------------------------------

@@ -14,6 +14,7 @@ RECORDED = [
     "centered_cadence sha256=50bfc9319d192eed3f449d8bc8eb00059083eef4c19dc8ecb5203b76eed99891",
     "225 instances sha256=2e501f76ced804fd670a96f58b7f6912b7eecdba2633e22f7826e14dc1ab0d99",
     "trace_audit sha256=7de638e425c8e93e582654480ec00f27272f4a020e6ce40ff78451d4b90ce1f0",
+    "margin sha256=3c9d8847ff77f77f91f73411e0aa7ac1e4f71d82d07fe8f5afeed99f4738c33e",
 ]
 
 

@@ -11,6 +11,7 @@ from swarmperm import (
     NotAPermutation,
     Point,
     SpecVerdict,
+    Tolerance,
     VISIT_ALL,
     check_k_step_spec,
     extract_permutation,
@@ -219,6 +220,29 @@ def test_two_step_spec_with_intermediate():
     v = check_k_step_spec(zero_bits, VISIT_ALL, k=2)
     assert not v.passed
     assert v.first_violation[0] == 3  # round 3 vs round 1 comparison fires
+
+
+@pytest.mark.parametrize("spacing, drift, pairwise", [
+    (2.0, 0.0, 0),  # sites 20 eps apart, robots on them: no pair matched pairwise
+    (2.0, 0.05, 2),  # one robot eps/2 off its site: both pairs that hold it
+    (0.2, 0.0, 3),  # sites 2 eps apart: every pair
+])
+def test_shift_pairs_on_their_sites_skip_the_pairwise_match(monkeypatch, spacing, drift,
+                                                            pairwise):
+    """A shift pair passes without `extract_permutation` only when round 0's
+    sites lie more than 2 eps apart and both rounds hold every robot within
+    eps/2 of its own site; the verdict is the same either way."""
+    calls = []
+    monkeypatch.setattr("swarmperm.verify.extract_permutation",
+                        lambda *args: calls.append(args) or extract_permutation(*args))
+    sites = [Point(x * spacing, y * spacing) for x, y in ((0, 0), (1, 0), (1, 1), (0, 1))]
+    moved = _shift(sites, 2)
+    moved[1] = Point(moved[1].x + drift, moved[1].y)
+    trace = _fake_trace([(0, sites), (1, _shift(sites, 1)), (2, moved),
+                         (3, _shift(sites, 3)), (4, sites)])
+    v = check_k_step_spec(trace, VISIT_ALL, 1, Tolerance(0.1))
+    assert v.passed and not v.provisional
+    assert len(calls) == pairwise
 
 
 def test_verdict_json_shape():
